@@ -33,12 +33,12 @@ from .graph import (LaplacianSpectrum, WeightedGraph, add_pair_edges,
                     build_complete, build_custom, build_path, build_pcycle,
                     laplacian, pair_difference_matrix, spectrum)
 from .risk import (ConditionalDistribution, FailureScenario, ProfileEntry,
-                   RiskQuery, RiskResult, condition, iota, naive_risk,
-                   partition_blocks, risk_profile, var_risk)
+                   RiskResult, condition, iota, naive_risk, risk_profile,
+                   var_risk)
 from .simulate import (EmpiricalCovariance, SimConfig, SimState,
                        delay_steps, initial_state, run, step)
 from .stability import (ModeStability, StabilityReport, check_platoon,
-                        in_region_S, region_bound, solve_a)
+                        region_bound, solve_a)
 
 __all__ = [
     "AdjacencyCase", "CascadeRiskError", "ConditionalDistribution",
@@ -46,15 +46,14 @@ __all__ = [
     "EmpiricalCovariance", "FailureScenario", "IllConditionedScenarioError",
     "InvalidParameterError", "InvalidQueryError", "InvalidSizeError",
     "LaplacianSpectrum", "ModeStability", "NearBoundaryError", "NoiseParams",
-    "NumericalError", "PlatoonParams", "ProfileEntry", "RiskQuery",
-    "RiskResult", "SimConfig", "SimState", "StabilityReport", "TridiagInverse",
+    "NumericalError", "PlatoonParams", "ProfileEntry", "RiskResult",
+    "SimConfig", "SimState", "StabilityReport", "TridiagInverse",
     "UnstablePlatoonError", "WeightedGraph", "add_pair_edges",
     "build_complete", "build_custom", "build_path", "build_pcycle",
     "case_stats", "check_platoon", "classify", "complete_graph_covariance",
     "complete_graph_sigma_c", "complete_profile", "condition", "delay_steps",
-    "f_integral",
-    "initial_state", "in_region_S", "iota", "laplacian", "naive_risk",
-    "pair_difference_matrix", "partition_blocks", "region_bound",
-    "risk_profile", "run", "spectrum", "solve_a", "step",
-    "steady_state_covariance", "var_risk",
+    "f_integral", "initial_state", "iota", "laplacian", "naive_risk",
+    "pair_difference_matrix", "region_bound", "risk_profile", "run",
+    "spectrum", "solve_a", "step", "steady_state_covariance",
+    "tridiag_inverse", "var_risk",
 ]

@@ -20,7 +20,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidQueryError, InvalidSizeError
 from .risk import (ConditionalDistribution, FailureScenario, ProfileEntry,
-                   RiskResult, var_risk)
+                   RiskResult, _check_query, _var_risk, iota)
+
+
+def _check_sigma_c(sigma_c: float) -> None:
+    if sigma_c <= 0.0 or not math.isfinite(sigma_c):
+        raise InvalidParameterError(f"sigma_c={sigma_c!r} must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,8 +66,7 @@ def tridiag_inverse(m: int, sigma_c: float) -> TridiagInverse:
     for i <= j (symmetric)."""
     if m < 1:
         raise InvalidSizeError(f"size m={m} must be >= 1")
-    if sigma_c <= 0.0 or not math.isfinite(sigma_c):
-        raise InvalidParameterError(f"sigma_c={sigma_c!r} must be positive")
+    _check_sigma_c(sigma_c)
     k = np.arange(m + 1, dtype=float)
     theta = 0.5 ** k * sigma_c ** k * (k + 1.0)
     i = np.arange(1, m + 1)
@@ -176,10 +180,8 @@ def case_stats(case: AdjacencyCase, sigma_j: float, sigma_c: float,
     failure next to the queried pair and removes
     sigma_c/2 * m/(m+1) of variance.
     """
-    if sigma_c <= 0.0 or not math.isfinite(sigma_c):
-        raise InvalidParameterError(f"sigma_c={sigma_c!r} must be positive")
-    if d <= 0.0 or not math.isfinite(d):
-        raise InvalidParameterError(f"target gap d={d!r} must be positive")
+    _check_sigma_c(sigma_c)
+    _check_query(d)
     if case.tag == "none":
         return ConditionalDistribution(d, math.sqrt(sigma_c))
     if case.tag == "one_sided":
@@ -210,6 +212,9 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
                      d: float, c: float, epsilon: float) -> list:
     """Whole-platoon risk profile on the complete graph via case
     classification; mirrors risk.risk_profile entry for entry."""
+    _check_query(d, c)
+    it = iota(epsilon)
+    _check_sigma_c(sigma_c)
     sigma_j = math.sqrt(sigma_c)
     entries = []
     for j in range(1, n):
@@ -218,6 +223,6 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
                                         None, None))
             continue
         cnd = case_stats(classify(j, scenario, n), sigma_j, sigma_c, d)
-        entries.append(ProfileEntry(j, False, var_risk(cnd, d, c, epsilon),
+        entries.append(ProfileEntry(j, False, _var_risk(cnd, d, c, it),
                                     cnd.mu_tilde, cnd.sigma_tilde))
     return entries

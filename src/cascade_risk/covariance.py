@@ -21,7 +21,7 @@ from scipy import integrate
 from .errors import (InvalidParameterError, InvalidSizeError,
                      NearBoundaryError, NumericalError, UnstablePlatoonError)
 from .graph import LaplacianSpectrum, pair_difference_matrix
-from .stability import check_platoon, in_region_S, region_bound, solve_a
+from .stability import check_platoon, solve_a
 
 # Refuse quadrature when the worst mode sits closer than this to the
 # stability boundary: the integrand's peaks sharpen without bound there.
@@ -118,16 +118,6 @@ def _cache_key(s1: float, s2: float) -> tuple:
     return (f"{s1:.11e}", f"{s2:.11e}")
 
 
-def _require_in_region(s1: float, s2: float) -> None:
-    if not in_region_S(s1, s2):
-        raise UnstablePlatoonError(
-            f"(s1, s2) = ({s1:.6g}, {s2:.6g}) is outside the stability region")
-    if region_bound(s1) - s2 < NEAR_BOUNDARY_MARGIN:
-        raise NearBoundaryError(
-            f"stability margin {region_bound(s1) - s2:.3g} below "
-            f"{NEAR_BOUNDARY_MARGIN:g}; refusing quadrature this close to the boundary")
-
-
 def _quad(fun, lo: float, hi: float, epsabs: float, points=None) -> float:
     for limit in (1000, 4000):
         out = integrate.quad(fun, lo, hi, points=points, limit=limit,
@@ -142,8 +132,19 @@ def _quad(fun, lo: float, hi: float, epsabs: float, points=None) -> float:
 def f_integral(s1: float, s2: float) -> float:
     """The covariance integral; requires (s1, s2) inside the stability
     region with margin, returns a positive value with relative accuracy
-    better than 1e-8 (integrand even, so twice the half-line integral)."""
-    _require_in_region(s1, s2)
+    better than 1e-8 (integrand even, so twice the half-line integral).
+
+    One root a of a sin a = s1 serves both the region bound a/tan(a)
+    and the quadrature breakpoint."""
+    a = solve_a(s1) if 0.0 < s1 < math.pi / 2 else math.nan
+    bound = a / math.tan(a)
+    if not 0.0 < s2 < bound:
+        raise UnstablePlatoonError(
+            f"(s1, s2) = ({s1:.6g}, {s2:.6g}) is outside the stability region")
+    if bound - s2 < NEAR_BOUNDARY_MARGIN:
+        raise NearBoundaryError(
+            f"stability margin {bound - s2:.3g} below {NEAR_BOUNDARY_MARGIN:g}; "
+            f"refusing quadrature this close to the boundary")
     key = _cache_key(s1, s2)
     cached = _f_cache.get(key)
     if cached is not None:
@@ -152,7 +153,7 @@ def f_integral(s1: float, s2: float) -> float:
     # Near-singular radii: where s1*s2 - r^2 cos r and s1 - r sin r
     # first vanish, plus the radius a with a sin a = s1 where both
     # denominator terms vanish together as s2 approaches its bound.
-    pts = sorted({math.sqrt(s1 * s2), math.sqrt(s1), solve_a(s1)})
+    pts = sorted({math.sqrt(s1 * s2), math.sqrt(s1), a})
     value = 2.0 * _quad(fun, 0.0, _R_HEAD, epsabs=0.0, points=pts)
     r_tail = (4.0 / (3.0 * _TAIL_REL * value)) ** (1.0 / 3.0)
     if r_tail > _R_HEAD:
@@ -172,10 +173,6 @@ def steady_state_covariance(spec: LaplacianSpectrum,
             f"platoon does not form: mode with eigenvalue {worst.eigenvalue:.6g} "
             f"has (s1, s2) = ({worst.s1:.6g}, {worst.s2:.6g}) outside the "
             f"stability region", report)
-    if report.min_margin() < NEAR_BOUNDARY_MARGIN:
-        raise NearBoundaryError(
-            f"stability margin {report.min_margin():.3g} below "
-            f"{NEAR_BOUNDARY_MARGIN:g}; covariance would be unreliable")
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
     fvals = np.array([f_integral(m.s1, m.s2) for m in report.modes])
     pref = noise.g * noise.g * noise.tau ** 3 / (2.0 * math.pi)
@@ -188,10 +185,8 @@ def complete_graph_sigma_c(n: int, noise: NoiseParams) -> float:
     graph (all nonzero Laplacian eigenvalues equal n)."""
     if n < 2:
         raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
-    s1 = n * noise.tau
-    s2 = noise.beta * noise.tau
-    _require_in_region(s1, s2)
-    return noise.g * noise.g * noise.tau ** 3 * f_integral(s1, s2) / math.pi
+    f = f_integral(n * noise.tau, noise.beta * noise.tau)
+    return noise.g * noise.g * noise.tau ** 3 * f / math.pi
 
 
 def complete_graph_covariance(n: int, noise: NoiseParams) -> CovarianceMatrix:

@@ -17,12 +17,12 @@ import numpy as np
 from .covariance import (CovarianceMatrix, NoiseParams, PlatoonParams,
                          steady_state_covariance)
 from .errors import (InvalidParameterError, InvalidQueryError,
-                     NumericalError)
+                     NumericalError, UnstablePlatoonError)
 from .graph import WeightedGraph, add_pair_edges, laplacian, spectrum
 from .risk import (FailureScenario, condition, naive_risk, risk_profile,
                    var_risk)
 from .simulate import EmpiricalCovariance
-from .stability import StabilityReport, check_platoon
+from .stability import StabilityReport
 
 
 def stability_rows(report: StabilityReport):
@@ -228,15 +228,14 @@ def add_edge_rows(graph: WeightedGraph, platoon: PlatoonParams,
         if target in (j, j + 1):
             continue
         augmented = add_pair_edges(graph, j, target)
-        spec = spectrum(laplacian(augmented))
-        report = check_platoon(spec, noise.tau, noise.beta)
-        if not report.stable:
-            rows.append((target, None, 0))
-            continue
         try:
-            sig = steady_state_covariance(spec, noise)
+            sig = steady_state_covariance(spectrum(laplacian(augmented)),
+                                          noise)
             value = var_risk(condition(sig, platoon.d, j, scenario),
                              platoon.d, c, epsilon).value
+        except UnstablePlatoonError:
+            rows.append((target, None, 0))
+            continue
         except NumericalError:
             value = None
         rows.append((target, value, 1))

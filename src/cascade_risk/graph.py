@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -188,6 +188,3 @@ def pair_difference_matrix(Q: np.ndarray) -> np.ndarray:
     """Rows are the consecutive-row differences of Q: row i equals
     (e_{i+1} - e_i)^T Q, the pair-i projection of each eigenvector."""
     return np.diff(np.asarray(Q), axis=0)
-
-
-Edge = Tuple[int, int, float]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erfinv
 
 from .covariance import CovarianceMatrix
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
@@ -25,6 +25,17 @@ from .errors import (IllConditionedScenarioError, InvalidParameterError,
 RCOND_MIN = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
+
+
+def _check_query(d: float, c: float | None = None) -> None:
+    """Entry check of the public risk routines: target gap d > 0 and,
+    when given, offset c >= 1. Each routine checks epsilon by calling
+    iota before any other work."""
+    if d <= 0.0 or not math.isfinite(d):
+        raise InvalidParameterError(f"target gap d={d!r} must be positive")
+    if c is not None and not (math.isfinite(c) and c >= 1.0):
+        raise InvalidQueryError(f"offset c={c!r} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -76,24 +87,6 @@ class ConditionalDistribution:
 
 
 @dataclass(frozen=True)
-class RiskQuery:
-    """Queried pair j, confidence epsilon in (0,1), systemic offset c >= 1."""
-
-    j: int
-    epsilon: float
-    c: float
-
-    def __post_init__(self):
-        if self.j < 1:
-            raise InvalidQueryError(f"pair index j={self.j} must be >= 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InvalidQueryError(
-                f"epsilon={self.epsilon!r} must lie strictly inside (0, 1)")
-        if not (math.isfinite(self.c) and self.c >= 1.0):
-            raise InvalidQueryError(f"offset c={self.c!r} must be >= 1")
-
-
-@dataclass(frozen=True)
 class RiskResult:
     """Extended-real risk value with its branch tag."""
 
@@ -112,28 +105,6 @@ class RiskResult:
         if not ok:
             raise InvalidParameterError(
                 f"risk value {self.value!r} inconsistent with branch {self.branch!r}")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.branch == "finite"
-
-
-def partition_blocks(sigma: CovarianceMatrix, j: int,
-                     scenario: FailureScenario):
-    """Split the covariance into (sigma_j^2, cross row, failed block)
-    for queried pair j against the scenario's failed pairs."""
-    if not 1 <= j <= sigma.dim:
-        raise InvalidQueryError(f"pair index {j} outside 1..{sigma.dim}")
-    if j in scenario:
-        raise InvalidQueryError(f"queried pair {j} is already failed")
-    if scenario.m and scenario.indices[-1] > sigma.dim:
-        raise InvalidQueryError(
-            f"failed pair {scenario.indices[-1]} outside 1..{sigma.dim}")
-    idx = np.asarray(scenario.indices, dtype=int) - 1
-    s11 = float(sigma.values[j - 1, j - 1])
-    s12 = np.array(sigma.values[j - 1, idx])
-    s22 = np.array(sigma.values[np.ix_(idx, idx)])
-    return s11, s12, s22
 
 
 class _FactoredScenario:
@@ -185,28 +156,34 @@ def condition(sigma: CovarianceMatrix, d: float, j: int,
               scenario: FailureScenario) -> ConditionalDistribution:
     """Gaussian conditional law of pair j's distance given the observed
     distances of the failed pairs."""
-    if d <= 0.0 or not math.isfinite(d):
-        raise InvalidParameterError(f"target gap d={d!r} must be positive")
-    partition_blocks(sigma, j, scenario)  # index validation
+    _check_query(d)
+    if not 1 <= j <= sigma.dim:
+        raise InvalidQueryError(f"pair index {j} outside 1..{sigma.dim}")
+    if j in scenario:
+        raise InvalidQueryError(f"queried pair {j} is already failed")
     return _FactoredScenario(sigma, scenario, d).conditional(sigma, d, j)
 
 
 def iota(epsilon: float) -> float:
-    """Inverse error function at 2*epsilon - 1."""
+    """Inverse error function at 2*epsilon - 1, computed as the standard
+    normal quantile of epsilon over sqrt(2): forming 2*epsilon - 1 would
+    cancel for small epsilon and round to -1 (iota = -inf) near 1e-17."""
     if not 0.0 < epsilon < 1.0:
         raise InvalidQueryError(
             f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
-    return float(erfinv(2.0 * epsilon - 1.0))
+    return _STD_NORMAL.inv_cdf(epsilon) / _SQRT2
 
 
 def var_risk(cond: ConditionalDistribution, d: float, c: float,
              epsilon: float) -> RiskResult:
     """Three-branch value-at-risk of the conditioned pair."""
-    if d <= 0.0 or not math.isfinite(d):
-        raise InvalidParameterError(f"target gap d={d!r} must be positive")
-    if not (math.isfinite(c) and c >= 1.0):
-        raise InvalidQueryError(f"offset c={c!r} must be >= 1")
-    it = iota(epsilon)
+    _check_query(d, c)
+    return _var_risk(cond, d, c, iota(epsilon))
+
+
+def _var_risk(cond: ConditionalDistribution, d: float, c: float,
+              it: float) -> RiskResult:
+    """var_risk on checked inputs, with it = iota(epsilon)."""
     mu, sig = cond.mu_tilde, cond.sigma_tilde
     if (d - c * mu) / (_SQRT2 * sig * c) <= it:
         return RiskResult(0.0, "zero")
@@ -239,8 +216,8 @@ def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
     """Risk of every pair 1..n-1 under one scenario. Failed pairs get a
     zero entry; conditioning errors are recorded per pair and the rest
     of the profile still computes."""
-    if d <= 0.0 or not math.isfinite(d):
-        raise InvalidParameterError(f"target gap d={d!r} must be positive")
+    _check_query(d, c)
+    it = iota(epsilon)
     try:
         factored = _FactoredScenario(sigma, scenario, d)
         scenario_error = None
@@ -259,7 +236,7 @@ def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
             continue
         try:
             cnd = factored.conditional(sigma, d, j)
-            entries.append(ProfileEntry(j, False, var_risk(cnd, d, c, epsilon),
+            entries.append(ProfileEntry(j, False, _var_risk(cnd, d, c, it),
                                         cnd.mu_tilde, cnd.sigma_tilde))
         except IllConditionedScenarioError as exc:
             entries.append(ProfileEntry(j, False, None, None, None, str(exc)))

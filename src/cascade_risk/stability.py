@@ -1,4 +1,4 @@
-"""Delay-stability region membership and platoon formation checks.
+"""Delay-stability region bound and platoon formation checks.
 
 A mode with scaled delay s1 = lambda*tau and scaled gain s2 = beta*tau is
 stable iff s1 in (0, pi/2) and 0 < s2 < a/tan(a), where a in (0, pi/2)
@@ -43,15 +43,6 @@ def region_bound(s1: float) -> float:
     """Upper limit a/tan(a) on s2 for a mode with scaled delay s1."""
     a = solve_a(s1)
     return a / math.tan(a)
-
-
-def in_region_S(s1: float, s2: float) -> bool:
-    """Membership in the open stability region."""
-    if not 0.0 < s1 < math.pi / 2:
-        return False
-    if s2 <= 0.0:
-        return False
-    return s2 < region_bound(s1)
 
 
 @dataclass(frozen=True)

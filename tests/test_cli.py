@@ -1,10 +1,13 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cascade_risk
 from cascade_risk import (NoiseParams, build_path, laplacian, naive_risk,
                           region_bound, spectrum, steady_state_covariance)
 from cascade_risk.cli import _format_cell, main, render_csv
@@ -242,6 +245,23 @@ def test_add_edge_baseline_matches_profile(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["1", "2", "3", "6"]
 
 
+def test_add_edge_destabilizing_targets(tmp_path, capsys):
+    # with tau = 0.35 and beta = 0.5 the path of 6 is stable, but a link
+    # from pair 4's vehicles to any other vehicle pushes a mode out of
+    # the region: each target gets an empty risk and stable = 0
+    cfg = write_cfg(tmp_path, PATH6.replace("tau = 0.03", "tau = 0.35")
+                    .replace("beta = 2", "beta = 0.5")
+                    .replace("indices = [3]", "indices = [2]"))
+    assert main(["add-edge", "--config", cfg, "--pair", "4"]) == 0
+    schema, header, rows, _ = parse_csv(capsys.readouterr().out)
+    assert schema == "add_edge/v1"
+    assert rows[0][0] == "0" and rows[0][2] == "1"
+    # f is accurate to 1e-8, which moves this risk by under 5e-6 (risk + c)
+    assert abs(float(rows[0][1]) - 0.17590627659760427) <= 5e-6 * 2.18
+    assert rows[1:] == [["1", "", "0"], ["2", "", "0"], ["3", "", "0"],
+                        ["6", "", "0"]]
+
+
 def test_simulate_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM_SMALL)
     assert main(["simulate", "--config", cfg]) == 0
@@ -267,9 +287,13 @@ def test_simulate_seed_flag_changes_output(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, PATH6)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(cascade_risk.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cascade_risk", "stability", "--config", cfg],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema=stability/v1\n")
 

@@ -234,3 +234,22 @@ def test_case_stats_validation():
                          side="right")
     with pytest.raises(InvalidParameterError):
         case_stats(case, 0.1, 4.0, 3.0)
+
+
+def test_complete_profile_rejects_bad_query_when_all_failed():
+    # every pair failed: no pair reaches var_risk, so the query is
+    # checked at entry
+    scenario = FailureScenario((1, 2, 3), (0.0, 0.0, 0.0))
+    complete_profile(4, scenario, 4.0, 3.0, 2.0, 0.1)
+    for c, eps in ((2.0, 7.0), (2.0, 0.0), (0.5, 0.1)):
+        with pytest.raises(InvalidQueryError):
+            complete_profile(4, scenario, 4.0, 3.0, c, eps)
+    with pytest.raises(InvalidParameterError):
+        complete_profile(4, scenario, 4.0, 0.0, 2.0, 0.1)
+
+
+def test_complete_profile_rejects_bad_sigma_c():
+    for sc in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            complete_profile(12, FailureScenario((4,), (0.0,)), sc,
+                             3.0, 2.0, 0.1)

@@ -10,8 +10,9 @@ from cascade_risk import (CovarianceMatrix, InvalidParameterError,
                           PlatoonParams, UnstablePlatoonError,
                           build_complete, build_path, build_pcycle,
                           complete_graph_covariance, complete_graph_sigma_c,
-                          f_integral, laplacian, region_bound, spectrum,
-                          steady_state_covariance)
+                          f_integral, laplacian, region_bound, solve_a,
+                          spectrum, steady_state_covariance)
+from cascade_risk import covariance, stability
 from cascade_risk.covariance import integrand
 
 from oracles import f_simpson
@@ -73,12 +74,35 @@ def test_f_integral_cache_key_resolution():
 
 
 def test_f_integral_outside_region():
-    with pytest.raises(UnstablePlatoonError):
-        f_integral(2.0, 0.1)  # s1 beyond pi/2
-    with pytest.raises(UnstablePlatoonError):
-        f_integral(0.5, region_bound(0.5) + 0.01)
-    with pytest.raises(UnstablePlatoonError):
-        f_integral(0.5, 0.0)
+    # the region is open: both edges of s1 and of s2 are outside
+    s1 = 0.5
+    for s2 in (region_bound(s1) + 0.01, region_bound(s1), 0.0, -0.1,
+               math.nan):
+        with pytest.raises(UnstablePlatoonError):
+            f_integral(s1, s2)
+    for bad_s1 in (0.0, math.pi / 2, 2.0, -0.1, math.nan):
+        with pytest.raises(UnstablePlatoonError):
+            f_integral(bad_s1, 0.1)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_one_region_root_per_mode(monkeypatch, warm):
+    # check_platoon and f_integral each need a root of a sin a = s1 for
+    # a mode; nothing else may solve for it again
+    calls = []
+
+    def counting_solve_a(s1):
+        calls.append(s1)
+        return solve_a(s1)
+
+    monkeypatch.setattr(covariance, "_f_cache", {})
+    spec = spectrum(laplacian(build_path(20)))
+    if warm:
+        steady_state_covariance(spec, PATH_NOISE)
+    monkeypatch.setattr(stability, "solve_a", counting_solve_a)
+    monkeypatch.setattr(covariance, "solve_a", counting_solve_a)
+    steady_state_covariance(spec, PATH_NOISE)
+    assert len(calls) <= 2 * 19
 
 
 def test_f_integral_near_boundary_refused():

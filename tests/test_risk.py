@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from cascade_risk import (ConditionalDistribution, FailureScenario,
                           IllConditionedScenarioError, InvalidParameterError,
-                          InvalidQueryError, NoiseParams, RiskQuery,
-                          RiskResult, build_path, condition, iota, laplacian,
-                          naive_risk, partition_blocks, risk_profile,
-                          spectrum, steady_state_covariance, var_risk)
+                          InvalidQueryError, NoiseParams, RiskResult,
+                          build_path, condition, iota, laplacian, naive_risk,
+                          risk_profile, spectrum, steady_state_covariance,
+                          var_risk)
 from cascade_risk.covariance import CovarianceMatrix
 
 from oracles import erfinv_bisect, normal_cdf, var_bisect
@@ -40,16 +40,6 @@ def test_failure_scenario_validation():
         FailureScenario((1,), (math.nan,))
 
 
-def test_risk_query_validation():
-    RiskQuery(3, 0.1, 2.0)
-    for bad in (dict(j=0, epsilon=0.1, c=1.0),
-                dict(j=1, epsilon=0.0, c=1.0),
-                dict(j=1, epsilon=1.0, c=1.0),
-                dict(j=1, epsilon=0.1, c=0.5)):
-        with pytest.raises(InvalidQueryError):
-            RiskQuery(**bad)
-
-
 def test_risk_result_validation():
     RiskResult(0.0, "zero")
     RiskResult(math.inf, "infinite")
@@ -61,31 +51,14 @@ def test_risk_result_validation():
             RiskResult(value, branch)
 
 
-def test_partition_blocks_bookkeeping(path6_sigma):
-    v = path6_sigma.values
-    s11, s12, s22 = partition_blocks(path6_sigma, 3,
-                                     FailureScenario((2, 4), (0.0, 0.0)))
-    assert s11 == v[2, 2]
-    assert np.array_equal(s12, [v[2, 1], v[2, 3]])
-    assert np.array_equal(s22, [[v[1, 1], v[1, 3]],
-                                [v[3, 1], v[3, 3]]])
-
-
-def test_partition_blocks_empty(path6_sigma):
-    s11, s12, s22 = partition_blocks(path6_sigma, 1,
-                                     FailureScenario((), ()))
-    assert s11 == path6_sigma.values[0, 0]
-    assert s12.shape == (0,)
-    assert s22.shape == (0, 0)
-
-
-def test_partition_blocks_rejects(path6_sigma):
-    with pytest.raises(InvalidQueryError):
-        partition_blocks(path6_sigma, 2, FailureScenario((2,), (0.0,)))
-    with pytest.raises(InvalidQueryError):
-        partition_blocks(path6_sigma, 9, FailureScenario((), ()))
-    with pytest.raises(InvalidQueryError):
-        partition_blocks(path6_sigma, 1, FailureScenario((7,), (0.0,)))
+def test_condition_rejects_bad_indices(path6_sigma):
+    with pytest.raises(InvalidQueryError):      # queried pair already failed
+        condition(path6_sigma, 3.0, 2, FailureScenario((2,), (0.0,)))
+    for j in (0, 6, 9):                         # j outside 1..5
+        with pytest.raises(InvalidQueryError):
+            condition(path6_sigma, 3.0, j, FailureScenario((), ()))
+    with pytest.raises(InvalidQueryError):      # failed pair outside 1..5
+        condition(path6_sigma, 3.0, 1, FailureScenario((7,), (0.0,)))
 
 
 def test_condition_empty_scenario(path6_sigma):
@@ -149,9 +122,27 @@ def test_iota_values():
     assert abs(iota(0.1) + 0.9061938) < 1e-6
     for eps in (0.013, 0.2, 0.77, 0.995):
         assert abs(math.erf(iota(eps)) - (2 * eps - 1.0)) < 1e-12
-    for bad in (0.0, 1.0, -0.2, 1.3):
+    for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
         with pytest.raises(InvalidQueryError):
             iota(bad)
+
+
+def test_iota_exact_over_whole_range():
+    # erf(iota) = 2 eps - 1, read through erfc so that each tail keeps
+    # its relative accuracy: erfc(-iota)/2 = eps and erfc(iota)/2 = 1 - eps.
+    for eps in [10.0 ** -k for k in range(1, 301)] + [0.2, 0.3, 0.5]:
+        assert abs(math.erfc(-iota(eps)) / 2.0 - eps) <= 1e-12 * eps
+    for k in range(1, 17):
+        eps = 1.0 - 10.0 ** -k
+        tail = 1.0 - eps                        # exact
+        assert abs(math.erfc(iota(eps)) / 2.0 - tail) <= 1e-12 * tail
+
+
+def test_naive_risk_branch_stable_for_tiny_epsilon():
+    # iota must stay finite below 1e-16, where 2 eps - 1 rounds to -1;
+    # an iota of -inf would flip this query to `infinite`
+    for eps in (1e-16, 1e-17, 1e-20):
+        assert naive_risk(0.1, 3.0, 2.0, eps).branch == "zero"
 
 
 def test_var_risk_zero_branch_boundary():
@@ -233,13 +224,17 @@ def test_risk_profile_empty_scenario_is_naive(path6_sigma):
         assert e.risk.value == ref.value
 
 
-def test_risk_profile_singular_block_marks_entries():
+def _singular_block_sigma():
     eps = 5e-14
     v = np.eye(4)
     v[0, 1] = v[1, 0] = 1.0 - eps
     v[2, 0] = v[0, 2] = 0.1
     v[2, 1] = v[1, 2] = 0.1
-    sigma = CovarianceMatrix(v)
+    return CovarianceMatrix(v)
+
+
+def test_risk_profile_singular_block_marks_entries():
+    sigma = _singular_block_sigma()
     entries = risk_profile(sigma, FailureScenario((1, 2), (0.5, 0.5)),
                            1.0, 1.0, 0.1)
     assert len(entries) == 4
@@ -248,6 +243,17 @@ def test_risk_profile_singular_block_marks_entries():
             assert e.risk.branch == "zero"
         else:
             assert e.risk is None and e.error is not None
+
+
+def test_risk_profile_rejects_bad_query_on_singular_block():
+    # no pair reaches var_risk here, so the query is checked at entry
+    sigma = _singular_block_sigma()
+    scenario = FailureScenario((1, 2), (0.5, 0.5))
+    for c, eps in ((1.0, 7.0), (0.5, 0.1)):
+        with pytest.raises(InvalidQueryError):
+            risk_profile(sigma, scenario, 1.0, c, eps)
+    with pytest.raises(InvalidParameterError):
+        risk_profile(sigma, scenario, -1.0, 1.0, 0.1)
 
 
 def test_risk_profile_epsilon_monotone(path6_sigma):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_risk import (InvalidParameterError, build_complete, build_path,
-                          build_pcycle, check_platoon, in_region_S,
-                          laplacian, region_bound, solve_a, spectrum)
+                          build_pcycle, check_platoon, laplacian,
+                          region_bound, solve_a, spectrum)
 
 from oracles import region_bound_bisect, solve_a_bisect
 
@@ -42,23 +42,37 @@ def test_solve_a_domain():
 
 
 def test_in_region_boundaries_open():
-    s1 = 0.5
-    bound = region_bound(s1)
-    assert in_region_S(s1, 0.5 * bound)
-    assert not in_region_S(s1, bound)          # upper edge excluded
-    assert not in_region_S(s1, 0.0)            # lower edge excluded
-    assert not in_region_S(s1, -0.1)
-    assert not in_region_S(0.0, 0.1)
-    assert not in_region_S(math.pi / 2, 0.1)
-    assert not in_region_S(2.0, 0.1)
+    # a 2-vehicle path has the single mode lambda_2 = 2, so the mode sits
+    # at s1 = 2*tau, s2 = beta*tau; power-of-two tau keeps both exact
+    spec = spectrum(laplacian(build_path(2)))
+    tau = 0.25
+    bound = region_bound(0.5)
+    assert check_platoon(spec, tau, 0.5 * bound / tau).stable
+    edge = check_platoon(spec, tau, bound / tau)    # upper edge excluded
+    (mode,) = edge.modes
+    assert mode.s2 == mode.bound and not edge.stable
+    for beta in (0.0, -0.1 / tau):                 # lower edge excluded
+        with pytest.raises(InvalidParameterError):
+            check_platoon(spec, tau, beta)
+    with pytest.raises(InvalidParameterError):
+        region_bound(0.0)
+    for s1 in (math.pi / 2, 2.0):
+        rep = check_platoon(spec, s1 / 2.0, 0.1 / (s1 / 2.0))
+        assert rep.modes[0].s1 == s1 and not rep.stable
 
 
 @settings(max_examples=50, deadline=None)
 @given(s1=st.floats(1e-6, math.pi / 2 - 1e-6),
-       frac=st.floats(0.0, 2.0))
-def test_in_region_matches_bound(s1, frac):
-    s2 = frac * region_bound(s1)
-    assert in_region_S(s1, s2) == (0.0 < s2 < region_bound(s1))
+       frac=st.floats(1e-6, 2.0))
+def test_check_platoon_matches_bound(s1, frac):
+    # a 2-vehicle path has the single mode lambda_2 = 2, so tau = s1/2
+    # and beta = s2/tau place that mode at (s1, s2); s2 <= 0 is beta <= 0,
+    # which check_platoon rejects as a parameter error
+    tau = s1 / 2.0
+    rep = check_platoon(spectrum(laplacian(build_path(2))), tau,
+                        frac * region_bound(s1) / tau)
+    (mode,) = rep.modes
+    assert rep.stable == (0.0 < mode.s2 < region_bound(mode.s1))
 
 
 def _report(graph, tau, beta):
