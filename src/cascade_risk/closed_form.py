@@ -67,13 +67,18 @@ def tridiag_inverse(m: int, sigma_c: float) -> TridiagInverse:
     if m < 1:
         raise InvalidSizeError(f"size m={m} must be >= 1")
     _check_sigma_c(sigma_c)
+    return TridiagInverse(m, *_tridiag_parts(m, sigma_c))
+
+
+def _tridiag_parts(m: int, sigma_c: float):
+    """(alpha, theta) of tridiag_inverse on checked inputs."""
     k = np.arange(m + 1, dtype=float)
     theta = 0.5 ** k * sigma_c ** k * (k + 1.0)
     i = np.arange(1, m + 1)
     lo = np.minimum.outer(i, i)
     hi = np.maximum.outer(i, i)
     alpha = (0.5 * sigma_c) ** (hi - lo) * theta[lo - 1] * theta[m - hi] / theta[m]
-    return TridiagInverse(m, alpha, theta)
+    return alpha, theta
 
 
 @dataclass(frozen=True)
@@ -127,16 +132,26 @@ def classify(j: int, scenario: FailureScenario, n: int) -> AdjacencyCase:
     """Identify the maximal runs of consecutive failed pairs touching
     pair j on each side. Failures not connected to j through such a run
     are irrelevant on the complete graph and are dropped."""
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
+    _check_pairs(n, scenario)
     if not 1 <= j <= n - 1:
         raise InvalidQueryError(f"pair index {j} outside 1..{n - 1}")
+    if j in scenario:
+        raise InvalidQueryError(f"queried pair {j} is already failed")
+    return _classify(j, dict(zip(scenario.indices, scenario.states)))
+
+
+def _check_pairs(n: int, scenario: FailureScenario) -> None:
+    """n vehicles, and every failed pair among their n - 1 pairs."""
+    if n < 2:
+        raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
     if scenario.m and scenario.indices[-1] > n - 1:
         raise InvalidQueryError(
             f"failed pair {scenario.indices[-1]} outside 1..{n - 1}")
-    if j in scenario:
-        raise InvalidQueryError(f"queried pair {j} is already failed")
-    state_of = dict(zip(scenario.indices, scenario.states))
+
+
+def _classify(j: int, state_of: dict) -> AdjacencyCase:
+    """classify on checked inputs; state_of maps each failed pair to its
+    observed distance."""
     left = []
     k = j - 1
     while k in state_of:
@@ -164,7 +179,7 @@ def _run_terms(m_run: int, states, adjacent_row: int, sigma_c: float,
     """Mean shift and variance reduction contributed by one adjacent run.
     adjacent_row is the 0-based row of the run's inverse block that
     corresponds to the failure touching the queried pair."""
-    row = tridiag_inverse(m_run, sigma_c).alpha[adjacent_row]
+    row = _tridiag_parts(m_run, sigma_c)[0][adjacent_row]
     shift = -0.5 * sigma_c * float(row @ (np.asarray(states) - d))
     reduction = 0.5 * sigma_c * m_run / (m_run + 1.0)
     return shift, reduction
@@ -182,6 +197,12 @@ def case_stats(case: AdjacencyCase, sigma_j: float, sigma_c: float,
     """
     _check_sigma_c(sigma_c)
     _check_query(d)
+    return _case_stats(case, sigma_j, sigma_c, d)
+
+
+def _case_stats(case: AdjacencyCase, sigma_j: float, sigma_c: float,
+                d: float) -> ConditionalDistribution:
+    """case_stats on checked inputs."""
     if case.tag == "none":
         return ConditionalDistribution(d, math.sqrt(sigma_c))
     if case.tag == "one_sided":
@@ -215,6 +236,8 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     _check_query(d, c)
     it = iota(epsilon)
     _check_sigma_c(sigma_c)
+    _check_pairs(n, scenario)
+    state_of = dict(zip(scenario.indices, scenario.states))
     sigma_j = math.sqrt(sigma_c)
     entries = []
     for j in range(1, n):
@@ -222,7 +245,7 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
             entries.append(ProfileEntry(j, True, RiskResult(0.0, "zero"),
                                         None, None))
             continue
-        cnd = case_stats(classify(j, scenario, n), sigma_j, sigma_c, d)
+        cnd = _case_stats(_classify(j, state_of), sigma_j, sigma_c, d)
         entries.append(ProfileEntry(j, False, _var_risk(cnd, d, c, it),
                                     cnd.mu_tilde, cnd.sigma_tilde))
     return entries

@@ -19,8 +19,9 @@ from .covariance import (CovarianceMatrix, NoiseParams, PlatoonParams,
 from .errors import (InvalidParameterError, InvalidQueryError,
                      NumericalError, UnstablePlatoonError)
 from .graph import WeightedGraph, add_pair_edges, laplacian, spectrum
-from .risk import (FailureScenario, condition, naive_risk, risk_profile,
-                   var_risk)
+from .risk import (FailureScenario, _check_query, _condition_scenario,
+                   _condition_stack, _naive_column, _stack_risk, condition,
+                   iota, var_risk)
 from .simulate import EmpiricalCovariance
 from .stability import StabilityReport
 
@@ -45,9 +46,10 @@ def covariance_rows(sigma: CovarianceMatrix):
 
 def profile_rows(entries, marginal_stds, d: float, c: float, epsilon: float):
     """Profile entries plus the per-pair no-failure baseline column."""
+    _check_query(d, c)
+    naive_column = _naive_column(marginal_stds, d, c, iota(epsilon))
     rows = []
-    for entry, sj in zip(entries, marginal_stds):
-        naive = naive_risk(float(sj), d, c, epsilon).value
+    for entry, naive in zip(entries, naive_column):
         if entry.error is not None:
             rows.append((entry.j, None, "error", None, None, 0, naive))
             continue
@@ -64,16 +66,19 @@ def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
     if not 1 <= max_m <= sigma.dim - 1:
         raise InvalidQueryError(
             f"max_m={max_m} must lie in 1..{sigma.dim - 1}")
-    rows = []
-    for j in range(1, sigma.dim + 1):
-        rows.append((0, j, naive_risk(sigma.marginal_std(j), d, c,
-                                      epsilon).value))
+    _check_query(d, c)
+    it = iota(epsilon)
+    stds = np.sqrt(np.diagonal(sigma.values))
+    rows = [(0, j, value) for j, value in
+            enumerate(_naive_column(stds, d, c, it), start=1)]
     for m in range(1, max_m + 1):
         scenario = FailureScenario(tuple(range(1, m + 1)),
                                    (state_value,) * m)
-        for entry in risk_profile(sigma, scenario, d, c, epsilon):
-            value = None if entry.error is not None else entry.risk.value
-            rows.append((m, entry.j, value))
+        value, branch = _stack_risk(_condition_scenario(sigma, scenario, d),
+                                    d, c, it)
+        for j, (v, b) in enumerate(zip(value[0].tolist(),
+                                       branch[0].tolist()), start=1):
+            rows.append((m, j, v if b >= 0 else None))
     return rows
 
 
@@ -108,6 +113,10 @@ class SparsityPattern:
         return tuple(offset + k + 1 for k, b in enumerate(self.chi) if b)
 
 
+# Patterns conditioned together in one stack by sweep_sparsity_rows.
+_STACK_CHUNK = 256
+
+
 def _pattern_count(m: int, s: int) -> int:
     """Patterns of m failures with s interior gaps: both span ends are
     fixed failures, the remaining m-2 distribute over the s+m-2
@@ -140,22 +149,6 @@ def _sample_pattern(rng, m: int, s: int) -> SparsityPattern:
     return SparsityPattern(tuple(chi))
 
 
-def _pattern_risk(sigma, scenario, d, c, epsilon):
-    """One pattern's aggregate: infinite as soon as any surviving pair
-    is at infinite risk, else the mean over surviving pairs. Errored
-    entries are left out; returns None if nothing was usable."""
-    values = []
-    for entry in risk_profile(sigma, scenario, d, c, epsilon):
-        if entry.failed or entry.risk is None:
-            continue
-        if entry.risk.branch == "infinite":
-            return math.inf
-        values.append(entry.risk.value)
-    if not values:
-        return None
-    return sum(values) / len(values)
-
-
 def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
                         epsilon: float, m: int, state_value: float,
                         seed: int, enum_cap: int = 100_000,
@@ -165,12 +158,22 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
     A level is enumerated exactly when its pattern-placement count fits
     under enum_cap, otherwise sample_count placements are drawn
     uniformly (with replacement) from a per-level substream of seed.
-    avg_risk averages the finite patterns; the infinite fraction is
-    reported separately.
+    A pattern's risk is infinite as soon as any surviving pair is at
+    infinite risk, else the mean over its surviving pairs; pairs whose
+    conditioning fails are left out, and a pattern with none left is
+    skipped and not counted. avg_risk averages the finite patterns; the
+    infinite fraction is reported separately. Patterns are conditioned
+    in stacks of _STACK_CHUNK, which bounds memory and does not change
+    the result.
     """
     n_pairs = sigma.dim
     if not 1 <= m <= n_pairs - 1:
         raise InvalidQueryError(f"m={m} must lie in 1..{n_pairs - 1}")
+    if not math.isfinite(state_value):
+        raise InvalidQueryError(
+            f"observed state {state_value!r} must be finite")
+    _check_query(d, c)
+    it = iota(epsilon)
     rows = []
     for s in range(0, n_pairs - m + 1):
         span = m + s
@@ -194,17 +197,27 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
         finite_count = 0
         inf_count = 0
         skipped = 0
-        for pattern, offset in cases:
-            scenario = FailureScenario(pattern.indices(offset),
-                                       (state_value,) * m)
-            value = _pattern_risk(sigma, scenario, d, c, epsilon)
-            if value is None:
-                skipped += 1
-            elif math.isinf(value):
-                inf_count += 1
-            else:
-                finite_sum += value
-                finite_count += 1
+        while chunk := list(itertools.islice(cases, _STACK_CHUNK)):
+            idx = np.array([pattern.indices(offset)
+                            for pattern, offset in chunk]) - 1
+            cnd = _condition_stack(sigma.values, idx,
+                                   np.full(idx.shape, float(state_value)), d)
+            value, branch = _stack_risk(cnd, d, c, it)
+            # Summed pair by pair in order, as a pattern's own loop would.
+            pattern_sum = np.zeros(len(chunk))
+            for column in np.where(cnd.usable, value, 0.0).T:
+                pattern_sum += column
+            for used, infinite, total_risk in zip(
+                    cnd.usable.sum(axis=1).tolist(),
+                    (branch == 2).any(axis=1).tolist(),
+                    pattern_sum.tolist()):
+                if used == 0:
+                    skipped += 1
+                elif infinite:
+                    inf_count += 1
+                else:
+                    finite_sum += total_risk / used
+                    finite_count += 1
         counted = n_eval - skipped
         if counted == 0:
             continue

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .covariance import CovarianceMatrix
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
-                     InvalidQueryError)
+                     InvalidQueryError, NumericalError)
 
 # Reject conditioning when the failed-block covariance has 2-norm
 # condition number above 1/RCOND_MIN.
@@ -26,6 +26,9 @@ RCOND_MIN = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
+
+# Branch tags by the codes _var_risk_array returns.
+_BRANCHES = ("zero", "finite", "infinite")
 
 
 def _check_query(d: float, c: float | None = None) -> None:
@@ -107,49 +110,114 @@ class RiskResult:
                 f"risk value {self.value!r} inconsistent with branch {self.branch!r}")
 
 
-class _FactoredScenario:
-    """Cholesky factor of the failed block, reused across queried pairs."""
+class _Conditioned(NamedTuple):
+    """Gaussian conditioning of every pair on each scenario of a stack.
 
-    def __init__(self, sigma: CovarianceMatrix, scenario: FailureScenario,
-                 d: float):
-        if scenario.m and scenario.indices[-1] > sigma.dim:
-            raise InvalidQueryError(
-                f"failed pair {scenario.indices[-1]} outside 1..{sigma.dim}")
-        self.scenario = scenario
-        self.idx = np.asarray(scenario.indices, dtype=int) - 1
-        s22 = np.array(sigma.values[np.ix_(self.idx, self.idx)])
-        if scenario.m == 0:
-            self.deviation_weights = np.zeros(0)
-            self.factor = None
-            return
-        try:
-            self.factor = cho_factor(s22)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedScenarioError(
-                f"failed-block covariance is not positive definite: {exc}") from exc
-        cond = np.linalg.cond(s22)
-        if not np.isfinite(cond) or cond > 1.0 / RCOND_MIN:
-            raise IllConditionedScenarioError(
-                f"failed-block covariance condition number {cond:.3g} exceeds "
-                f"{1.0 / RCOND_MIN:.0e}")
-        dev = np.asarray(scenario.states, dtype=float) - d
-        self.deviation_weights = cho_solve(self.factor, dev)
+    Arrays are (P, dim): the conditional means and variances, the pairs
+    each scenario has already lost, and the surviving pairs that have a
+    conditional law (the scenario is accepted and the variance is
+    positive). `errors` holds per scenario None, or why it cannot be
+    conditioned on.
+    """
 
-    def conditional(self, sigma: CovarianceMatrix, d: float,
-                    j: int) -> ConditionalDistribution:
-        s11 = float(sigma.values[j - 1, j - 1])
-        if self.scenario.m == 0:
-            return ConditionalDistribution(d, math.sqrt(s11))
-        s12 = np.array(sigma.values[j - 1, self.idx])
-        if not s12.any():
-            # Uncorrelated with every failed pair: marginal unchanged.
-            return ConditionalDistribution(d, math.sqrt(s11))
-        var = s11 - float(s12 @ cho_solve(self.factor, s12))
-        if var <= 0.0:
-            raise IllConditionedScenarioError(
-                f"conditional variance {var:.3g} for pair {j} is not positive")
-        mu = d + float(s12 @ self.deviation_weights)
-        return ConditionalDistribution(mu, math.sqrt(var))
+    mu: np.ndarray
+    var: np.ndarray
+    failed: np.ndarray
+    usable: np.ndarray
+    errors: list
+
+
+def _factor_blocks(blocks: np.ndarray):
+    """Cholesky factors of a (P, m, m) stack of failed blocks, and per
+    block None or why it is refused. A refused block gets the identity
+    as its factor, so the stack still solves as one."""
+    try:
+        chol = np.linalg.cholesky(blocks)
+        errors = [None] * len(blocks)
+    except np.linalg.LinAlgError:
+        # Some block is not positive definite: find which, one by one.
+        chol = np.empty_like(blocks)
+        errors = []
+        for p, block in enumerate(blocks):
+            try:
+                chol[p] = np.linalg.cholesky(block)
+                errors.append(None)
+            except np.linalg.LinAlgError as exc:
+                chol[p] = np.eye(len(block))
+                errors.append(
+                    f"failed-block covariance is not positive definite: {exc}")
+    cond = np.linalg.cond(blocks)
+    for p in np.flatnonzero(~(cond <= 1.0 / RCOND_MIN)):  # nan too
+        if errors[p] is None:
+            chol[p] = np.eye(blocks.shape[1])
+            errors[p] = (f"failed-block covariance condition number "
+                         f"{cond[p]:.3g} exceeds {1.0 / RCOND_MIN:.0e}")
+    return chol, errors
+
+
+def _condition_stack(values: np.ndarray, idx: np.ndarray,
+                     states: np.ndarray, d: float) -> _Conditioned:
+    """Condition on P scenarios of m failed pairs each: idx holds the
+    (P, m) 0-based failed pairs, states their observed distances.
+
+    Each failed block L L^T is factored once, and one solve of L against
+    the whole cross-covariance and the deviations from d gives every
+    pair's moments: with W = L^-1 S21 and z = L^-1 (states - d), the
+    mean is d + W^T z and the variance s11 - |W|^2 column by column.
+    A pair uncorrelated with every failure gets a zero column, so its
+    moments stay exactly (d, s11). A conditional variance <= 0 is left
+    for the caller to report; a non-finite moment raises.
+    """
+    n_scen, m = idx.shape
+    dim = values.shape[0]
+    failed = np.zeros((n_scen, dim), dtype=bool)
+    np.put_along_axis(failed, idx, True, axis=1)
+    shift = np.zeros((n_scen, dim))
+    reduction = np.zeros((n_scen, dim))
+    errors = [None] * n_scen
+    if m:
+        blocks = values[idx[:, :, None], idx[:, None, :]]
+        chol, errors = _factor_blocks(blocks)
+        rhs = np.concatenate((values[idx], (states - d)[:, :, None]), axis=2)
+        solved = np.linalg.solve(chol, rhs)
+        cross, dev = solved[:, :, :dim], solved[:, :, dim:]
+        # Summed failure by failure, so a scenario's moments do not
+        # depend on the other scenarios of its stack. Overflow is
+        # caught by the finiteness check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(m):
+                shift += cross[:, k] * dev[:, k]
+                reduction += cross[:, k] * cross[:, k]
+    mu = d + shift
+    var = np.diagonal(values) - reduction
+    usable = ~failed & ~(var <= 0.0)  # a nan variance stays, and raises
+    usable[[e is not None for e in errors]] = False
+    if not (np.isfinite(mu[usable]).all() and np.isfinite(var[usable]).all()):
+        raise NumericalError("conditional moments overflowed: "
+                             "observed states too far from the target gap")
+    return _Conditioned(mu, var, failed, usable, errors)
+
+
+def _condition_scenario(sigma: CovarianceMatrix, scenario: FailureScenario,
+                        d: float) -> _Conditioned:
+    """_condition_stack for one scenario, after its range check."""
+    if scenario.m and scenario.indices[-1] > sigma.dim:
+        raise InvalidQueryError(
+            f"failed pair {scenario.indices[-1]} outside 1..{sigma.dim}")
+    idx = np.array([scenario.indices], dtype=int) - 1
+    states = np.array([scenario.states], dtype=float)
+    return _condition_stack(sigma.values, idx, states, d)
+
+
+def _entry_error(cnd: _Conditioned, j: int) -> str | None:
+    """Why pair j (1-based) of a one-scenario stack has no conditional
+    law."""
+    if cnd.errors[0] is not None:
+        return cnd.errors[0]
+    var = cnd.var[0, j - 1]
+    if var <= 0.0:
+        return f"conditional variance {var:.3g} for pair {j} is not positive"
+    return None
 
 
 def condition(sigma: CovarianceMatrix, d: float, j: int,
@@ -161,7 +229,12 @@ def condition(sigma: CovarianceMatrix, d: float, j: int,
         raise InvalidQueryError(f"pair index {j} outside 1..{sigma.dim}")
     if j in scenario:
         raise InvalidQueryError(f"queried pair {j} is already failed")
-    return _FactoredScenario(sigma, scenario, d).conditional(sigma, d, j)
+    cnd = _condition_scenario(sigma, scenario, d)
+    error = _entry_error(cnd, j)
+    if error is not None:
+        raise IllConditionedScenarioError(error)
+    return ConditionalDistribution(float(cnd.mu[0, j - 1]),
+                                   math.sqrt(cnd.var[0, j - 1]))
 
 
 def iota(epsilon: float) -> float:
@@ -183,18 +256,66 @@ def var_risk(cond: ConditionalDistribution, d: float, c: float,
 
 def _var_risk(cond: ConditionalDistribution, d: float, c: float,
               it: float) -> RiskResult:
-    """var_risk on checked inputs, with it = iota(epsilon)."""
-    mu, sig = cond.mu_tilde, cond.sigma_tilde
-    if (d - c * mu) / (_SQRT2 * sig * c) <= it:
-        return RiskResult(0.0, "zero")
-    if -mu / (_SQRT2 * sig) >= it:
+    """var_risk on checked inputs, with it = iota(epsilon).
+
+    The branch tests are read off the same two numbers the finite value
+    is made of, so a point within rounding of a branch edge cannot land
+    in the finite branch with a zero denominator or a value <= 0:
+    infinite iff sqrt(2) it sigma + mu <= 0 (P{X < 0} >= epsilon), zero
+    iff d / (sqrt(2) it sigma + mu) <= c (P{X < d/c} <= epsilon).
+    """
+    den = _SQRT2 * it * cond.sigma_tilde + cond.mu_tilde
+    if den <= 0.0:
         return RiskResult(math.inf, "infinite")
-    return RiskResult(d / (_SQRT2 * it * sig + mu) - c, "finite")
+    risk = d / den - c
+    if risk <= 0.0:
+        return RiskResult(0.0, "zero")
+    return RiskResult(risk, "finite")
+
+
+def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
+                    it: float):
+    """_var_risk over arrays of conditional moments, with the branches
+    as masks and the scalar expressions in the same order, so each
+    element is bitwise the scalar result. Returns the values and the
+    branch codes (indices into _BRANCHES)."""
+    den = _SQRT2 * it * sig + mu
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        risk = d / den - c
+    infinite = den <= 0.0
+    zero = ~infinite & (risk <= 0.0)
+    branch = np.where(infinite, 2, np.where(zero, 0, 1))
+    value = np.where(infinite, math.inf, np.where(zero, 0.0, risk))
+    overflowed = (branch == 1) & ~np.isfinite(value)
+    if overflowed.any():
+        raise InvalidParameterError(
+            f"risk value {value[overflowed][0]!r} inconsistent with branch "
+            f"'finite'")
+    return value, branch
 
 
 def naive_risk(sigma_j: float, d: float, c: float, epsilon: float) -> RiskResult:
     """Risk with no prior failures: the marginal law N(d, sigma_j)."""
     return var_risk(ConditionalDistribution(d, sigma_j), d, c, epsilon)
+
+
+def _naive_column(stds, d: float, c: float, it: float) -> list:
+    """naive_risk values for a column of marginal standard deviations,
+    on checked inputs with it = iota(epsilon)."""
+    stds = np.asarray(stds, dtype=float)
+    return _var_risk_array(np.full(stds.shape, d), stds, d, c, it)[0].tolist()
+
+
+def _stack_risk(cnd: _Conditioned, d: float, c: float, it: float):
+    """Risk of every pair of a conditioned stack: values and branch
+    codes, both (P, dim). Failed pairs are zero risk; a pair without a
+    conditional law has code -1 and value nan."""
+    usable = cnd.usable
+    value = np.where(cnd.failed, 0.0, math.nan)
+    branch = np.where(cnd.failed, 0, -1)
+    value[usable], branch[usable] = _var_risk_array(
+        cnd.mu[usable], np.sqrt(cnd.var[usable]), d, c, it)
+    return value, branch
 
 
 @dataclass(frozen=True)
@@ -218,26 +339,20 @@ def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
     of the profile still computes."""
     _check_query(d, c)
     it = iota(epsilon)
-    try:
-        factored = _FactoredScenario(sigma, scenario, d)
-        scenario_error = None
-    except IllConditionedScenarioError as exc:
-        factored = None
-        scenario_error = str(exc)
+    cnd = _condition_scenario(sigma, scenario, d)
+    value, branch = _stack_risk(cnd, d, c, it)
+    mus, variances = cnd.mu[0].tolist(), cnd.var[0].tolist()
     entries = []
-    for j in range(1, sigma.dim + 1):
-        if j in scenario:
+    for j, (v, b) in enumerate(zip(value[0].tolist(), branch[0].tolist()),
+                               start=1):
+        if cnd.failed[0, j - 1]:
             entries.append(ProfileEntry(j, True, RiskResult(0.0, "zero"),
                                         None, None))
-            continue
-        if factored is None:
+        elif b < 0:
             entries.append(ProfileEntry(j, False, None, None, None,
-                                        scenario_error))
-            continue
-        try:
-            cnd = factored.conditional(sigma, d, j)
-            entries.append(ProfileEntry(j, False, _var_risk(cnd, d, c, it),
-                                        cnd.mu_tilde, cnd.sigma_tilde))
-        except IllConditionedScenarioError as exc:
-            entries.append(ProfileEntry(j, False, None, None, None, str(exc)))
+                                        _entry_error(cnd, j)))
+        else:
+            entries.append(ProfileEntry(j, False, RiskResult(v, _BRANCHES[b]),
+                                        mus[j - 1],
+                                        math.sqrt(variances[j - 1])))
     return entries

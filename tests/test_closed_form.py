@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cascade_risk import closed_form
 from cascade_risk import (AdjacencyCase, FailureScenario,
                           InvalidParameterError, InvalidQueryError,
                           InvalidSizeError, NoiseParams, case_stats,
@@ -253,3 +254,28 @@ def test_complete_profile_rejects_bad_sigma_c():
         with pytest.raises(InvalidParameterError):
             complete_profile(12, FailureScenario((4,), (0.0,)), sc,
                              3.0, 2.0, 0.1)
+
+
+def test_complete_profile_checks_each_input_once(monkeypatch):
+    calls = {"_check_sigma_c": 0, "_check_query": 0}
+    for name in calls:
+        check = getattr(closed_form, name)
+
+        def counting(*args, name=name, check=check):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(closed_form, name, counting)
+    scenario = FailureScenario((4, 5, 9, 10, 11), (0.0, 0.1, 5.0, 2.0, 1.0))
+    entries = complete_profile(50, scenario, 4.0, 3.0, 2.0, 0.1)
+    assert len(entries) == 49
+    assert calls == {"_check_sigma_c": 1, "_check_query": 1}
+
+
+def test_complete_profile_rejects_bad_platoon_when_all_failed():
+    # no pair is classified here, so size and range are checked at entry
+    with pytest.raises(InvalidQueryError):
+        complete_profile(3, FailureScenario((1, 2, 3), (0.0,) * 3), 4.0,
+                         3.0, 2.0, 0.1)
+    with pytest.raises(InvalidSizeError):
+        complete_profile(1, FailureScenario((), ()), 4.0, 3.0, 2.0, 0.1)

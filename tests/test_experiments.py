@@ -1,0 +1,153 @@
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from cascade_risk import (ConditionalDistribution, InvalidParameterError,
+                          InvalidQueryError, NoiseParams, build_path,
+                          laplacian, spectrum, steady_state_covariance,
+                          var_risk)
+from cascade_risk import experiments
+from cascade_risk.covariance import CovarianceMatrix
+from cascade_risk.experiments import sweep_sparsity_rows
+
+from oracles import conditional_moments
+
+D, C, EPSILON, STATE, M = 3.0, 1.5, 0.2, 1.0, 3
+
+# sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11, enum_cap=1,
+# sample_count=40) as computed with one cho_solve per queried pair, before
+# conditioning was batched: every level is sampled.
+SAMPLED_ROWS = [
+    (0, 0.18091987541880258, 0.0, 40, 0),
+    (1, 0.5138395164963554, 0.0, 40, 0),
+    (2, 0.868517437514382, 0.0, 40, 0),
+    (3, 1.2146185321937537, 0.0, 40, 0),
+    (4, 1.6190834730535255, 0.0, 40, 0),
+]
+
+
+def _path8(g=0.1):
+    spec = spectrum(laplacian(build_path(8)))
+    return steady_state_covariance(spec, NoiseParams(g=g, tau=0.03, beta=2.0))
+
+
+@pytest.fixture(scope="module")
+def path8():
+    return _path8()
+
+
+def _oracle_rows(sigma):
+    """Every placement of M failures, grouped by the zeros inside its
+    span, conditioned one pair at a time through the matrix inverse."""
+    dim = sigma.dim
+    levels = {}
+    for idx in itertools.combinations(range(1, dim + 1), M):
+        risks = []
+        for j in range(1, dim + 1):
+            if j in idx:
+                continue
+            mu, sig = conditional_moments(sigma.values, D, j, idx,
+                                          (STATE,) * M)
+            risks.append(var_risk(ConditionalDistribution(mu, sig),
+                                  D, C, EPSILON).value)
+        value = math.inf if math.inf in risks else sum(risks) / len(risks)
+        levels.setdefault(idx[-1] - idx[0] + 1 - M, []).append(value)
+    rows = []
+    for s in sorted(levels):
+        values = levels[s]
+        finite = [v for v in values if math.isfinite(v)]
+        avg = sum(finite) / len(finite) if finite else math.inf
+        rows.append((s, avg, (len(values) - len(finite)) / len(values),
+                     len(values), 1))
+    return rows
+
+
+def _assert_rows_close(rows, ref, rel):
+    assert len(rows) == len(ref)
+    for row, expected in zip(rows, ref):
+        assert row[0] == expected[0] and row[3:] == expected[3:]
+        for got, want in zip(row[1:3], expected[1:3]):
+            assert got == want or abs(got - want) <= rel * abs(want)
+
+
+def test_exact_levels_match_matrix_inverse_oracle(path8):
+    rows = sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11)
+    _assert_rows_close(rows, _oracle_rows(path8), 1e-12)
+
+
+def test_sampled_levels_reproduce_pinned_rows(path8):
+    rows = sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11,
+                               enum_cap=1, sample_count=40)
+    _assert_rows_close(rows, SAMPLED_ROWS, 1e-12)
+
+
+@pytest.mark.parametrize("gap", [0.0, 5e-14])
+def test_singular_failed_block_is_skipped(gap):
+    # pairs 1 and 2 are (nearly) the same variable: gap 0 fails the
+    # Cholesky factorization, gap 5e-14 the condition-number bound
+    v = np.eye(7)
+    v[0, 1] = v[1, 0] = 1.0 - gap
+    v[0, 2] = v[2, 0] = v[1, 2] = v[2, 1] = 0.1
+    rows = sweep_sparsity_rows(CovarianceMatrix(v), D, C, EPSILON, M, STATE,
+                               seed=11)
+    counted = {}
+    for idx in itertools.combinations(range(1, 8), M):
+        if idx[:2] != (1, 2):
+            s = idx[-1] - idx[0] + 1 - M
+            counted[s] = counted.get(s, 0) + 1
+    assert {row[0]: row[3] for row in rows} == counted
+    assert sum(counted.values()) == math.comb(7, M) - 5
+    assert all(math.isfinite(row[1]) for row in rows)
+
+
+def test_all_infinite_level():
+    # noise a hundred times stronger: every surviving pair diverges
+    rows = sweep_sparsity_rows(_path8(g=10.0), D, C, EPSILON, M, STATE,
+                               seed=11)
+    assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
+    for s, avg, inf_fraction, count, exact in rows:
+        assert avg == math.inf and inf_fraction == 1.0 and count > 0
+
+
+@pytest.mark.parametrize("enum_cap", [100_000, 1])
+def test_rows_independent_of_chunk_size(path8, monkeypatch, enum_cap):
+    def rows():
+        return sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11,
+                                   enum_cap=enum_cap, sample_count=40)
+
+    default = rows()
+    for chunk in (1, 7):
+        monkeypatch.setattr(experiments, "_STACK_CHUNK", chunk)
+        assert rows() == default
+
+
+def test_one_factorization_per_chunk(path8, monkeypatch):
+    calls = {"cholesky": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(experiments, "_STACK_CHUNK", 4)
+    rows = sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11)
+    # 5, 8, 9, 8 and 5 patterns per level make 2, 2, 3, 2 and 2 chunks
+    assert [row[3] for row in rows] == [5, 8, 9, 8, 5]
+    assert calls == {"cholesky": 11, "solve": 11}
+
+
+def test_sweep_checks_query_at_entry(path8):
+    for state in (math.nan, math.inf):
+        with pytest.raises(InvalidQueryError):
+            sweep_sparsity_rows(path8, D, C, EPSILON, M, state, seed=11)
+    for c, eps in ((0.5, EPSILON), (C, 1.0)):
+        with pytest.raises(InvalidQueryError):
+            sweep_sparsity_rows(path8, D, c, eps, M, STATE, seed=11)
+    with pytest.raises(InvalidParameterError):
+        sweep_sparsity_rows(path8, -D, C, EPSILON, M, STATE, seed=11)

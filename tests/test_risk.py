@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from cascade_risk import (ConditionalDistribution, FailureScenario,
                           IllConditionedScenarioError, InvalidParameterError,
-                          InvalidQueryError, NoiseParams, RiskResult,
-                          build_path, condition, iota, laplacian, naive_risk,
-                          risk_profile, spectrum, steady_state_covariance,
-                          var_risk)
+                          InvalidQueryError, NoiseParams, NumericalError,
+                          RiskResult, build_path, condition, iota, laplacian,
+                          naive_risk, risk_profile, spectrum,
+                          steady_state_covariance, var_risk)
 from cascade_risk.covariance import CovarianceMatrix
+from cascade_risk.risk import _BRANCHES, _var_risk, _var_risk_array
 
-from oracles import erfinv_bisect, normal_cdf, var_bisect
+from oracles import (conditional_moments, erfinv_bisect, normal_cdf,
+                     var_bisect)
 
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
@@ -75,7 +77,6 @@ def test_condition_on_target_states_keeps_mean(path6_sigma):
 
 
 def test_condition_matches_matrix_inverse_oracle(path6_sigma):
-    from oracles import conditional_moments
     scenario = FailureScenario((1, 2, 5), (0.1, 0.5, 2.9))
     cnd = condition(path6_sigma, 3.0, 4, scenario)
     mu, sig = conditional_moments(path6_sigma.values, 3.0, 4,
@@ -265,3 +266,89 @@ def test_risk_profile_epsilon_monotone(path6_sigma):
         for k, e in enumerate(entries):
             assert e.risk.value <= prev[k] + 1e-12
             prev[k] = e.risk.value
+
+
+def test_risk_profile_overflowed_moment_raises():
+    # mu of pair 1 is 3 + 1.9 * (1e308 - 3), past the largest float
+    sigma = CovarianceMatrix(np.array([[4.0, 1.9], [1.9, 1.0]]))
+    with pytest.raises(NumericalError):
+        risk_profile(sigma, FailureScenario((2,), (1e308,)), 3.0, 1.0, 0.1)
+    with pytest.raises(NumericalError):
+        condition(sigma, 3.0, 1, FailureScenario((2,), (1e308,)))
+
+
+_moment = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mu=_moment, sig=st.floats(1e-3, 20.0), d=st.floats(0.1, 10.0),
+       c=st.floats(1.0, 4.0), eps=st.floats(1e-6, 1.0 - 1e-6),
+       on=st.sampled_from(["free", "zero_edge", "infinite_edge"]),
+       ulps=st.integers(-2, 2))
+def test_var_risk_array_bitwise_equals_scalar(mu, sig, d, c, eps, on, ulps):
+    it = iota(eps)
+    # move mu onto either branch boundary, then a few ulps off it
+    if on == "zero_edge":
+        mu = (d - it * math.sqrt(2.0) * sig * c) / c
+    elif on == "infinite_edge":
+        mu = -it * math.sqrt(2.0) * sig
+    for _ in range(abs(ulps)):
+        mu = math.nextafter(mu, math.copysign(math.inf, ulps))
+    try:
+        ref = _var_risk(ConditionalDistribution(mu, sig), d, c, it)
+    except InvalidParameterError:
+        with pytest.raises(InvalidParameterError):
+            _var_risk_array(np.array([mu]), np.array([sig]), d, c, it)
+        return
+    value, branch = _var_risk_array(np.array([mu, mu]), np.array([sig, sig]),
+                                    d, c, it)
+    for v, b in zip(value.tolist(), branch.tolist()):
+        assert _BRANCHES[b] == ref.branch
+        assert math.copysign(1.0, v) == math.copysign(1.0, ref.value)
+        assert v == ref.value
+
+
+def _random_spd(rng, dim):
+    a = rng.standard_normal((dim, dim))
+    return CovarianceMatrix(a @ a.T + 0.1 * np.eye(dim))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 8),
+       kind=st.sampled_from(["empty", "scattered", "all_but_one"]))
+def test_risk_profile_matches_matrix_inverse_oracle(seed, dim, kind):
+    rng = np.random.default_rng(seed)
+    sigma = _random_spd(rng, dim)
+    if kind == "empty":
+        idx = ()
+    elif kind == "scattered":
+        m = int(rng.integers(1, dim))
+        idx = tuple(int(i) + 1 for i in np.sort(
+            rng.choice(dim, size=m, replace=False)))
+    else:
+        keep = int(rng.integers(1, dim + 1))
+        idx = tuple(j for j in range(1, dim + 1) if j != keep)
+    states = tuple(rng.uniform(0.0, 6.0, size=len(idx)).tolist())
+    d, c, eps = 3.0, 1.5, float(rng.uniform(0.01, 0.99))
+    entries = risk_profile(sigma, FailureScenario(idx, states), d, c, eps)
+    assert [e.j for e in entries] == list(range(1, dim + 1))
+    for e in entries:
+        if e.j in idx:
+            assert e.failed and e.risk == RiskResult(0.0, "zero")
+            continue
+        assert e.error is None
+        mu, sig = conditional_moments(sigma.values, d, e.j, idx, states)
+        scale = abs(mu) + sigma.marginal_std(e.j)
+        assert abs(e.mu_tilde - mu) <= 1e-10 * scale
+        assert abs(e.sigma_tilde - sig) <= 1e-10 * sig
+        assert e.risk.branch == var_risk(ConditionalDistribution(mu, sig),
+                                         d, c, eps).branch
+
+
+def test_var_risk_exactly_on_infinite_edge():
+    # mu = -sqrt(2) iota sigma puts P{X < 0} at epsilon: the risk is
+    # infinite, not a division by a zero denominator
+    it = iota(0.75)
+    cnd = ConditionalDistribution(-it * math.sqrt(2.0) * 4.5, 4.5)
+    res = var_risk(cnd, 1.0, 1.0, 0.75)
+    assert res.branch == "infinite" and res.value == math.inf
