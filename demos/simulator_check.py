@@ -4,7 +4,7 @@ Five vehicles in a chain are integrated with the stochastic
 delay-differential dynamics, sixteen independent trials of a hundred
 thinned snapshots each. The pooled inter-vehicle distances give an
 empirical 4x4 covariance whose entries are compared, one z-score per
-entry, against the quadrature prediction. With a healthy simulator
+entry, against the analytic prediction. With a healthy simulator
 every |z| should sit well inside 3.
 
 Run from the repository root:  python3 demos/simulator_check.py

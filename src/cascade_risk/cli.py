@@ -2,8 +2,8 @@
 
 Every subcommand reads a sectioned config file, runs one analysis, and
 emits a versioned CSV to stdout or --out. Exit codes: 0 success, 1
-validation or configuration error, 2 numerical failure (near-boundary
-quadrature, ill-conditioned scenario, diverging simulation).
+validation or configuration error, 2 numerical failure (margin below
+the near-boundary limit, ill-conditioned scenario, diverging simulation).
 """
 from __future__ import annotations
 

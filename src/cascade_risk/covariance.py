@@ -1,14 +1,13 @@
 """Steady-state covariance of inter-vehicle distances.
 
-The scalar integral
-
-    f(s1, s2) = integral over r of
-                dr / [ (s1 s2 - r^2 cos r)^2 + r^2 (s1 - r sin r)^2 ]
-
-is finite exactly when (s1, s2) lies inside the stability region; the
-covariance of the n-1 inter-vehicle distances is assembled from one f
-evaluation per distinct Laplacian eigenvalue. Complete graphs admit a
-tridiagonal closed form with a single f evaluation.
+The scalar integral f(s1, s2) = integral over r of dr / |p(ir)|^2, with
+p(s) = s^2 + s1 (s + s2) e^{-s}, is finite exactly when (s1, s2) lies
+inside the stability region. It is 2 pi times the squared H2 norm of
+the delay system y'' = -s1 y'(t - 1) - s1 s2 y(t - 1), which its delay
+Lyapunov matrix gives exactly (Jarlebring, Vanbiervliet and Michiels,
+IEEE TAC 56(4), 2011). The covariance of the n-1 inter-vehicle distances
+is assembled from one f value per Laplacian mode; complete graphs admit
+a tridiagonal closed form with a single f evaluation.
 """
 from __future__ import annotations
 
@@ -16,22 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (InvalidParameterError, InvalidSizeError,
-                     NearBoundaryError, NumericalError, UnstablePlatoonError)
+                     NearBoundaryError, UnstablePlatoonError)
 from .graph import LaplacianSpectrum, pair_difference_matrix
 from .stability import check_platoon, solve_a
 
-# Refuse quadrature when the worst mode sits closer than this to the
-# stability boundary: the integrand's peaks sharpen without bound there.
+# Refuse f for a mode closer than this to the stability boundary: f grows
+# like 1/margin there, and its 1e-8 accuracy is tested down to this margin.
 NEAR_BOUNDARY_MARGIN = 1e-6
-
-# Truncation: for r >= 50 (and any in-region s1, s2) the integrand is
-# below 4/r^4, so cutting at R leaves at most 4/(3 R^3).
-_R_HEAD = 50.0
-_TAIL_REL = 1e-11
-_QUAD_EPSREL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -104,68 +96,74 @@ class CovarianceMatrix:
         return math.sqrt(self.values[j - 1, j - 1])
 
 
-def integrand(r: float, s1: float, s2: float) -> float:
-    return 1.0 / ((s1 * s2 - r * r * math.cos(r)) ** 2
-                  + r * r * (s1 - r * math.sin(r)) ** 2)
+def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
+    """f for each mode s1 at the common s2, all inside the region.
+
+    In x = (y, y') a mode is x'(t) = A0 x(t) + A1 x(t - 1) with
+    A0 = [[0, 1], [0, 0]], A1 = s1 b, b = [[0, 0], [-s2, -1]], and
+    f = 2 pi U(0)[1, 1] for its delay Lyapunov matrix U, Q = diag(1, 0).
+    X(t) = U(t) and Y(t) = U(t - 1) solve X' = X A0 + Y A1 and
+    Y' = -A0^T Y - A1^T X on [0, 1]: z(1) = expm(M) z(0), z = (vec X,
+    vec Y) row-major. Eight rows fix z(0): Y(1) = X(0)^T; entries (0,0),
+    (0,1), (1,1) of X(0) A0 + A0^T X(0) + Y(0) A1 + A1^T X(1) = -Q; and
+    U(0)[0, 1] = U(0)[1, 0], without which the system has rank 7.
+    """
+    s1 = s1[:, None, None]
+    a0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [-s2, -1.0]])
+    zero = np.zeros((4, 4))
+    # vec(X A) = kron(I, A^T) vec X and vec(A^T X) = kron(A^T, I) vec X
+    a0_right, a0_left = np.kron(np.eye(2), a0.T), np.kron(a0.T, np.eye(2))
+    b_right, b_left = np.kron(np.eye(2), b.T), np.kron(b.T, np.eye(2))
+    # A row of M holds at most a 1 from A0 and entries of s1 b summing to
+    # at most s1 max(1, s2) = s1 (s2 < a/tan(a) < 1): ||M||_inf < 1 + pi/2,
+    # so ||M / 2^5||_inf < 0.081 and the Taylor remainder after degree 9
+    # is below 0.081^10 / 10! < 4e-18.
+    h = (np.block([[a0_right, zero], [zero, -a0_left]])
+         + s1 * np.block([[zero, b_right], [-b_left, zero]])) / 32.0
+    e = np.eye(8) + h / 9.0
+    for k in range(8, 0, -1):
+        e = np.eye(8) + h @ e / k
+    for _ in range(5):
+        e = e @ e
+    rows = np.empty_like(e)
+    rows[:, :4] = e[:, 4:]
+    rows[:, :4, :4] -= np.eye(4)[[0, 2, 1, 3]]  # vec X^T
+    jump = s1 * b_left @ e[:, :4]
+    jump[:, :, :4] += a0_right + a0_left
+    jump[:, :, 4:] += s1 * b_right
+    rows[:, 4:7] = jump[:, [0, 1, 3]]
+    rows[:, 7] = [0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    rhs = np.zeros(rows.shape[:2] + (1,))
+    rhs[:, 4] = -1.0
+    return 2.0 * math.pi * np.linalg.solve(rows, rhs)[:, 3, 0]
 
 
-_f_cache: dict = {}
-
-
-def _cache_key(s1: float, s2: float) -> tuple:
-    # 12 significant digits: numerically equal eigenvalues of a repeated
-    # mode collapse to one evaluation.
-    return (f"{s1:.11e}", f"{s2:.11e}")
-
-
-def _quad(fun, lo: float, hi: float, epsabs: float, points=None) -> float:
-    for limit in (1000, 4000):
-        out = integrate.quad(fun, lo, hi, points=points, limit=limit,
-                             epsabs=epsabs, epsrel=_QUAD_EPSREL,
-                             full_output=1)
-        if len(out) < 4:  # (value, abserr, infodict): converged
-            return out[0]
-    raise NumericalError(
-        f"quadrature failed to converge on [{lo:.6g}, {hi:.6g}]: {out[3]}")
+def _refuse_near_boundary(margin: float) -> None:
+    if margin < NEAR_BOUNDARY_MARGIN:
+        raise NearBoundaryError(
+            f"stability margin {margin:.3g} below {NEAR_BOUNDARY_MARGIN:g}; "
+            f"refusing to compute f this close to the boundary")
 
 
 def f_integral(s1: float, s2: float) -> float:
     """The covariance integral; requires (s1, s2) inside the stability
     region with margin, returns a positive value with relative accuracy
-    better than 1e-8 (integrand even, so twice the half-line integral).
-
-    One root a of a sin a = s1 serves both the region bound a/tan(a)
-    and the quadrature breakpoint."""
+    better than 1e-8. One root a of a sin a = s1 gives the region bound
+    a/tan(a)."""
     a = solve_a(s1) if 0.0 < s1 < math.pi / 2 else math.nan
     bound = a / math.tan(a)
     if not 0.0 < s2 < bound:
         raise UnstablePlatoonError(
             f"(s1, s2) = ({s1:.6g}, {s2:.6g}) is outside the stability region")
-    if bound - s2 < NEAR_BOUNDARY_MARGIN:
-        raise NearBoundaryError(
-            f"stability margin {bound - s2:.3g} below {NEAR_BOUNDARY_MARGIN:g}; "
-            f"refusing quadrature this close to the boundary")
-    key = _cache_key(s1, s2)
-    cached = _f_cache.get(key)
-    if cached is not None:
-        return cached
-    fun = lambda r: integrand(r, s1, s2)
-    # Near-singular radii: where s1*s2 - r^2 cos r and s1 - r sin r
-    # first vanish, plus the radius a with a sin a = s1 where both
-    # denominator terms vanish together as s2 approaches its bound.
-    pts = sorted({math.sqrt(s1 * s2), math.sqrt(s1), a})
-    value = 2.0 * _quad(fun, 0.0, _R_HEAD, epsabs=0.0, points=pts)
-    r_tail = (4.0 / (3.0 * _TAIL_REL * value)) ** (1.0 / 3.0)
-    if r_tail > _R_HEAD:
-        value += 2.0 * _quad(fun, _R_HEAD, r_tail, epsabs=_TAIL_REL * value)
-    _f_cache[key] = value
-    return value
+    _refuse_near_boundary(bound - s2)
+    return float(_f_modes(np.array([s1]), s2)[0])
 
 
 def steady_state_covariance(spec: LaplacianSpectrum,
                             noise: NoiseParams) -> CovarianceMatrix:
     """Distance covariance from the Laplacian spectrum (any connected
-    topology). One f evaluation per distinct eigenvalue via the cache."""
+    topology). One batched f evaluation over all modes."""
     report = check_platoon(spec, noise.tau, noise.beta)
     if not report.stable:
         worst = report.worst_mode()
@@ -173,8 +171,9 @@ def steady_state_covariance(spec: LaplacianSpectrum,
             f"platoon does not form: mode with eigenvalue {worst.eigenvalue:.6g} "
             f"has (s1, s2) = ({worst.s1:.6g}, {worst.s2:.6g}) outside the "
             f"stability region", report)
+    _refuse_near_boundary(report.min_margin())
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
-    fvals = np.array([f_integral(m.s1, m.s2) for m in report.modes])
+    fvals = _f_modes(spec.eigenvalues[1:] * noise.tau, noise.beta * noise.tau)
     pref = noise.g * noise.g * noise.tau ** 3 / (2.0 * math.pi)
     sigma = pref * (W * fvals) @ W.T
     return CovarianceMatrix(0.5 * (sigma + sigma.T))

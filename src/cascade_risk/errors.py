@@ -47,8 +47,8 @@ class NumericalError(CascadeRiskError):
 
 
 class NearBoundaryError(NumericalError):
-    """Stability margin too thin for reliable quadrature; refusing to
-    return a silently inaccurate value."""
+    """Stability margin below the limit down to which f's accuracy is
+    guaranteed; refusing to return a silently inaccurate value."""
 
 
 class IllConditionedScenarioError(NumericalError):

@@ -1,9 +1,10 @@
 """Independent numerical oracles for the test suite.
 
 Everything here is built from math/numpy primitives only, on purpose:
-the package under test uses scipy quadrature and special functions, so
-these deliberately slower routes (adaptive Simpson panels, plain
-bisection) give genuinely independent reference values.
+the package computes the covariance integral from a delay Lyapunov
+solve, not from the integrand, so these deliberately slower routes
+(adaptive Simpson panels over the integrand, plain bisection, explicit
+matrix inverses) give genuinely independent reference values.
 """
 import math
 

@@ -285,17 +285,29 @@ def test_simulate_seed_flag_changes_output(tmp_path, capsys):
     assert capsys.readouterr().out != base
 
 
-def test_module_entry_point(tmp_path):
-    cfg = write_cfg(tmp_path, PATH6)
+def _child_env():
     # the child imports the same package as this process, installed or not
     src = str(Path(cascade_risk.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(tmp_path):
+    cfg = write_cfg(tmp_path, PATH6)
     proc = subprocess.run(
         [sys.executable, "-m", "cascade_risk", "stability", "--config", cfg],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema=stability/v1\n")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, cascade_risk.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 def test_cell_formatting():

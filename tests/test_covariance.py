@@ -13,9 +13,8 @@ from cascade_risk import (CovarianceMatrix, InvalidParameterError,
                           f_integral, laplacian, region_bound, solve_a,
                           spectrum, steady_state_covariance)
 from cascade_risk import covariance, stability
-from cascade_risk.covariance import integrand
 
-from oracles import f_simpson
+from oracles import f_simpson, integrand
 
 COMPLETE_NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
@@ -67,12 +66,6 @@ def test_f_integral_frozen_values():
     assert abs(f_integral(s1, 0.06) - 3.973709895895e9) < 1e-8 * 3.97e9
 
 
-def test_f_integral_cache_key_resolution():
-    base = f_integral(1.5, 1.5e-4)
-    # same value to 12 significant digits -> served from the cache
-    assert f_integral(1.5 * (1.0 + 1e-14), 1.5e-4) == base
-
-
 def test_f_integral_outside_region():
     # the region is open: both edges of s1 and of s2 are outside
     s1 = 0.5
@@ -85,24 +78,27 @@ def test_f_integral_outside_region():
             f_integral(bad_s1, 0.1)
 
 
-@pytest.mark.parametrize("warm", [False, True])
-def test_one_region_root_per_mode(monkeypatch, warm):
-    # check_platoon and f_integral each need a root of a sin a = s1 for
-    # a mode; nothing else may solve for it again
-    calls = []
+def test_one_region_root_per_mode(monkeypatch):
+    # check_platoon needs a root of a sin a = s1 per mode; the covariance
+    # solves for none again and evaluates f for all modes in one call
+    roots, f_calls = [], []
 
     def counting_solve_a(s1):
-        calls.append(s1)
+        roots.append(s1)
         return solve_a(s1)
 
-    monkeypatch.setattr(covariance, "_f_cache", {})
-    spec = spectrum(laplacian(build_path(20)))
-    if warm:
-        steady_state_covariance(spec, PATH_NOISE)
+    def counting_f_modes(s1, s2):
+        f_calls.append(len(s1))
+        return f_modes(s1, s2)
+
+    f_modes = covariance._f_modes
     monkeypatch.setattr(stability, "solve_a", counting_solve_a)
     monkeypatch.setattr(covariance, "solve_a", counting_solve_a)
+    monkeypatch.setattr(covariance, "_f_modes", counting_f_modes)
+    spec = spectrum(laplacian(build_path(20)))
     steady_state_covariance(spec, PATH_NOISE)
-    assert len(calls) <= 2 * 19
+    assert len(roots) == 19
+    assert f_calls == [19]
 
 
 def test_f_integral_near_boundary_refused():
@@ -111,6 +107,66 @@ def test_f_integral_near_boundary_refused():
         f_integral(s1, region_bound(s1) - 1e-7)
     # a 1e-5 margin is still accepted
     assert f_integral(s1, region_bound(s1) - 1e-5) > 0.0
+
+
+# (s1, s2, f) at stability margins 1.0001e-6 and 1e-5: s2 is the bound
+# a/tan(a) minus the margin, rounded to a double, and f the integral at
+# exactly that (s1, s2) by mpmath quadrature at 30 digits, split at the
+# resonance radius; a 60-digit delay Lyapunov solve agrees to 1e-19.
+NEAR_BOUNDARY_F = [
+    (0.001, 0.9996655887636149, 3141805424333.8351),
+    (0.001, 0.9996565888636149, 314214788861.23159),
+    (0.06, 0.9797134171842047, 881519316.58185013),
+    (0.06, 0.9797044172842047, 88161548.571723052),
+    (0.5, 0.8099862983657394, 13884217.015923421),
+    (0.5, 0.8099772984657394, 1388574.5868331247),
+    (1.0, 0.5473508896573983, 4060205.1712158664),
+    (1.0, 0.5473418897573984, 406066.40818398987),
+    (1.5, 0.10145909457606007, 2535056.0967698403),
+    (1.5, 0.10145009467606007, 253543.66711580321),
+    (1.56, 0.016703367495847415, 2539252.2696802053),
+    (1.56, 0.016694367595847415, 254020.61530557566),
+    (1.57, 0.0012484530614496668, 2546648.7935659314),
+    (1.57, 0.0012394531614496667, 255616.9632285025),
+    (1.5707, 0.00015028895372503438, 2554625.0231664816),
+    (1.5707, 0.00014128905372503439, 263653.78082391614),
+]
+
+# (s1, s2) at margin 0.9999e-6, just inside the refusal
+REFUSED_POINTS = [
+    (0.001, 0.9996655889636149),
+    (0.06, 0.9797134173842046),
+    (0.5, 0.8099862985657394),
+    (1.0, 0.5473508898573983),
+    (1.5, 0.10145909477606008),
+    (1.56, 0.016703367695847415),
+    (1.57, 0.0012484532614496669),
+    (1.5707, 0.0001502891537250344),
+]
+
+
+def _two_vehicle(s1, s2):
+    # the one nonzero Laplacian eigenvalue of a 2-vehicle path is 2
+    tau = 0.5 * s1
+    return spectrum(laplacian(build_path(2))), NoiseParams(1.0, tau, s2 / tau)
+
+
+@pytest.mark.parametrize("s1,s2,ref", NEAR_BOUNDARY_F)
+def test_f_accurate_down_to_refusal(s1, s2, ref):
+    assert abs(f_integral(s1, s2) - ref) <= 1e-8 * ref
+    # the one-entry covariance is g^2 tau^3 f / pi, with g = 1
+    spec, noise = _two_vehicle(s1, s2)
+    sigma = steady_state_covariance(spec, noise).values[0, 0]
+    expected = noise.tau ** 3 * ref / math.pi
+    assert abs(sigma - expected) <= 1e-8 * expected
+
+
+@pytest.mark.parametrize("s1,s2", REFUSED_POINTS)
+def test_refused_below_near_boundary_margin(s1, s2):
+    with pytest.raises(NearBoundaryError):
+        f_integral(s1, s2)
+    with pytest.raises(NearBoundaryError):
+        steady_state_covariance(*_two_vehicle(s1, s2))
 
 
 def test_covariance_matrix_validation():
@@ -209,4 +265,4 @@ def test_f_integral_positive_and_oracle_backed(s1, frac):
     s2 = frac * region_bound(s1)
     value = f_integral(s1, s2)
     assert math.isfinite(value) and value > 0.0
-    assert abs(value - f_simpson(s1, s2, rtol=1e-9)) < 1e-7 * value
+    assert abs(value - f_simpson(s1, s2, rtol=1e-9)) < 1e-8 * value

@@ -18,13 +18,14 @@ D, C, EPSILON, STATE, M = 3.0, 1.5, 0.2, 1.0, 3
 
 # sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11, enum_cap=1,
 # sample_count=40) as computed with one cho_solve per queried pair, before
-# conditioning was batched: every level is sampled.
+# conditioning was batched, on the covariance from the delay Lyapunov f:
+# every level is sampled.
 SAMPLED_ROWS = [
-    (0, 0.18091987541880258, 0.0, 40, 0),
-    (1, 0.5138395164963554, 0.0, 40, 0),
-    (2, 0.868517437514382, 0.0, 40, 0),
-    (3, 1.2146185321937537, 0.0, 40, 0),
-    (4, 1.6190834730535255, 0.0, 40, 0),
+    (0, 0.1809198754180943, 0.0, 40, 0),
+    (1, 0.5138395164957993, 0.0, 40, 0),
+    (2, 0.8685174375130353, 0.0, 40, 0),
+    (3, 1.2146185321908514, 0.0, 40, 0),
+    (4, 1.6190834730487023, 0.0, 40, 0),
 ]
 
 
