@@ -78,9 +78,12 @@ def test_f_integral_outside_region():
             f_integral(bad_s1, 0.1)
 
 
-def test_one_region_root_per_mode(monkeypatch):
+@pytest.mark.parametrize("warm", [False, True])
+def test_one_region_root_per_mode(monkeypatch, warm):
     # check_platoon needs a root of a sin a = s1 per mode; the covariance
-    # solves for none again and evaluates f for all modes in one call
+    # solves for none again and evaluates f for all modes in one call.
+    # A warm run, after one covariance was already computed, does the
+    # same work: no state carries over from one call to the next
     roots, f_calls = [], []
 
     def counting_solve_a(s1):
@@ -92,10 +95,12 @@ def test_one_region_root_per_mode(monkeypatch):
         return f_modes(s1, s2)
 
     f_modes = covariance._f_modes
+    spec = spectrum(laplacian(build_path(20)))
+    if warm:
+        steady_state_covariance(spec, PATH_NOISE)
     monkeypatch.setattr(stability, "solve_a", counting_solve_a)
     monkeypatch.setattr(covariance, "solve_a", counting_solve_a)
     monkeypatch.setattr(covariance, "_f_modes", counting_f_modes)
-    spec = spectrum(laplacian(build_path(20)))
     steady_state_covariance(spec, PATH_NOISE)
     assert len(roots) == 19
     assert f_calls == [19]
