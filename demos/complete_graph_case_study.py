@@ -14,10 +14,11 @@ import math
 
 import numpy as np
 
-from cascade_risk import (FailureScenario, NoiseParams, build_complete,
-                          check_platoon, complete_graph_covariance,
-                          complete_graph_sigma_c, complete_profile,
-                          laplacian, naive_risk, risk_profile, spectrum)
+from cascade_risk import (ConditionalDistribution, FailureScenario,
+                          NoiseParams, build_complete, check_platoon,
+                          complete_graph_covariance, complete_graph_sigma_c,
+                          complete_profile, laplacian, risk_profile,
+                          spectrum, var_risk)
 from cascade_risk.experiments import sweep_scale_rows
 
 N, D, C, EPSILON = 50, 3.0, 2.0, 0.1
@@ -40,7 +41,8 @@ def main():
 
     scenario = FailureScenario(tuple(range(23, 28)), (0.0,) * 5)
     entries = complete_profile(N, scenario, sigma_c, D, C, EPSILON)
-    naive = naive_risk(sigma_j, D, C, EPSILON)
+    # no failures: the marginal law N(D, sigma_j)
+    naive = var_risk(ConditionalDistribution(D, sigma_j), D, C, EPSILON)
     print(f"\nfailed pairs: {scenario.indices}, observed at 0 m")
     print(f"naive (unconditional) risk of any pair: {naive.value}")
     print("\n  pair   risk        conditional mean/std")

@@ -20,8 +20,7 @@ del os
 
 __version__ = "0.1.0"
 
-from .closed_form import (AdjacencyCase, TridiagInverse, case_stats,
-                          classify, complete_profile, tridiag_inverse)
+from .closed_form import complete_profile
 from .covariance import (CovarianceMatrix, NoiseParams, PlatoonParams,
                          complete_graph_covariance, complete_graph_sigma_c,
                          f_integral, steady_state_covariance)
@@ -33,27 +32,23 @@ from .graph import (LaplacianSpectrum, WeightedGraph, add_pair_edges,
                     build_complete, build_custom, build_path, build_pcycle,
                     laplacian, pair_difference_matrix, spectrum)
 from .risk import (ConditionalDistribution, FailureScenario, ProfileEntry,
-                   RiskResult, condition, iota, naive_risk, risk_profile,
-                   var_risk)
-from .simulate import (EmpiricalCovariance, SimConfig, SimState,
-                       delay_steps, initial_state, run, step)
+                   RiskResult, condition, iota, risk_profile, var_risk)
+from .simulate import EmpiricalCovariance, SimConfig, delay_steps, run
 from .stability import (ModeStability, StabilityReport, check_platoon,
                         region_bound, solve_a)
 
 __all__ = [
-    "AdjacencyCase", "CascadeRiskError", "ConditionalDistribution",
-    "ConfigError", "CovarianceMatrix", "DivergenceError",
-    "EmpiricalCovariance", "FailureScenario", "IllConditionedScenarioError",
+    "CascadeRiskError", "ConditionalDistribution", "ConfigError",
+    "CovarianceMatrix", "DivergenceError", "EmpiricalCovariance",
+    "FailureScenario", "IllConditionedScenarioError",
     "InvalidParameterError", "InvalidQueryError", "InvalidSizeError",
     "LaplacianSpectrum", "ModeStability", "NearBoundaryError", "NoiseParams",
     "NumericalError", "PlatoonParams", "ProfileEntry", "RiskResult",
-    "SimConfig", "SimState", "StabilityReport", "TridiagInverse",
-    "UnstablePlatoonError", "WeightedGraph", "add_pair_edges",
-    "build_complete", "build_custom", "build_path", "build_pcycle",
-    "case_stats", "check_platoon", "classify", "complete_graph_covariance",
+    "SimConfig", "StabilityReport", "UnstablePlatoonError", "WeightedGraph",
+    "add_pair_edges", "build_complete", "build_custom", "build_path",
+    "build_pcycle", "check_platoon", "complete_graph_covariance",
     "complete_graph_sigma_c", "complete_profile", "condition", "delay_steps",
-    "f_integral", "initial_state", "iota", "laplacian", "naive_risk",
-    "pair_difference_matrix", "region_bound", "risk_profile", "run",
-    "spectrum", "solve_a", "step", "steady_state_covariance",
-    "tridiag_inverse", "var_risk",
+    "f_integral", "iota", "laplacian", "pair_difference_matrix",
+    "region_bound", "risk_profile", "run", "spectrum", "solve_a",
+    "steady_state_covariance", "var_risk",
 ]

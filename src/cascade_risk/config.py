@@ -196,12 +196,11 @@ def scenario_state_values(cfg: RawConfig, m: int) -> list:
         raise ConfigError("key 'states' must be numeric", line)
     if isinstance(states, (int, float)):
         return [float(states)] * m
-    if isinstance(states, list) and len(states) == 1 and \
-            isinstance(states[0], (int, float)):
-        return [float(states[0])] * m
     if isinstance(states, list) and \
             all(isinstance(s, (int, float)) and not isinstance(s, bool)
                 for s in states):
+        if len(states) == 1:
+            return [float(states[0])] * m
         if len(states) != m:
             raise ConfigError(f"'states' has {len(states)} entries but the "
                               f"scenario has {m} failed pairs", line)

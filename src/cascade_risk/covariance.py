@@ -37,9 +37,9 @@ class NoiseParams:
     def __post_init__(self):
         if self.g == 0.0 or not math.isfinite(self.g):
             raise InvalidParameterError(f"diffusion g={self.g!r} must be nonzero")
-        if self.tau <= 0.0:
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise InvalidParameterError(f"delay tau={self.tau!r} must be positive")
-        if self.beta <= 0.0:
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise InvalidParameterError(f"gain beta={self.beta!r} must be positive")
 
 
@@ -53,7 +53,7 @@ class PlatoonParams:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidSizeError(f"need at least 2 vehicles, got n={self.n}")
-        if self.d <= 0.0:
+        if not (math.isfinite(self.d) and self.d > 0.0):
             raise InvalidParameterError(f"target gap d={self.d!r} must be positive")
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,37 +81,6 @@ def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
     return rows
 
 
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Failure arrangement over its span: chi[k] = 1 marks a failed
-    pair. The span is maximal, so chi starts and ends with 1; sparsity
-    counts the zeros."""
-
-    chi: tuple
-
-    def __post_init__(self):
-        chi = tuple(int(b) for b in self.chi)
-        if not chi or chi[0] != 1 or chi[-1] != 1:
-            raise InvalidParameterError(
-                f"pattern span must start and end with a failure, got {chi}")
-        if any(b not in (0, 1) for b in chi):
-            raise InvalidParameterError(f"pattern must be binary, got {chi}")
-        object.__setattr__(self, "chi", chi)
-
-    @property
-    def m(self) -> int:
-        return sum(self.chi)
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.chi) - self.m
-
-    def indices(self, offset: int) -> tuple:
-        """1-based failed-pair indices when the span starts at pair
-        offset+1."""
-        return tuple(offset + k + 1 for k, b in enumerate(self.chi) if b)
-
-
 # Patterns conditioned together in one stack by sweep_sparsity_rows.
 _STACK_CHUNK = 256
 
@@ -127,26 +95,22 @@ def _pattern_count(m: int, s: int) -> int:
 
 
 def _iter_patterns(m: int, s: int):
-    span = m + s
+    """Every pattern of m failures with s interior gaps, as the failed
+    offsets within its span; both span ends are failures."""
     if m == 1:
-        yield SparsityPattern((1,))
+        yield (0,)
         return
-    for interior in itertools.combinations(range(1, span - 1), m - 2):
-        chi = [0] * span
-        chi[0] = chi[-1] = 1
-        for p in interior:
-            chi[p] = 1
-        yield SparsityPattern(tuple(chi))
+    for interior in itertools.combinations(range(1, m + s - 1), m - 2):
+        yield (0, *interior, m + s - 1)
 
 
-def _sample_pattern(rng, m: int, s: int) -> SparsityPattern:
-    span = m + s
-    chi = [0] * span
-    chi[0] = chi[-1] = 1
-    if m > 2:
-        for p in rng.choice(span - 2, size=m - 2, replace=False):
-            chi[int(p) + 1] = 1
-    return SparsityPattern(tuple(chi))
+def _sample_pattern(rng, m: int, s: int) -> tuple:
+    """A uniformly drawn pattern of _iter_patterns."""
+    if m == 1:
+        return (0,)
+    interior = (rng.choice(m + s - 2, size=m - 2, replace=False)
+                if m > 2 else [])
+    return (0, *sorted(int(p) + 1 for p in interior), m + s - 1)
 
 
 def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
@@ -198,8 +162,8 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
         inf_count = 0
         skipped = 0
         while chunk := list(itertools.islice(cases, _STACK_CHUNK)):
-            idx = np.array([pattern.indices(offset)
-                            for pattern, offset in chunk]) - 1
+            idx = np.array([[offset + k for k in pattern]
+                            for pattern, offset in chunk])
             cnd = _condition_stack(sigma.values, idx,
                                    np.full(idx.shape, float(state_value)), d)
             value, branch = _stack_risk(cnd, d, c, it)

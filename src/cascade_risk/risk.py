@@ -10,6 +10,7 @@ saves it, and otherwise an explicit formula in the conditional moments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -41,6 +42,15 @@ def _check_query(d: float, c: float | None = None) -> None:
         raise InvalidQueryError(f"offset c={c!r} must be >= 1")
 
 
+def _pair_index(i) -> int:
+    """i as a pair index: an integer or an integral float, not a bool."""
+    if isinstance(i, numbers.Integral) and not isinstance(i, bool):
+        return int(i)
+    if isinstance(i, float) and i.is_integer():
+        return int(i)
+    raise InvalidQueryError(f"pair index {i!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class FailureScenario:
     """Failed pairs (1-based, strictly increasing) and their observed
@@ -50,7 +60,7 @@ class FailureScenario:
     states: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(_pair_index, self.indices))
         st = tuple(float(s) for s in self.states)
         if len(idx) != len(st):
             raise InvalidQueryError(
@@ -251,34 +261,25 @@ def var_risk(cond: ConditionalDistribution, d: float, c: float,
              epsilon: float) -> RiskResult:
     """Three-branch value-at-risk of the conditioned pair."""
     _check_query(d, c)
-    return _var_risk(cond, d, c, iota(epsilon))
-
-
-def _var_risk(cond: ConditionalDistribution, d: float, c: float,
-              it: float) -> RiskResult:
-    """var_risk on checked inputs, with it = iota(epsilon).
-
-    The branch tests are read off the same two numbers the finite value
-    is made of, so a point within rounding of a branch edge cannot land
-    in the finite branch with a zero denominator or a value <= 0:
-    infinite iff sqrt(2) it sigma + mu <= 0 (P{X < 0} >= epsilon), zero
-    iff d / (sqrt(2) it sigma + mu) <= c (P{X < d/c} <= epsilon).
-    """
-    den = _SQRT2 * it * cond.sigma_tilde + cond.mu_tilde
-    if den <= 0.0:
-        return RiskResult(math.inf, "infinite")
-    risk = d / den - c
-    if risk <= 0.0:
-        return RiskResult(0.0, "zero")
-    return RiskResult(risk, "finite")
+    value, branch = _var_risk_array(np.array([cond.mu_tilde]),
+                                    np.array([cond.sigma_tilde]), d, c,
+                                    iota(epsilon))
+    return RiskResult(value.item(), _BRANCHES[branch.item()])
 
 
 def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
                     it: float):
-    """_var_risk over arrays of conditional moments, with the branches
-    as masks and the scalar expressions in the same order, so each
-    element is bitwise the scalar result. Returns the values and the
-    branch codes (indices into _BRANCHES)."""
+    """Three-branch value-at-risk over arrays of conditional moments mu
+    and standard deviations sig, with it = iota(epsilon), on checked
+    inputs. Returns the values and the branch codes (indices into
+    _BRANCHES).
+
+    The branch tests are read off the same two numbers the finite value
+    is made of, so a point within rounding of a branch edge cannot land
+    in the finite branch with a zero denominator or a value <= 0:
+    infinite iff sqrt(2) it sig + mu <= 0 (P{X < 0} >= epsilon), zero
+    iff d / (sqrt(2) it sig + mu) <= c (P{X < d/c} <= epsilon).
+    """
     den = _SQRT2 * it * sig + mu
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         risk = d / den - c
@@ -294,14 +295,10 @@ def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
     return value, branch
 
 
-def naive_risk(sigma_j: float, d: float, c: float, epsilon: float) -> RiskResult:
-    """Risk with no prior failures: the marginal law N(d, sigma_j)."""
-    return var_risk(ConditionalDistribution(d, sigma_j), d, c, epsilon)
-
-
 def _naive_column(stds, d: float, c: float, it: float) -> list:
-    """naive_risk values for a column of marginal standard deviations,
-    on checked inputs with it = iota(epsilon)."""
+    """No-failure risk for a column of marginal standard deviations (the
+    marginal law N(d, std) of each pair), on checked inputs with
+    it = iota(epsilon)."""
     stds = np.asarray(stds, dtype=float)
     return _var_risk_array(np.full(stds.shape, d), stds, d, c, it)[0].tolist()
 

@@ -46,11 +46,12 @@ class SimConfig:
                 math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
             raise InvalidParameterError(
                 f"sample_interval={self.sample_interval!r} must be positive")
-        if self.samples_per_trial < 1:
+        # The standard errors need at least 2 trials and 2 samples each.
+        if self.samples_per_trial < 2:
             raise InvalidParameterError(
-                f"samples_per_trial={self.samples_per_trial} must be >= 1")
-        if self.trials < 1:
-            raise InvalidParameterError(f"trials={self.trials} must be >= 1")
+                f"samples_per_trial={self.samples_per_trial} must be >= 2")
+        if self.trials < 2:
+            raise InvalidParameterError(f"trials={self.trials} must be >= 2")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise InvalidParameterError(
                 f"seed={self.seed!r} must be a 64-bit unsigned integer")
@@ -73,70 +74,6 @@ def _drift(x_delayed, v_delayed, targets, L, beta):
     # Symmetric L, so right-multiplication works for single states and
     # (trials, n) batches alike.
     return -(v_delayed @ L) - beta * ((x_delayed - targets) @ L)
-
-
-@dataclass(frozen=True)
-class SimState:
-    """One trajectory's state: current x and v plus ring buffers holding
-    the last delay_steps+1 states. Slot (step_index+1) mod buffer length
-    always holds the state one delay ago."""
-
-    x: np.ndarray
-    v: np.ndarray
-    hx: np.ndarray
-    hv: np.ndarray
-    targets: np.ndarray
-    step_index: int = 0
-
-    def __post_init__(self):
-        n = self.x.shape[0]
-        if self.v.shape != (n,) or self.targets.shape != (n,):
-            raise InvalidParameterError("state vector shapes disagree")
-        if self.hx.shape != self.hv.shape or self.hx.shape[1:] != (n,):
-            raise InvalidParameterError("history buffer shapes disagree")
-        for name in ("x", "v", "hx", "hv", "targets"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-
-def initial_state(params: PlatoonParams, noise: NoiseParams,
-                  dt: float) -> SimState:
-    """Constant history at the target configuration: x on target, v = 0
-    over the whole delay window."""
-    k = delay_steps(noise.tau, dt)
-    r = params.targets
-    return SimState(
-        x=r.copy(), v=np.zeros(params.n),
-        hx=np.repeat(r[None, :], k + 1, axis=0),
-        hv=np.zeros((k + 1, params.n)), targets=r)
-
-
-def step(state: SimState, noise: NoiseParams, L: np.ndarray,
-         xi: np.ndarray, dt: float) -> SimState:
-    """One Euler-Maruyama step: x += v dt with the pre-update velocity,
-    v += delayed drift dt + g sqrt(dt) xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != state.x.shape:
-        raise InvalidParameterError(
-            f"noise shape {xi.shape} does not match state {state.x.shape}")
-    dslot = (state.step_index + 1) % state.hx.shape[0]
-    # Overflow ends in a DivergenceError below; suppress the warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dv = (_drift(state.hx[dslot], state.hv[dslot], state.targets, L,
-                     noise.beta) * dt + noise.g * math.sqrt(dt) * xi)
-        x_new = state.x + state.v * dt
-        v_new = state.v + dv
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(v_new))):
-        raise DivergenceError(
-            f"state became non-finite at step {state.step_index + 1}",
-            step=state.step_index + 1)
-    hx = np.array(state.hx)
-    hv = np.array(state.hv)
-    hx[dslot] = x_new
-    hv[dslot] = v_new
-    return SimState(x_new, v_new, hx, hv, state.targets,
-                    state.step_index + 1)
 
 
 @dataclass(frozen=True)
@@ -210,9 +147,6 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
 
     trials = sim.trials
     n_samples = sim.samples_per_trial
-    if trials < 2 or n_samples < 2:
-        raise InvalidParameterError(
-            "standard errors need at least 2 trials and 2 samples per trial")
     total_steps = burn_steps + (n_samples - 1) * int_steps
     rngs = [np.random.default_rng(np.random.SeedSequence(
         entropy=int(sim.seed), spawn_key=(t,))) for t in range(trials)]

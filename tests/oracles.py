@@ -113,6 +113,20 @@ def var_bisect(mu, sigma, d, c, epsilon, hi=1e6):
     return 0.5 * (lo + hi)
 
 
+def var_risk_scalar(mu, sigma, d, c, it):
+    """Three-branch value-at-risk of X ~ N(mu, sigma) with
+    it = iota(epsilon), one branch test at a time: (value, branch). The
+    bitwise reference for the package's array routine, which evaluates
+    the same expressions in the same order under masks."""
+    den = math.sqrt(2.0) * it * sigma + mu
+    if den <= 0.0:
+        return math.inf, "infinite"
+    risk = d / den - c
+    if risk <= 0.0:
+        return 0.0, "zero"
+    return risk, "finite"
+
+
 def path_eigenvalue(n, k):
     """k-th (1-based, ascending) Laplacian eigenvalue of the n-node
     unit-weight path."""

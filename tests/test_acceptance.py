@@ -10,12 +10,12 @@ import pytest
 from cascade_risk import (ConditionalDistribution, FailureScenario,
                           NoiseParams, PlatoonParams, SimConfig,
                           build_complete, build_path, build_pcycle,
-                          case_stats, check_platoon, classify,
-                          complete_graph_covariance, complete_graph_sigma_c,
-                          condition, laplacian, naive_risk, risk_profile, run,
-                          spectrum, steady_state_covariance, tridiag_inverse,
-                          var_risk)
+                          check_platoon, complete_graph_covariance,
+                          complete_graph_sigma_c, complete_profile,
+                          condition, laplacian, risk_profile, run, spectrum,
+                          steady_state_covariance, var_risk)
 from cascade_risk.cli import main
+from cascade_risk.closed_form import _tridiag_parts
 
 from oracles import normal_cdf, tridiag_matrix, var_bisect
 
@@ -44,8 +44,7 @@ def test_02_case_stats_matches_conditioning_exhaustively(budget):
     n = 12
     sigma = complete_graph_covariance(n, COMPLETE_NOISE)
     sigma_c = complete_graph_sigma_c(n, COMPLETE_NOISE)
-    sigma_j = math.sqrt(sigma_c)
-    d = 3.0
+    d, c, epsilon = 3.0, 2.0, 0.1
     rng = np.random.default_rng(20260212)
     pairs = range(1, n)
     checked = 0
@@ -53,14 +52,14 @@ def test_02_case_stats_matches_conditioning_exhaustively(budget):
         for indices in itertools.combinations(pairs, m):
             states = tuple(rng.uniform(0.0, 2.0 * d, size=m))
             scenario = FailureScenario(indices, states)
-            for j in pairs:
-                if j in scenario:
+            fast = complete_profile(n, scenario, sigma_c, d, c, epsilon)
+            ref = risk_profile(sigma, scenario, d, c, epsilon)
+            for a, b in zip(fast, ref):
+                assert a.j == b.j and a.failed == b.failed
+                if a.failed:
                     continue
-                fast = case_stats(classify(j, scenario, n), sigma_j,
-                                  sigma_c, d)
-                ref = condition(sigma, d, j, scenario)
-                assert abs(fast.mu_tilde - ref.mu_tilde) <= 1e-10
-                assert abs(fast.sigma_tilde - ref.sigma_tilde) <= 1e-10
+                assert abs(a.mu_tilde - b.mu_tilde) <= 1e-10
+                assert abs(a.sigma_tilde - b.sigma_tilde) <= 1e-10
                 checked += 1
     assert checked == 4235
     assert budget(10.0)
@@ -70,8 +69,8 @@ def test_03_tridiagonal_inverse(budget):
     rng = np.random.default_rng(33)
     for m in range(1, 21):
         for sigma_c in rng.uniform(0.05, 10.0, size=10):
-            inv = tridiag_inverse(m, float(sigma_c))
-            residual = inv.alpha @ tridiag_matrix(m, float(sigma_c))
+            alpha, _ = _tridiag_parts(m, float(sigma_c))
+            residual = alpha @ tridiag_matrix(m, float(sigma_c))
             assert np.abs(residual - np.eye(m)).max() <= 1e-8
     assert budget(1.0)
 
@@ -131,7 +130,8 @@ def test_06_complete_graph_profile_reproduction(budget):
         entry = entries[j]
         assert entry.error is None
         if not 22 <= j <= 28:
-            naive = naive_risk(sigma.marginal_std(j), d, c, epsilon)
+            naive = var_risk(ConditionalDistribution(
+                d, sigma.marginal_std(j)), d, c, epsilon)
             assert entry.risk.branch == naive.branch
             if math.isfinite(naive.value):
                 assert abs(entry.risk.value - naive.value) <= 1e-12

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import cascade_risk
-from cascade_risk import (NoiseParams, build_path, laplacian, naive_risk,
-                          region_bound, spectrum, steady_state_covariance)
+from cascade_risk import (ConditionalDistribution, NoiseParams, build_path,
+                          laplacian, region_bound, spectrum,
+                          steady_state_covariance, var_risk)
 from cascade_risk.cli import _format_cell, main, render_csv
 
 PATH6 = """\
@@ -217,7 +218,8 @@ def test_sweep_scale_baseline_rows(tmp_path, capsys):
     for row in rows[:5]:
         assert row[0] == "0"
         j = int(row[1])
-        expected = naive_risk(sigma.marginal_std(j), 3.0, 2.0, 0.1).value
+        expected = var_risk(ConditionalDistribution(
+            3.0, sigma.marginal_std(j)), 3.0, 2.0, 0.1).value
         assert float(row[2]) == expected
     for row in rows[5:]:
         m, j = int(row[0]), int(row[1])

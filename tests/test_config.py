@@ -167,6 +167,15 @@ def test_scenario_state_values():
     assert scenario_state_values(cfg, 2) == [4.0, 4.0]
 
 
+def test_scenario_state_values_rejects_bools():
+    for states in ("true", "[true]", "[true, false]"):
+        cfg = parse_config(
+            f"[scenario]\nindices = [1, 2]\nstates = {states}\n")
+        with pytest.raises(ConfigError) as exc:
+            scenario_state_values(cfg, 2)
+        assert exc.value.line == 3
+
+
 def test_build_sim_defaults_and_seed():
     cfg = parse_config(FULL)
     sim = build_sim(cfg)

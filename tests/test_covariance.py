@@ -26,7 +26,11 @@ def test_noise_params_validation():
                 dict(g=1.0, tau=0.0, beta=1.0),
                 dict(g=1.0, tau=-0.1, beta=1.0),
                 dict(g=1.0, tau=0.1, beta=0.0),
-                dict(g=math.inf, tau=0.1, beta=1.0)):
+                dict(g=math.inf, tau=0.1, beta=1.0),
+                dict(g=1.0, tau=math.nan, beta=1.0),
+                dict(g=1.0, tau=math.inf, beta=1.0),
+                dict(g=1.0, tau=0.1, beta=math.nan),
+                dict(g=1.0, tau=0.1, beta=math.inf)):
         with pytest.raises(InvalidParameterError):
             NoiseParams(**bad)
 
@@ -36,8 +40,9 @@ def test_platoon_params_validation():
     assert np.array_equal(p.targets, [3.0, 6.0, 9.0, 12.0])
     with pytest.raises(InvalidSizeError):
         PlatoonParams(1, 3.0)
-    with pytest.raises(InvalidParameterError):
-        PlatoonParams(4, 0.0)
+    for d in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            PlatoonParams(4, d)
 
 
 def test_integrand_at_zero_and_even():

@@ -9,13 +9,13 @@ from cascade_risk import (ConditionalDistribution, FailureScenario,
                           IllConditionedScenarioError, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
                           RiskResult, build_path, condition, iota, laplacian,
-                          naive_risk, risk_profile, spectrum,
-                          steady_state_covariance, var_risk)
+                          risk_profile, spectrum, steady_state_covariance,
+                          var_risk)
 from cascade_risk.covariance import CovarianceMatrix
-from cascade_risk.risk import _BRANCHES, _var_risk, _var_risk_array
+from cascade_risk.risk import _BRANCHES, _naive_column, _var_risk_array
 
 from oracles import (conditional_moments, erfinv_bisect, normal_cdf,
-                     var_bisect)
+                     var_bisect, var_risk_scalar)
 
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
@@ -40,6 +40,16 @@ def test_failure_scenario_validation():
         FailureScenario((1, 2), (0.0,))           # length mismatch
     with pytest.raises(InvalidQueryError):
         FailureScenario((1,), (math.nan,))
+
+
+def test_failure_scenario_rejects_non_integer_indices():
+    # integral values are accepted, as build_custom accepts endpoints
+    s = FailureScenario((np.int64(2), 5.0), (0.0, 1.5))
+    assert s.indices == (2, 5) and all(type(i) is int for i in s.indices)
+    for indices in ((1.5, 3), (True,), (1, False), (np.True_,),
+                    (math.nan,), (math.inf,), ("2",)):
+        with pytest.raises(InvalidQueryError):
+            FailureScenario(indices, (0.0,) * len(indices))
 
 
 def test_risk_result_validation():
@@ -143,7 +153,8 @@ def test_naive_risk_branch_stable_for_tiny_epsilon():
     # iota must stay finite below 1e-16, where 2 eps - 1 rounds to -1;
     # an iota of -inf would flip this query to `infinite`
     for eps in (1e-16, 1e-17, 1e-20):
-        assert naive_risk(0.1, 3.0, 2.0, eps).branch == "zero"
+        cnd = ConditionalDistribution(3.0, 0.1)
+        assert var_risk(cnd, 3.0, 2.0, eps).branch == "zero"
 
 
 def test_var_risk_zero_branch_boundary():
@@ -191,14 +202,15 @@ def test_var_risk_branch_conditions_match_probabilities():
 
 
 def test_naive_risk_equals_empty_conditioning(path6_sigma):
+    # the no-failure column of profiles and sweeps
     d, c, eps = 3.0, 1.5, 0.23
-    for j in range(1, 6):
-        sj = path6_sigma.marginal_std(j)
-        a = naive_risk(sj, d, c, eps)
+    stds = [path6_sigma.marginal_std(j) for j in range(1, 6)]
+    column = _naive_column(stds, d, c, iota(eps))
+    for j, value in enumerate(column, start=1):
         b = var_risk(condition(path6_sigma, d, j, FailureScenario((), ())),
                      d, c, eps)
-        assert a.value == b.value and a.branch == b.branch
-    assert naive_risk(1.0, 3.0, 1.0, 0.5).value == 0.0
+        assert value == b.value
+    assert _naive_column([1.0], 3.0, 1.0, iota(0.5)) == [0.0]
 
 
 def test_risk_profile_structure(path6_sigma):
@@ -221,7 +233,8 @@ def test_risk_profile_empty_scenario_is_naive(path6_sigma):
     entries = risk_profile(path6_sigma, FailureScenario((), ()),
                            3.0, 2.0, 0.1)
     for e in entries:
-        ref = naive_risk(path6_sigma.marginal_std(e.j), 3.0, 2.0, 0.1)
+        ref = var_risk(ConditionalDistribution(
+            3.0, path6_sigma.marginal_std(e.j)), 3.0, 2.0, 0.1)
         assert e.risk.value == ref.value
 
 
@@ -294,18 +307,17 @@ def test_var_risk_array_bitwise_equals_scalar(mu, sig, d, c, eps, on, ulps):
         mu = -it * math.sqrt(2.0) * sig
     for _ in range(abs(ulps)):
         mu = math.nextafter(mu, math.copysign(math.inf, ulps))
-    try:
-        ref = _var_risk(ConditionalDistribution(mu, sig), d, c, it)
-    except InvalidParameterError:
+    ref_value, ref_branch = var_risk_scalar(mu, sig, d, c, it)
+    if ref_branch == "finite" and not math.isfinite(ref_value):
         with pytest.raises(InvalidParameterError):
             _var_risk_array(np.array([mu]), np.array([sig]), d, c, it)
         return
     value, branch = _var_risk_array(np.array([mu, mu]), np.array([sig, sig]),
                                     d, c, it)
     for v, b in zip(value.tolist(), branch.tolist()):
-        assert _BRANCHES[b] == ref.branch
-        assert math.copysign(1.0, v) == math.copysign(1.0, ref.value)
-        assert v == ref.value
+        assert _BRANCHES[b] == ref_branch
+        assert math.copysign(1.0, v) == math.copysign(1.0, ref_value)
+        assert v == ref_value
 
 
 def _random_spd(rng, dim):

@@ -5,10 +5,10 @@ import pytest
 
 from cascade_risk import (DivergenceError, EmpiricalCovariance,
                           InvalidParameterError, NoiseParams, PlatoonParams,
-                          SimConfig, SimState, UnstablePlatoonError,
-                          build_path, build_pcycle, delay_steps,
-                          initial_state, laplacian, run, spectrum,
-                          steady_state_covariance, step)
+                          SimConfig, UnstablePlatoonError, build_path,
+                          build_pcycle, delay_steps, laplacian, run,
+                          simulate, spectrum, steady_state_covariance)
+from cascade_risk.simulate import _drift
 
 from oracles import em_distance_samples, pooled_cov_and_se
 
@@ -34,10 +34,13 @@ def test_sim_config_validation():
         SimConfig(burn_in=0.0)
     with pytest.raises(InvalidParameterError):
         SimConfig(sample_interval=-0.1)
-    with pytest.raises(InvalidParameterError):
-        SimConfig(samples_per_trial=0)
-    with pytest.raises(InvalidParameterError):
-        SimConfig(trials=0)
+    SimConfig(samples_per_trial=2, trials=2)
+    # the standard errors need 2 trials and 2 samples per trial
+    for bad in (0, 1):
+        with pytest.raises(InvalidParameterError):
+            SimConfig(samples_per_trial=bad)
+        with pytest.raises(InvalidParameterError):
+            SimConfig(trials=bad)
     with pytest.raises(InvalidParameterError):
         SimConfig(seed=-1)
     with pytest.raises(InvalidParameterError):
@@ -53,26 +56,38 @@ def test_delay_steps():
         delay_steps(0.03, 0.08)        # dt longer than the delay
 
 
-def test_initial_state_constant_history():
-    state = initial_state(PATH5_PARAMS, PATH5_NOISE, 1e-3)
-    assert state.step_index == 0
-    assert np.array_equal(state.x, PATH5_PARAMS.targets)
-    assert np.all(state.v == 0.0)
-    assert state.hx.shape == (31, 5)
-    assert np.array_equal(state.hx, np.tile(PATH5_PARAMS.targets, (31, 1)))
-    assert np.all(state.hv == 0.0)
+def test_initial_state_constant_history(monkeypatch):
+    # run starts from a constant history: the first delay_steps + 1
+    # steps read x on target and v = 0 one delay back, and the next one
+    # reads the state after the first step
+    seen = []
+
+    def recording(x_delayed, v_delayed, *args):
+        seen.append((x_delayed.copy(), v_delayed.copy()))
+        return _drift(x_delayed, v_delayed, *args)
+
+    monkeypatch.setattr(simulate, "_drift", recording)
+    sim = SimConfig(dt=1e-3, burn_in=0.3, sample_interval=0.1,
+                    samples_per_trial=2, trials=2)
+    run(build_path(5), PATH5_PARAMS, PATH5_NOISE, sim)
+    k = delay_steps(PATH5_NOISE.tau, 1e-3)
+    assert k == 30
+    for x, v in seen[:k + 1]:
+        assert np.array_equal(x, np.tile(PATH5_PARAMS.targets, (2, 1)))
+        assert np.all(v == 0.0)
+    assert not np.all(seen[k + 1][1] == 0.0)
 
 
 def test_step_fixed_point_without_noise():
+    # at the targets with zero velocities the delayed drift vanishes, so
+    # a noiseless trajectory started there never moves
     noise = NoiseParams(g=0.1, tau=0.01, beta=2.0)
     params = PlatoonParams(n=7, d=3.0)
     L = laplacian(build_pcycle(7, 2))
-    state = initial_state(params, noise, 1e-3)
-    for _ in range(25):
-        state = step(state, noise, L, np.zeros(7), 1e-3)
-    assert np.array_equal(state.x, params.targets)
-    assert np.all(state.v == 0.0)
-    assert state.step_index == 25
+    r = params.targets
+    assert np.all(_drift(r, np.zeros(7), r, L, noise.beta) == 0.0)
+    batch = np.tile(r, (3, 1))
+    assert np.all(_drift(batch, np.zeros((3, 7)), r, L, noise.beta) == 0.0)
 
 
 def test_step_translation_invariance():
@@ -80,18 +95,12 @@ def test_step_translation_invariance():
     params = PlatoonParams(n=4, d=3.0)
     L = laplacian(build_path(4))
     rng = np.random.default_rng(8)
-    base = initial_state(params, noise, 1e-3)
-    x = base.x + rng.normal(size=4)
-    v = rng.normal(size=4)
-    hx = base.hx + rng.normal(size=base.hx.shape)
-    hv = rng.normal(size=base.hv.shape)
-    xi = rng.normal(size=4)
-    s0 = step(SimState(x, v, hx, hv, base.targets), noise, L, xi, 1e-3)
+    xd = params.targets + rng.normal(size=4)
+    vd = rng.normal(size=4)
+    a0 = _drift(xd, vd, params.targets, L, noise.beta)
     shift = 17.25
-    s1 = step(SimState(x + shift, v, hx + shift, hv, base.targets),
-              noise, L, xi, 1e-3)
-    assert np.abs(s1.v - s0.v).max() < 1e-12
-    assert np.abs(s1.x - (s0.x + shift)).max() < 1e-12
+    a1 = _drift(xd + shift, vd, params.targets, L, noise.beta)
+    assert np.abs(a1 - a0).max() < 1e-12
 
 
 def test_drift_matches_per_vehicle_sums():
@@ -101,34 +110,34 @@ def test_drift_matches_per_vehicle_sums():
     g = build_path(3)
     L = laplacian(g)
     rng = np.random.default_rng(17)
-    base = initial_state(params, noise, 1e-3)
-    hx = base.hx + rng.normal(size=base.hx.shape)
-    hv = rng.normal(size=base.hv.shape)
-    state = SimState(base.x.copy(), np.zeros(3), hx, hv, base.targets)
-    dt = 1e-3
-    after = step(state, noise, L, np.zeros(3), dt)
-    dslot = 1 % hx.shape[0]
-    xd, vd = hx[dslot], hv[dslot]
     r = params.targets
+    xd = r + rng.normal(size=3)
+    vd = rng.normal(size=3)
+    drift = _drift(xd, vd, r, L, noise.beta)
     for i in range(3):
         u = sum(g.weights[i, k] * ((vd[k] - vd[i])
                                    + noise.beta * ((xd[k] - xd[i]) - (r[k] - r[i])))
                 for k in range(3))
-        assert abs((after.v[i] - state.v[i]) / dt - u) < 1e-12
+        assert abs(drift[i] - u) < 1e-12
 
 
-def test_step_divergence_detected():
-    noise = NoiseParams(g=0.1, tau=0.002, beta=2.0)
-    params = PlatoonParams(n=3, d=3.0)
-    L = laplacian(build_path(3))
-    base = initial_state(params, noise, 1e-3)
-    huge = np.empty_like(base.hx)
-    huge[:] = np.array([1e308, -1e308, 1e308])  # alternating, so L acts
-    state = SimState(base.x.copy(), base.v.copy(), huge, base.hv.copy(),
-                     base.targets, step_index=4)
+def test_step_divergence_detected(monkeypatch):
+    # an overflowing drift at step 5 is reported at step 5
+    calls = []
+
+    def overflowing(*args):
+        calls.append(1)
+        drift = _drift(*args)
+        return np.full_like(drift, np.inf) if len(calls) == 5 else drift
+
+    monkeypatch.setattr(simulate, "_drift", overflowing)
+    sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
     with pytest.raises(DivergenceError) as exc:
-        step(state, noise, L, np.zeros(3), 1e-3)
+        run(build_path(3), PlatoonParams(n=3, d=3.0),
+            NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
     assert exc.value.step == 5
+    assert "trial 0" in str(exc.value)
 
 
 def test_run_seed_determinism():
@@ -270,11 +279,3 @@ def test_run_rejections():
         run(graph, params, noise,
             SimConfig(dt=1e-3, burn_in=0.2, sample_interval=0.1,
                       samples_per_trial=4, trials=2))   # burn_in < 10 tau
-    with pytest.raises(InvalidParameterError):
-        run(graph, params, noise,
-            SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
-                      samples_per_trial=4, trials=1))
-    with pytest.raises(InvalidParameterError):
-        run(graph, params, noise,
-            SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
-                      samples_per_trial=1, trials=2))
