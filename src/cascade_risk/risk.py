@@ -61,6 +61,9 @@ class FailureScenario:
 
     def __post_init__(self):
         idx = tuple(map(_pair_index, self.indices))
+        if any(isinstance(s, (bool, np.bool_)) for s in self.states):
+            raise InvalidQueryError(
+                f"observed states must be numbers, not bools, got {self.states}")
         st = tuple(float(s) for s in self.states)
         if len(idx) != len(st):
             raise InvalidQueryError(

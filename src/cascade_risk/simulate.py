@@ -1,14 +1,18 @@
 """Monte Carlo integration of the delayed platoon dynamics.
 
-Euler-Maruyama with a ring buffer for the constant delay: positions
-advance with the current velocity, velocities with the graph-coupled
-drift evaluated one delay in the past plus white acceleration noise.
-Used to estimate the steady-state distance covariance independently of
-the analytic route.
+Euler-Maruyama: positions advance with the current velocity, velocities
+with the graph-coupled drift evaluated one delay (k = tau/dt steps) in
+the past plus white acceleration noise. The delay lets the stepper
+advance in blocks of k + 1 steps: their drifts read only the previous
+block's states, so each block is one batched drift evaluation and two
+running sums that add in the order single steps would. Used to
+estimate the steady-state distance covariance independently of the
+analytic route.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,8 @@ from .errors import (DivergenceError, InvalidParameterError,
 from .graph import WeightedGraph, laplacian, spectrum
 from .stability import check_platoon
 
-_NOISE_CHUNK = 4096
+# noise values drawn per chunk, ~2 MB
+_NOISE_VALUES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -46,15 +51,26 @@ class SimConfig:
                 math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
             raise InvalidParameterError(
                 f"sample_interval={self.sample_interval!r} must be positive")
+        for name in ("samples_per_trial", "trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         # The standard errors need at least 2 trials and 2 samples each.
         if self.samples_per_trial < 2:
             raise InvalidParameterError(
                 f"samples_per_trial={self.samples_per_trial} must be >= 2")
         if self.trials < 2:
             raise InvalidParameterError(f"trials={self.trials} must be >= 2")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= self.seed < 2 ** 64:
             raise InvalidParameterError(
                 f"seed={self.seed!r} must be a 64-bit unsigned integer")
+
+
+def _integer(name, value) -> int:
+    """value as an int: an integer or an integral float, not a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidParameterError(f"{name}={value!r} is not an integer")
 
 
 def delay_steps(tau: float, dt: float) -> int:
@@ -70,10 +86,18 @@ def delay_steps(tau: float, dt: float) -> int:
     return k
 
 
-def _drift(x_delayed, v_delayed, targets, L, beta):
-    # Symmetric L, so right-multiplication works for single states and
-    # (trials, n) batches alike.
-    return -(v_delayed @ L) - beta * ((x_delayed - targets) @ L)
+def _drift(x_delayed, v_delayed, targets, L, beta, out=None):
+    """-(v L) - beta (x - targets) L for one state or a stack of states
+    (L is symmetric, so right-multiplication serves both), into out if
+    given. The stepper passes out and the result uses one temporary:
+    several fresh temporaries of a block's size cost more in page faults
+    than the arithmetic."""
+    work = x_delayed - targets
+    out = np.matmul(work, L, out=out)
+    out *= beta
+    work = np.matmul(v_delayed, L, out=work)
+    np.negative(work, out=work)
+    return np.subtract(work, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -149,47 +173,65 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
     n_samples = sim.samples_per_trial
     total_steps = burn_steps + (n_samples - 1) * int_steps
     rngs = [np.random.default_rng(np.random.SeedSequence(
-        entropy=int(sim.seed), spawn_key=(t,))) for t in range(trials)]
+        entropy=sim.seed, spawn_key=(t,))) for t in range(trials)]
 
+    # Step t reads state t - k, so the kb = k + 1 steps after state t0
+    # read only states t0 - k .. t0: the previous block. Rows 1..kb of a
+    # block buffer hold a block's states and row 0 the state before it;
+    # the history before the first block is the targets at rest.
+    kb = k + 1
     r = params.targets
-    x = np.repeat(r[None, :], trials, axis=0)
-    v = np.zeros((trials, n))
-    hx = np.repeat(x[None, :, :], k + 1, axis=0)
-    hv = np.zeros((k + 1, trials, n))
+    hx = np.empty((kb + 1, trials, n))
+    hx[:] = r
+    hv = np.zeros((kb + 1, trials, n))
+    xs = np.empty_like(hx)
+    vs = np.empty_like(hv)
+    chunk = kb * max(1, _NOISE_VALUES // (kb * trials * n))
+    xi = np.empty((trials, chunk, n))
     samples = np.empty((n_samples, trials, n - 1))
 
     g_sqdt = noise.g * math.sqrt(dt)
     beta = noise.beta
     s_idx = 0
-    buf = None
-    pos = 0
-    for t in range(total_steps):
-        tn = t + 1
-        if buf is None or pos == buf.shape[0]:
-            csz = min(_NOISE_CHUNK, total_steps - t)
-            buf = np.stack(
-                [rg.standard_normal((csz, n)) for rg in rngs], axis=1)
-            pos = 0
-        xi = buf[pos]
-        pos += 1
-        dslot = tn % (k + 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dv = _drift(hx[dslot], hv[dslot], r, L, beta) * dt + g_sqdt * xi
-            x = x + v * dt
-            v = v + dv
-        finite = np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmax(~finite))
-            raise DivergenceError(
-                f"trial {bad} diverged at step {tn} "
-                f"(t = {tn * dt:.6g} s); reduce dt or check stability margins",
-                step=tn)
-        hx[dslot] = x
-        hv[dslot] = v
-        if tn >= burn_steps and (tn - burn_steps) % int_steps == 0 \
-                and s_idx < n_samples:
-            samples[s_idx] = np.diff(x, axis=1)
-            s_idx += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, total_steps, kb):
+            c = t0 % chunk
+            if c == 0:
+                csz = min(chunk, total_steps - t0)
+                for rg, out in zip(rngs, xi):
+                    rg.standard_normal(out=out[:csz])
+                xi[:, :csz] *= g_sqdt
+            m = min(kb, total_steps - t0)
+            # v_{t+1} = v_t + dt drift + g sqrt(dt) xi_t and
+            # x_{t+1} = x_t + dt v_t as running sums seeded with state t0,
+            # which add in the order single steps would
+            d = _drift(hx[1:m + 1], hv[1:m + 1], r, L, beta, vs[1:m + 1])
+            np.multiply(d, dt, out=vs[1:m + 1])
+            vs[1:m + 1] += xi[:, c:c + m].transpose(1, 0, 2)
+            vs[0] = hv[kb]
+            np.cumsum(vs[:m + 1], axis=0, out=vs[:m + 1])
+            np.multiply(vs[:m], dt, out=xs[1:m + 1])
+            xs[0] = hx[kb]
+            np.cumsum(xs[:m + 1], axis=0, out=xs[:m + 1])
+            # a non-finite entry stays non-finite in every later step, so
+            # the block's last state shows whether any step diverged
+            if not (np.isfinite(xs[m]).all() and np.isfinite(vs[m]).all()):
+                bad = ~(np.isfinite(xs[1:m + 1]).all(axis=2)
+                        & np.isfinite(vs[1:m + 1]).all(axis=2))
+                j = int(np.argmax(bad.any(axis=1)))
+                tn = t0 + j + 1
+                raise DivergenceError(
+                    f"trial {int(np.argmax(bad[j]))} diverged at step {tn} "
+                    f"(t = {tn * dt:.6g} s); reduce dt or check stability "
+                    f"margins", step=tn)
+            # sample s is the state at step burn_steps + s int_steps
+            if burn_steps + s_idx * int_steps <= t0 + m:
+                s_end = min(n_samples, (t0 + m - burn_steps) // int_steps + 1)
+                rows = burn_steps - t0 + int_steps * np.arange(s_idx, s_end)
+                samples[s_idx:s_end] = np.diff(xs[rows], axis=2)
+                s_idx = s_end
+            hx, xs = xs, hx
+            hv, vs = vs, hv
     assert s_idx == n_samples
 
     # On marginal EM instability the samples can be finite yet huge;

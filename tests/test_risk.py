@@ -52,6 +52,15 @@ def test_failure_scenario_rejects_non_integer_indices():
             FailureScenario(indices, (0.0,) * len(indices))
 
 
+def test_failure_scenario_rejects_bool_states():
+    # a bool is not an observed distance, as in config's `states` check
+    for states in ((True,), (np.False_,), (0.0, True)):
+        with pytest.raises(InvalidQueryError):
+            FailureScenario(tuple(range(1, len(states) + 1)), states)
+    s = FailureScenario((1, 2), (1, np.float64(0.5)))
+    assert s.states == (1.0, 0.5)
+
+
 def test_risk_result_validation():
     RiskResult(0.0, "zero")
     RiskResult(math.inf, "infinite")

@@ -41,6 +41,16 @@ def test_sim_config_validation():
             SimConfig(samples_per_trial=bad)
         with pytest.raises(InvalidParameterError):
             SimConfig(trials=bad)
+    # counts and the seed are integers; integral values become ints
+    sim = SimConfig(samples_per_trial=np.int64(4), trials=3.0,
+                    seed=np.uint64(7))
+    assert (sim.samples_per_trial, sim.trials, sim.seed) == (4, 3, 7)
+    assert all(type(v) is int
+               for v in (sim.samples_per_trial, sim.trials, sim.seed))
+    for bad in (2.5, True, np.True_, math.nan, "4"):
+        for name in ("samples_per_trial", "trials", "seed"):
+            with pytest.raises(InvalidParameterError):
+                SimConfig(**{name: bad})
     with pytest.raises(InvalidParameterError):
         SimConfig(seed=-1)
     with pytest.raises(InvalidParameterError):
@@ -58,8 +68,8 @@ def test_delay_steps():
 
 def test_initial_state_constant_history(monkeypatch):
     # run starts from a constant history: the first delay_steps + 1
-    # steps read x on target and v = 0 one delay back, and the next one
-    # reads the state after the first step
+    # steps, one block, read x on target and v = 0 one delay back, and
+    # the next block's first step reads the state after the first step
     seen = []
 
     def recording(x_delayed, v_delayed, *args):
@@ -72,10 +82,11 @@ def test_initial_state_constant_history(monkeypatch):
     run(build_path(5), PATH5_PARAMS, PATH5_NOISE, sim)
     k = delay_steps(PATH5_NOISE.tau, 1e-3)
     assert k == 30
-    for x, v in seen[:k + 1]:
-        assert np.array_equal(x, np.tile(PATH5_PARAMS.targets, (2, 1)))
-        assert np.all(v == 0.0)
-    assert not np.all(seen[k + 1][1] == 0.0)
+    x, v = seen[0]
+    assert x.shape == v.shape == (k + 1, 2, 5)
+    assert np.array_equal(x, np.tile(PATH5_PARAMS.targets, (k + 1, 2, 1)))
+    assert np.all(v == 0.0)
+    assert not np.all(seen[1][1][0] == 0.0)
 
 
 def test_step_fixed_point_without_noise():
@@ -121,14 +132,19 @@ def test_drift_matches_per_vehicle_sums():
         assert abs(drift[i] - u) < 1e-12
 
 
-def test_step_divergence_detected(monkeypatch):
-    # an overflowing drift at step 5 is reported at step 5
+def _overflow_at(monkeypatch, call, row, bad_trials):
+    # tau = 2 dt, so each _drift call covers a block of 3 steps; the
+    # drift of step 3 (call - 1) + row + 1 overflows in bad_trials, and
+    # in trial 0 one step later
     calls = []
 
     def overflowing(*args):
         calls.append(1)
         drift = _drift(*args)
-        return np.full_like(drift, np.inf) if len(calls) == 5 else drift
+        if len(calls) == call:
+            drift[row, list(bad_trials)] = np.inf
+            drift[row + 1, 0] = np.inf
+        return drift
 
     monkeypatch.setattr(simulate, "_drift", overflowing)
     sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
@@ -136,8 +152,54 @@ def test_step_divergence_detected(monkeypatch):
     with pytest.raises(DivergenceError) as exc:
         run(build_path(3), PlatoonParams(n=3, d=3.0),
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
-    assert exc.value.step == 5
-    assert "trial 0" in str(exc.value)
+    return exc.value
+
+
+def test_step_divergence_detected(monkeypatch):
+    # an overflowing drift at step 5, inside the second block, is
+    # reported at step 5
+    err = _overflow_at(monkeypatch, call=2, row=1, bad_trials=(0, 1))
+    assert err.step == 5
+    assert "trial 0 " in str(err)
+
+
+def test_step_divergence_in_later_block(monkeypatch):
+    # only trial 1 overflows, at step 11 inside the fourth block; trial
+    # 0 turning non-finite at step 12 of the same block does not win
+    err = _overflow_at(monkeypatch, call=4, row=1, bad_trials=(1,))
+    assert err.step == 11
+    assert "trial 1 " in str(err)
+
+
+@pytest.mark.parametrize("tau, dt, burn_in, interval, noise_values", [
+    (0.03, 1e-3, 0.517, 0.045, 2000),   # k = 30, chunks of 124 steps
+    (0.005, 0.005, 0.505, 0.015, 100),  # k = 1, chunks of 6 steps
+    (0.03, 1e-3, 17.5, 0.045, None),    # k = 30, default chunk exceeded
+])
+def test_run_matches_per_step_oracle(monkeypatch, tau, dt, burn_in,
+                                     interval, noise_values):
+    # block stepping reproduces per-step Euler-Maruyama to the bit when
+    # the oracle reads the same per-trial (seed, trial) streams; burn-in
+    # and interval are not multiples of the k + 1 steps of a block
+    if noise_values is not None:
+        monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
+    noise = NoiseParams(g=0.1, tau=tau, beta=2.0)
+    trials, n_samples, seed = 3, 7, 11
+    sim = SimConfig(dt=dt, burn_in=burn_in, sample_interval=interval,
+                    samples_per_trial=n_samples, trials=trials, seed=seed)
+    _, samples = run(build_path(5), PATH5_PARAMS, noise, sim,
+                     return_samples=True)
+    burn_steps, int_steps = round(burn_in / dt), round(interval / dt)
+    k = delay_steps(tau, dt)
+    assert burn_steps % (k + 1) and int_steps % (k + 1)
+    total = burn_steps + (n_samples - 1) * int_steps
+    xi = np.stack([np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(t,))).standard_normal((total, 5))
+        for t in range(trials)], axis=1)
+    expected = em_distance_samples(
+        laplacian(build_path(5)), PATH5_PARAMS.targets, noise.g, tau,
+        noise.beta, dt, xi, burn_steps, int_steps, n_samples)
+    assert np.array_equal(samples, expected)
 
 
 def test_run_seed_determinism():
