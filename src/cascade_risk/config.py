@@ -102,20 +102,25 @@ def load_config(path: str) -> RawConfig:
         return parse_config(fh.read(), path)
 
 
-def _as_int(cfg: RawConfig, section: str, key: str, value):
+def _as_int(cfg: RawConfig, section: str, key: str, value, what=None):
+    """value, which must be a JSON integer; `what` names it in the error
+    (default: the key)."""
+    what = what or f"key {key!r} in [{section}]"
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key {key!r} in [{section}] must be an integer, "
-                          f"got {value!r}", cfg.line_of(section, key))
+        raise ConfigError(f"{what} must be an integer, got {value!r}",
+                          cfg.line_of(section, key))
     return value
 
 
-def _as_number(cfg: RawConfig, section: str, key: str, value):
+def _as_number(cfg: RawConfig, section: str, key: str, value, what=None):
+    """value as a float; it must be a finite JSON number. `what` as in
+    _as_int."""
+    what = what or f"key {key!r} in [{section}]"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key {key!r} in [{section}] must be a number, "
-                          f"got {value!r}", cfg.line_of(section, key))
-    if not math.isfinite(value):
-        raise ConfigError(f"key {key!r} in [{section}] must be finite",
+        raise ConfigError(f"{what} must be a number, got {value!r}",
                           cfg.line_of(section, key))
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite", cfg.line_of(section, key))
     return float(value)
 
 
@@ -135,15 +140,21 @@ def build_graph(cfg: RawConfig) -> WeightedGraph:
             raise ConfigError("key 'edges' must be a JSON array of "
                               "[i, j] or [i, j, weight] triples",
                               cfg.line_of("graph", "edges"))
-        triples = []
+        by_pair = {}
         for e in edges:
             if not isinstance(e, list) or len(e) not in (2, 3):
                 raise ConfigError(f"bad edge entry {e!r}",
                                   cfg.line_of("graph", "edges"))
-            i, j = e[0], e[1]
-            w = float(e[2]) if len(e) == 3 else 1.0
-            triples.append((i, j, w))
-        return build_custom(n, triples)
+            i, j = (_as_int(cfg, "graph", "edges", v,
+                            f"endpoint of edge {e!r}") for v in e[:2])
+            w = 1.0 if len(e) == 2 else _as_number(
+                cfg, "graph", "edges", e[2], f"weight of edge {e!r}")
+            pair = (min(i, j), max(i, j))
+            if pair in by_pair:
+                raise ConfigError(f"edge {e!r} repeats the edge {pair}",
+                                  cfg.line_of("graph", "edges"))
+            by_pair[pair] = (i, j, w)
+        return build_custom(n, by_pair.values())
     raise ConfigError(f"unknown graph type {kind!r}; expected complete, "
                       f"path, pcycle, or custom", cfg.line_of("graph", "type"))
 
@@ -224,21 +235,23 @@ def build_sim(cfg: RawConfig, seed_override=None) -> SimConfig:
             cfg, "sim", "samples_per_trial", sec["samples_per_trial"][0])
     if "trials" in sec:
         kwargs["trials"] = _as_int(cfg, "sim", "trials", sec["trials"][0])
-    if seed_override is not None:
-        kwargs["seed"] = int(seed_override)
-    elif "seed" in sec:
-        kwargs["seed"] = _as_int(cfg, "sim", "seed", sec["seed"][0])
+    kwargs["seed"] = resolve_seed(cfg, seed_override)
     return SimConfig(**kwargs)
 
 
 def resolve_seed(cfg: RawConfig, seed_override=None) -> int:
-    """Seed for seeded experiments: --seed flag wins, then [sim] seed,
-    then 0."""
+    """Seed for seeded runs: --seed flag wins, then [sim] seed, then 0.
+    It must lie in 0 <= seed < 2**64, the range of numpy's SeedSequence."""
     if seed_override is not None:
-        return int(seed_override)
-    if cfg.has("sim", "seed"):
-        return _as_int(cfg, "sim", "seed", cfg.get("sim", "seed"))
-    return 0
+        seed, line = int(seed_override), None
+    elif cfg.has("sim", "seed"):
+        seed = _as_int(cfg, "sim", "seed", cfg.get("sim", "seed"))
+        line = cfg.line_of("sim", "seed")
+    else:
+        return 0
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed {seed} must be in 0 .. 2**64 - 1", line)
+    return seed
 
 
 def experiment_option(cfg: RawConfig, key: str, default: int) -> int:

@@ -120,6 +120,27 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert "line 1" in err and "orbit" in err
 
 
+def test_bad_custom_edge_exit_code(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, PATH6.replace(
+        "type = path\n", 'type = custom\nedges = [["a", 2], [2, 3]]\n'))
+    assert main(["stability", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cascade-risk: line 3:") and "endpoint" in err
+
+
+def test_negative_seed_exit_code(tmp_path, capsys):
+    # refused at entry, whether the sweep samples its patterns (at most
+    # one enumerated) or enumerates them all and draws nothing
+    sampled = write_cfg(tmp_path, PATH6 + "\n[experiment]\nenum_cap = 1\n"
+                        "sample_count = 5\n", "sampled.cfg")
+    exact = write_cfg(tmp_path, PATH6)
+    for argv in (["sweep-sparsity", "--m", "2", "--config", sampled],
+                 ["sweep-sparsity", "--m", "2", "--config", exact],
+                 ["simulate", "--config", exact]):
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "seed -1" in capsys.readouterr().err
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["stability", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cascade-risk:" in capsys.readouterr().err

@@ -112,6 +112,26 @@ def test_build_graph_errors():
             "[graph]\ntype = custom\nn = 3\nedges = [[1, 2, 3, 4]]\n"))
 
 
+@pytest.mark.parametrize("edges, words", [
+    ('[[1, 2, "x"], [2, 3]]', "weight"),
+    ('[["a", 2], [2, 3]]', "endpoint"),
+    ("[[1.0, 2], [2, 3]]", "endpoint"),
+    ("[[1, 2, true], [2, 3]]", "weight"),
+    ("[[1, 2, NaN], [2, 3]]", "finite"),
+    ("[[1, 2], [2, 3], [1, 2, 5]]", "repeats"),
+    ("[[1, 2], [2, 3], [2, 1]]", "repeats"),
+], ids=["str-weight", "str-endpoint", "float-endpoint", "bool-weight",
+        "nan-weight", "repeated", "repeated-reversed"])
+def test_build_graph_custom_edge_errors(edges, words):
+    # edges follow the number and integer rules of every other key, and
+    # an edge given twice is refused rather than taking the last weight
+    with pytest.raises(ConfigError) as exc:
+        build_graph(parse_config(
+            f"[graph]\ntype = custom\nn = 3\nedges = {edges}\n"))
+    assert exc.value.line == 4
+    assert words in str(exc.value)
+
+
 def test_build_platoon_and_noise_and_query():
     cfg = parse_config(FULL)
     params = build_platoon(cfg)
@@ -192,6 +212,18 @@ def test_resolve_seed_precedence():
     assert resolve_seed(cfg) == 7
     assert resolve_seed(cfg, seed_override=3) == 3
     assert resolve_seed(parse_config("[graph]\ntype = path\nn = 3\n")) == 0
+    # seeds must fit numpy's SeedSequence: 0 <= seed < 2**64
+    top = parse_config(f"[sim]\nseed = {2 ** 64 - 1}\n")
+    assert resolve_seed(top) == 2 ** 64 - 1
+    assert resolve_seed(cfg, seed_override=2 ** 64 - 1) == 2 ** 64 - 1
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ConfigError) as exc:
+            resolve_seed(parse_config(f"[graph]\nn = 3\n[sim]\nseed = {bad}\n"))
+        assert exc.value.line == 4
+        with pytest.raises(ConfigError):
+            resolve_seed(cfg, seed_override=bad)
+        with pytest.raises(ConfigError):
+            build_sim(cfg, seed_override=bad)
 
 
 def test_experiment_option():

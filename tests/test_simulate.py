@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,11 +149,17 @@ def _overflow_at(monkeypatch, call, row, bad_trials):
         return drift
 
     monkeypatch.setattr(simulate, "_drift", overflowing)
+    # 15-step noise chunks: the noise thread is two chunks ahead and
+    # waiting for a free buffer when the run stops
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                     samples_per_trial=4, trials=2)
+    threads = threading.active_count()
     with pytest.raises(DivergenceError) as exc:
         run(build_path(3), PlatoonParams(n=3, d=3.0),
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
+    # the noise helper thread does not outlive the call
+    assert threading.active_count() == threads
     return exc.value
 
 
@@ -171,24 +179,90 @@ def test_step_divergence_in_later_block(monkeypatch):
     assert "trial 1 " in str(err)
 
 
-@pytest.mark.parametrize("tau, dt, burn_in, interval, noise_values", [
-    (0.03, 1e-3, 0.517, 0.045, 2000),   # k = 30, chunks of 124 steps
-    (0.005, 0.005, 0.505, 0.015, 100),  # k = 1, chunks of 6 steps
-    (0.03, 1e-3, 17.5, 0.045, None),    # k = 30, default chunk exceeded
-])
-def test_run_matches_per_step_oracle(monkeypatch, tau, dt, burn_in,
-                                     interval, noise_values):
+class _NoiseFault(Exception):
+    pass
+
+
+def _recording_rngs(monkeypatch, fail_at=None):
+    # default_rng stand-ins that delegate to the real generators and
+    # record each chunk's length; call fail_at raises _NoiseFault
+    real = np.random.default_rng
+    made = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng, self.sizes = real(seed), []
+            made.append(self)
+
+        def standard_normal(self, out):
+            self.sizes.append(out.shape[0])
+            if len(self.sizes) == fail_at:
+                raise _NoiseFault
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return made
+
+
+def test_noise_failure_reaches_caller(monkeypatch):
+    # an exception raised on the helper thread while the third chunk is
+    # drawn is re-raised by run, and no thread is left behind
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
+    made = _recording_rngs(monkeypatch, fail_at=3)
+    sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
+    threads = threading.active_count()
+    with pytest.raises(_NoiseFault):
+        run(build_path(3), PlatoonParams(n=3, d=3.0),
+            NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
+    assert threading.active_count() == threads
+    assert made[0].sizes == [15, 15, 15]    # the third of 54 chunks
+
+
+def test_concurrent_runs_match_oracle(monkeypatch):
+    # four runs at once, each with its own noise thread handing over 54
+    # small chunks, under a short switch interval: a buffer read before
+    # it is filled, or refilled while read, breaks bitwise equality
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
+    noise = NoiseParams(g=0.1, tau=0.002, beta=2.0)
+    params = PlatoonParams(n=3, d=3.0)
+    L = laplacian(build_path(3))
+    results = {}
+
+    def one(seed):
+        sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
+                        samples_per_trial=4, trials=2, seed=seed)
+        results[seed] = run(build_path(3), params, noise, sim,
+                            return_samples=True)[1]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=one, args=(seed,))
+                   for seed in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    for seed in range(4):
+        xi = np.stack([np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(t,))).standard_normal((800, 3))
+            for t in range(2)], axis=1)
+        expected = em_distance_samples(L, params.targets, noise.g, noise.tau,
+                                       noise.beta, 1e-3, xi, 500, 100, 4)
+        assert np.array_equal(results[seed], expected)
+
+
+def _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
+                        noise_values):
     # block stepping reproduces per-step Euler-Maruyama to the bit when
-    # the oracle reads the same per-trial (seed, trial) streams; burn-in
-    # and interval are not multiples of the k + 1 steps of a block
-    if noise_values is not None:
-        monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
+    # the oracle reads the same per-trial (seed, trial) streams; returns
+    # the chunk lengths trial 0 drew
     noise = NoiseParams(g=0.1, tau=tau, beta=2.0)
     trials, n_samples, seed = 3, 7, 11
-    sim = SimConfig(dt=dt, burn_in=burn_in, sample_interval=interval,
-                    samples_per_trial=n_samples, trials=trials, seed=seed)
-    _, samples = run(build_path(5), PATH5_PARAMS, noise, sim,
-                     return_samples=True)
     burn_steps, int_steps = round(burn_in / dt), round(interval / dt)
     k = delay_steps(tau, dt)
     assert burn_steps % (k + 1) and int_steps % (k + 1)
@@ -199,7 +273,39 @@ def test_run_matches_per_step_oracle(monkeypatch, tau, dt, burn_in,
     expected = em_distance_samples(
         laplacian(build_path(5)), PATH5_PARAMS.targets, noise.g, tau,
         noise.beta, dt, xi, burn_steps, int_steps, n_samples)
+
+    if noise_values is not None:
+        monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
+    made = _recording_rngs(monkeypatch)
+    sim = SimConfig(dt=dt, burn_in=burn_in, sample_interval=interval,
+                    samples_per_trial=n_samples, trials=trials, seed=seed)
+    _, samples = run(build_path(5), PATH5_PARAMS, noise, sim,
+                     return_samples=True)
     assert np.array_equal(samples, expected)
+    assert all(sum(rng.sizes) == total for rng in made)
+    return made[0].sizes
+
+
+@pytest.mark.parametrize("tau, dt, burn_in, interval, noise_values", [
+    (0.03, 1e-3, 0.517, 0.045, 2000),   # k = 30, chunks of 124 steps
+    (0.005, 0.005, 0.505, 0.015, 100),  # k = 1, chunks of 6 steps
+    (0.03, 1e-3, 17.5, 0.045, None),    # k = 30, default chunk exceeded
+])
+def test_run_matches_per_step_oracle(monkeypatch, tau, dt, burn_in,
+                                     interval, noise_values):
+    # burn-in and interval are not multiples of the k + 1 steps of a block
+    _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
+                        noise_values)
+
+
+@pytest.mark.parametrize("burn_in, noise_values, chunks", [
+    (0.517, None, [787]),         # one chunk: nothing is drawn ahead
+    (0.598, 2000, [124] * 7),     # the last step ends a full chunk
+])
+def test_run_matches_per_step_oracle_at_chunk_edges(monkeypatch, burn_in,
+                                                    noise_values, chunks):
+    assert _run_against_oracle(monkeypatch, 0.03, 1e-3, burn_in, 0.045,
+                               noise_values) == chunks
 
 
 def test_run_seed_determinism():
