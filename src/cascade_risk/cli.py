@@ -29,36 +29,42 @@ from .risk import risk_profile
 from .simulate import run
 from .stability import check_platoon
 
+# schema -> (header, row template). The template joins one printf spec
+# per column, so a row renders with one `%`; a None cell (an empty risk)
+# renders as an empty field.
 _SCHEMAS = {
-    "stability": ("k", "lambda", "s1", "s2", "bound", "margin"),
-    "covariance": ("i", "j", "sigma_ij"),
-    "risk_profile": ("j", "risk", "branch", "mu_tilde", "sigma_tilde",
-                     "is_failed", "naive_risk"),
-    "simulate": ("i", "j", "analytic_sigma", "empirical_sigma", "se",
-                 "z_score"),
-    "sweep_scale": ("m", "j", "risk"),
-    "sweep_sparsity": ("s", "avg_risk", "inf_fraction", "n_patterns",
-                       "exact"),
-    "add_edge": ("target", "risk", "stable"),
+    "stability": (("k", "lambda", "s1", "s2", "bound", "margin"),
+                  "%d,%.17g,%.17g,%.17g,%.17g,%.17g"),
+    "covariance": (("i", "j", "sigma_ij"), "%d,%d,%.17g"),
+    "risk_profile": (("j", "risk", "branch", "mu_tilde", "sigma_tilde",
+                      "is_failed", "naive_risk"),
+                     "%d,%.17g,%s,%.17g,%.17g,%d,%.17g"),
+    "simulate": (("i", "j", "analytic_sigma", "empirical_sigma", "se",
+                  "z_score"),
+                 "%d,%d,%.17g,%.17g,%.17g,%.17g"),
+    "sweep_scale": (("m", "j", "risk"), "%d,%d,%.17g"),
+    "sweep_sparsity": (("s", "avg_risk", "inf_fraction", "n_patterns",
+                        "exact"),
+                       "%d,%.17g,%.17g,%d,%d"),
+    "add_edge": (("target", "risk", "stable"), "%d,%.17g,%d"),
 }
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
 def render_csv(schema: str, rows, trailers=()) -> str:
-    lines = [f"# schema={schema}/v1", ",".join(_SCHEMAS[schema])]
+    """Versioned CSV text: schema line, header, one line per row tuple of
+    `rows` (any iterable, read once), then `# trailer` lines."""
+    header, template = _SCHEMAS[schema]
+    lines = [f"# schema={schema}/v1", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    for trailer in trailers:
-        lines.append(f"# {trailer}")
+        try:
+            lines.append(template % row)
+        except TypeError:
+            if None not in row:
+                raise
+            lines.append(",".join(
+                "" if cell is None else spec % cell
+                for spec, cell in zip(template.split(","), row, strict=True)))
+    lines.extend(f"# {trailer}" for trailer in trailers)
     return "\n".join(lines) + "\n"
 
 

@@ -98,8 +98,16 @@ def parse_config(text: str, path: str = "<config>") -> RawConfig:
 
 
 def load_config(path: str) -> RawConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} at "
+            f"offset {exc.start}", line) from None
+    return parse_config(text, path)
 
 
 def _as_int(cfg: RawConfig, section: str, key: str, value, what=None):

@@ -4,7 +4,8 @@ Each function returns plain row tuples (ints, floats, None for empty
 cells, strings for tags) ready for CSV serialization, so the sweep
 policies (aggregation of infinities, pattern enumeration, sampling
 fallback) live here and are unit-testable without going through the
-command line.
+command line. Rows come as a list, or as a lazy iterable where a table
+is large (`covariance_rows`, n^2 rows): iterate it once.
 """
 from __future__ import annotations
 
@@ -36,11 +37,9 @@ def stability_rows(report: StabilityReport):
 
 
 def covariance_rows(sigma: CovarianceMatrix):
-    rows = []
-    for i in range(1, sigma.dim + 1):
-        for j in range(1, sigma.dim + 1):
-            rows.append((i, j, float(sigma.values[i - 1, j - 1])))
-    return rows
+    """(i, j, sigma_ij) for every entry, row by row, produced lazily."""
+    for i, row in enumerate(sigma.values.tolist(), start=1):
+        yield from zip(itertools.repeat(i), itertools.count(1), row)
 
 
 def profile_rows(entries, marginal_stds, d: float, c: float, epsilon: float):

@@ -230,7 +230,10 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
     interval = sim.sample_interval
     if interval is None:
         interval = 20.0 * noise.tau
-    int_steps = max(1, int(round(interval / dt)))
+    int_steps = int(round(interval / dt))
+    if int_steps < 1:
+        raise InvalidParameterError(
+            f"sample_interval={interval!r} rounds to 0 steps of dt={dt!r}")
     burn_steps = int(math.ceil(burn_in / dt - 1e-9))
 
     trials = sim.trials

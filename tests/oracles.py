@@ -219,3 +219,16 @@ def pooled_cov_and_se(samples):
         trial_covs[b] = db.T @ db / (n_samples - 1)
     se = trial_covs.std(axis=0, ddof=1) / math.sqrt(trials)
     return cov, se
+
+
+def format_cell(value) -> str:
+    """One CSV cell rendered by its Python type: None empty, strings as
+    they are, integers in decimal, anything else as `%.17g` of its float
+    (17 significant digits round-trip every double)."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)

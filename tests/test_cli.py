@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascade_risk
 from cascade_risk import (ConditionalDistribution, NoiseParams, build_path,
                           laplacian, region_bound, spectrum,
                           steady_state_covariance, var_risk)
-from cascade_risk.cli import _format_cell, main, render_csv
+from cascade_risk.cli import _SCHEMAS, main, render_csv
+
+from oracles import format_cell
 
 PATH6 = """\
 [graph]
@@ -139,6 +143,19 @@ def test_negative_seed_exit_code(tmp_path, capsys):
                  ["simulate", "--config", exact]):
         assert main(argv + ["--seed", "-1"]) == 1
         assert "seed -1" in capsys.readouterr().err
+
+
+def test_undecodable_config_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(PATH6.replace("[noise]", "# caf\xe9\n[noise]")
+                    .encode("latin-1"))
+    assert main(["stability", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 8:" in err and "0xe9" in err
+    cfg.write_bytes(b"\xff" + PATH6.encode())
+    assert main(["stability", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "line 1:" in err and "not UTF-8" in err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -334,15 +351,111 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cell_formatting():
-    assert _format_cell(None) == ""
-    assert _format_cell("finite") == "finite"
-    assert _format_cell(3) == "3"
-    assert _format_cell(np.int64(7)) == "7"
-    assert _format_cell(math.inf) == "inf"
-    assert _format_cell(-math.inf) == "-inf"
-    assert _format_cell(math.nan) == "nan"
-    assert float(_format_cell(0.1)) == 0.1
-    assert float(_format_cell(1.0 / 3.0)) == 1.0 / 3.0
+    assert format_cell(None) == ""
+    assert format_cell("finite") == "finite"
+    assert format_cell(3) == "3"
+    assert format_cell(np.int64(7)) == "7"
+    assert format_cell(True) == "1"
+    assert format_cell(math.inf) == "inf"
+    assert format_cell(-math.inf) == "-inf"
+    assert format_cell(math.nan) == "nan"
+    assert format_cell(-0.0) == "-0"
+    assert float(format_cell(0.1)) == 0.1
+    assert float(format_cell(1.0 / 3.0)) == 1.0 / 3.0
+    assert float(format_cell(5e-324)) == 5e-324
+
+
+# What the row producers put in each column of each schema: integers,
+# floats, or branch tags; "float?" columns also hold None (an empty
+# risk). Written independently of the templates in cli.py.
+_COLUMNS = {
+    "stability": "k:int lambda:float s1:float s2:float bound:float "
+                 "margin:float",
+    "covariance": "i:int j:int sigma_ij:float",
+    "risk_profile": "j:int risk:float? branch:tag mu_tilde:float? "
+                    "sigma_tilde:float? is_failed:int naive_risk:float",
+    "simulate": "i:int j:int analytic_sigma:float empirical_sigma:float "
+                "se:float z_score:float",
+    "sweep_scale": "m:int j:int risk:float?",
+    "sweep_sparsity": "s:int avg_risk:float inf_fraction:float "
+                      "n_patterns:int exact:int",
+    "add_edge": "target:int risk:float? stable:int",
+}
+
+_EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308,
+                -1e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0)
+_float_cell = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats(),
+    st.floats().map(np.float64))
+_CELLS = {
+    "int": st.one_of(st.integers(),
+                     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                     st.booleans()),
+    "float": _float_cell,
+    "float?": st.one_of(st.none(), _float_cell),
+    "tag": st.one_of(st.sampled_from(("zero", "finite", "infinite",
+                                      "error")),
+                     st.text(st.characters(exclude_characters=",\n\r"))),
+}
+
+
+def _columns(schema):
+    return [column.split(":") for column in _COLUMNS[schema].split()]
+
+
+@st.composite
+def _table(draw):
+    schema = draw(st.sampled_from(sorted(_COLUMNS)))
+    row = st.tuples(*(_CELLS[kind] for _, kind in _columns(schema)))
+    rows = draw(st.lists(row, max_size=6))
+    trailers = draw(st.lists(st.sampled_from(("stable=1", "max_abs_z=2.5")),
+                             max_size=2))
+    return schema, rows, trailers
+
+
+def _oracle_csv(schema, rows, trailers):
+    header = ",".join(name for name, _ in _columns(schema))
+    lines = [f"# schema={schema}/v1", header]
+    lines += [",".join(format_cell(cell) for cell in row) for row in rows]
+    lines += [f"# {trailer}" for trailer in trailers]
+    return "\n".join(lines) + "\n"
+
+
+def test_cell_oracle_covers_every_schema():
+    assert set(_COLUMNS) == set(_SCHEMAS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_table())
+def test_render_csv_matches_cell_oracle(table):
+    schema, rows, trailers = table
+    expected = _oracle_csv(schema, rows, trailers)
+    assert render_csv(schema, rows, trailers) == expected
+    assert render_csv(schema, (row for row in rows), trailers) == expected
+
+
+@pytest.mark.parametrize("schema", sorted(
+    schema for schema, columns in _COLUMNS.items() if "?" in columns))
+def test_render_csv_empty_cell_in_each_nullable_column(schema):
+    columns = _columns(schema)
+    filled = tuple({"int": np.int64(4), "float": -0.0, "float?": 5e-324,
+                    "tag": "finite"}[kind] for _, kind in columns)
+    rows = [filled]
+    for at, (_, kind) in enumerate(columns):
+        if kind == "float?":
+            rows.append(filled[:at] + (None,) + filled[at + 1:])
+    rows.append(tuple(None if kind == "float?" else cell
+                      for (_, kind), cell in zip(columns, filled)))
+    assert render_csv(schema, rows) == _oracle_csv(schema, rows, ())
+
+
+def test_render_csv_refuses_mistyped_row():
+    with pytest.raises(TypeError):
+        render_csv("covariance", [(1, "x", 0.5)])
+    with pytest.raises(ValueError):
+        render_csv("sweep_scale", [(1, None)])
 
 
 def test_render_csv_layout():

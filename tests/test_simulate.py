@@ -447,3 +447,17 @@ def test_run_rejections():
         run(graph, params, noise,
             SimConfig(dt=1e-3, burn_in=0.2, sample_interval=0.1,
                       samples_per_trial=4, trials=2))   # burn_in < 10 tau
+
+
+def test_run_refuses_sample_interval_of_zero_steps():
+    graph, params = build_path(3), PlatoonParams(n=3, d=3.0)
+    noise = NoiseParams(g=0.1, tau=0.03, beta=2.0)
+
+    def sim(interval):
+        return SimConfig(dt=0.01, burn_in=0.3, sample_interval=interval,
+                         samples_per_trial=2, trials=2)
+
+    for interval in (1e-4, 0.005):  # 0.01 and 0.5 steps round to 0
+        with pytest.raises(InvalidParameterError, match="0 steps"):
+            run(graph, params, noise, sim(interval))
+    assert run(graph, params, noise, sim(0.006)).sample_count == 4
