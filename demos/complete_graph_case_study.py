@@ -28,11 +28,11 @@ NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 def main():
     spec = spectrum(laplacian(build_complete(N)))
     report = check_platoon(spec, NOISE.tau, NOISE.beta)
-    worst = report.worst_mode()
+    worst = np.argmin(report.margin)
     print(f"platoon of {N} vehicles, complete interaction graph")
     print(f"stable: {report.stable}  "
-          f"(worst mode margin {report.min_margin():.4f}, "
-          f"s1 = {worst.s1:.3f} of pi/2 = {math.pi / 2:.3f})")
+          f"(worst mode margin {report.margin[worst]:.4f}, "
+          f"s1 = {report.s1[worst]:.3f} of pi/2 = {math.pi / 2:.3f})")
 
     sigma_c = complete_graph_sigma_c(N, NOISE)
     sigma_j = math.sqrt(sigma_c)

@@ -34,21 +34,20 @@ from .graph import (LaplacianSpectrum, WeightedGraph, add_pair_edges,
 from .risk import (ConditionalDistribution, FailureScenario, ProfileEntry,
                    RiskResult, condition, iota, risk_profile, var_risk)
 from .simulate import EmpiricalCovariance, SimConfig, delay_steps, run
-from .stability import (ModeStability, StabilityReport, check_platoon,
-                        region_bound, solve_a)
+from .stability import StabilityReport, check_platoon, region_bound
 
 __all__ = [
     "CascadeRiskError", "ConditionalDistribution", "ConfigError",
     "CovarianceMatrix", "DivergenceError", "EmpiricalCovariance",
     "FailureScenario", "IllConditionedScenarioError",
     "InvalidParameterError", "InvalidQueryError", "InvalidSizeError",
-    "LaplacianSpectrum", "ModeStability", "NearBoundaryError", "NoiseParams",
+    "LaplacianSpectrum", "NearBoundaryError", "NoiseParams",
     "NumericalError", "PlatoonParams", "ProfileEntry", "RiskResult",
     "SimConfig", "StabilityReport", "UnstablePlatoonError", "WeightedGraph",
     "add_pair_edges", "build_complete", "build_custom", "build_path",
     "build_pcycle", "check_platoon", "complete_graph_covariance",
     "complete_graph_sigma_c", "complete_profile", "condition", "delay_steps",
     "f_integral", "iota", "laplacian", "pair_difference_matrix",
-    "region_bound", "risk_profile", "run", "spectrum", "solve_a",
+    "region_bound", "risk_profile", "run", "spectrum",
     "steady_state_covariance", "var_risk",
 ]

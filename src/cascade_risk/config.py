@@ -54,10 +54,17 @@ class RawConfig:
 
     def require(self, section: str, key: str):
         if section not in self.sections:
-            raise ConfigError(f"missing [{section}] section (need key {key!r})")
+            raise self.error(f"missing [{section}] section (need key {key!r})")
         if key not in self.sections[section]:
-            raise ConfigError(f"missing key {key!r} in [{section}]")
+            raise self.error(f"missing key {key!r} in [{section}]")
         return self.sections[section][key][0]
+
+    def error(self, message: str, section: str | None = None,
+              key: str | None = None) -> ConfigError:
+        """ConfigError naming this file and, for a key, the line of its
+        value."""
+        line = None if key is None else self.line_of(section, key)
+        return ConfigError(message, line, self.path)
 
 
 def parse_config(text: str, path: str = "<config>") -> RawConfig:
@@ -73,22 +80,23 @@ def parse_config(text: str, path: str = "<config>") -> RawConfig:
             if name not in _SECTIONS:
                 raise ConfigError(
                     f"unknown section [{name}]; expected one of "
-                    f"{', '.join(_SECTIONS)}", lineno)
+                    f"{', '.join(_SECTIONS)}", lineno, path)
             current = sections.setdefault(name, {})
             continue
         if current is None:
-            raise ConfigError("key outside any [section]", lineno)
+            raise ConfigError("key outside any [section]", lineno, path)
         if "=" not in line:
-            raise ConfigError(f"expected `key = value`, got {line!r}", lineno)
+            raise ConfigError(f"expected `key = value`, got {line!r}",
+                              lineno, path)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not _KEY_RE.match(key):
-            raise ConfigError(f"invalid key name {key!r}", lineno)
+            raise ConfigError(f"invalid key name {key!r}", lineno, path)
         if key in current:
-            raise ConfigError(f"duplicate key {key!r}", lineno)
+            raise ConfigError(f"duplicate key {key!r}", lineno, path)
         if not value:
-            raise ConfigError(f"empty value for key {key!r}", lineno)
+            raise ConfigError(f"empty value for key {key!r}", lineno, path)
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
@@ -105,8 +113,8 @@ def load_config(path: str) -> RawConfig:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(
-            f"{path} is not UTF-8 text: byte 0x{data[exc.start]:02x} at "
-            f"offset {exc.start}", line) from None
+            f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset "
+            f"{exc.start}", line, path) from None
     return parse_config(text, path)
 
 
@@ -115,8 +123,8 @@ def _as_int(cfg: RawConfig, section: str, key: str, value, what=None):
     (default: the key)."""
     what = what or f"key {key!r} in [{section}]"
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}",
-                          cfg.line_of(section, key))
+        raise cfg.error(f"{what} must be an integer, got {value!r}",
+                        section, key)
     return value
 
 
@@ -125,10 +133,10 @@ def _as_number(cfg: RawConfig, section: str, key: str, value, what=None):
     _as_int."""
     what = what or f"key {key!r} in [{section}]"
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}",
-                          cfg.line_of(section, key))
+        raise cfg.error(f"{what} must be a number, got {value!r}",
+                        section, key)
     if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite", cfg.line_of(section, key))
+        raise cfg.error(f"{what} must be finite", section, key)
     return float(value)
 
 
@@ -145,26 +153,25 @@ def build_graph(cfg: RawConfig) -> WeightedGraph:
     if kind == "custom":
         edges = cfg.require("graph", "edges")
         if not isinstance(edges, list):
-            raise ConfigError("key 'edges' must be a JSON array of "
-                              "[i, j] or [i, j, weight] triples",
-                              cfg.line_of("graph", "edges"))
+            raise cfg.error("key 'edges' must be a JSON array of "
+                            "[i, j] or [i, j, weight] triples",
+                            "graph", "edges")
         by_pair = {}
         for e in edges:
             if not isinstance(e, list) or len(e) not in (2, 3):
-                raise ConfigError(f"bad edge entry {e!r}",
-                                  cfg.line_of("graph", "edges"))
+                raise cfg.error(f"bad edge entry {e!r}", "graph", "edges")
             i, j = (_as_int(cfg, "graph", "edges", v,
                             f"endpoint of edge {e!r}") for v in e[:2])
             w = 1.0 if len(e) == 2 else _as_number(
                 cfg, "graph", "edges", e[2], f"weight of edge {e!r}")
             pair = (min(i, j), max(i, j))
             if pair in by_pair:
-                raise ConfigError(f"edge {e!r} repeats the edge {pair}",
-                                  cfg.line_of("graph", "edges"))
+                raise cfg.error(f"edge {e!r} repeats the edge {pair}",
+                                "graph", "edges")
             by_pair[pair] = (i, j, w)
         return build_custom(n, by_pair.values())
-    raise ConfigError(f"unknown graph type {kind!r}; expected complete, "
-                      f"path, pcycle, or custom", cfg.line_of("graph", "type"))
+    raise cfg.error(f"unknown graph type {kind!r}; expected complete, "
+                    f"path, pcycle, or custom", "graph", "type")
 
 
 def build_platoon(cfg: RawConfig) -> PlatoonParams:
@@ -197,12 +204,12 @@ def build_scenario(cfg: RawConfig) -> FailureScenario:
     if not isinstance(indices, list) or \
             not all(isinstance(i, int) and not isinstance(i, bool)
                     for i in indices):
-        raise ConfigError("key 'indices' must be an integer or an array "
-                          "of integers", cfg.line_of("scenario", "indices"))
+        raise cfg.error("key 'indices' must be an integer or an array "
+                        "of integers", "scenario", "indices")
     states = cfg.get("scenario", "states")
     if states is None:
-        raise ConfigError("scenario with indices needs a 'states' value",
-                          cfg.line_of("scenario", "indices"))
+        raise cfg.error("scenario with indices needs a 'states' value",
+                        "scenario", "indices")
     states = scenario_state_values(cfg, len(indices))
     return FailureScenario(tuple(indices), tuple(states))
 
@@ -210,9 +217,8 @@ def build_scenario(cfg: RawConfig) -> FailureScenario:
 def scenario_state_values(cfg: RawConfig, m: int) -> list:
     """States broadcast to m entries; scalars repeat, arrays must match."""
     states = cfg.require("scenario", "states")
-    line = cfg.line_of("scenario", "states")
     if isinstance(states, bool):
-        raise ConfigError("key 'states' must be numeric", line)
+        raise cfg.error("key 'states' must be numeric", "scenario", "states")
     if isinstance(states, (int, float)):
         return [float(states)] * m
     if isinstance(states, list) and \
@@ -221,11 +227,12 @@ def scenario_state_values(cfg: RawConfig, m: int) -> list:
         if len(states) == 1:
             return [float(states[0])] * m
         if len(states) != m:
-            raise ConfigError(f"'states' has {len(states)} entries but the "
-                              f"scenario has {m} failed pairs", line)
+            raise cfg.error(f"'states' has {len(states)} entries but the "
+                            f"scenario has {m} failed pairs",
+                            "scenario", "states")
         return [float(s) for s in states]
-    raise ConfigError("key 'states' must be a number or an array of numbers",
-                      line)
+    raise cfg.error("key 'states' must be a number or an array of numbers",
+                    "scenario", "states")
 
 
 def build_sim(cfg: RawConfig, seed_override=None) -> SimConfig:
@@ -251,14 +258,16 @@ def resolve_seed(cfg: RawConfig, seed_override=None) -> int:
     """Seed for seeded runs: --seed flag wins, then [sim] seed, then 0.
     It must lie in 0 <= seed < 2**64, the range of numpy's SeedSequence."""
     if seed_override is not None:
-        seed, line = int(seed_override), None
+        seed = int(seed_override)
+        if not 0 <= seed < 2 ** 64:
+            raise ConfigError(f"seed {seed} must be in 0 .. 2**64 - 1")
     elif cfg.has("sim", "seed"):
         seed = _as_int(cfg, "sim", "seed", cfg.get("sim", "seed"))
-        line = cfg.line_of("sim", "seed")
+        if not 0 <= seed < 2 ** 64:
+            raise cfg.error(f"seed {seed} must be in 0 .. 2**64 - 1",
+                            "sim", "seed")
     else:
         return 0
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed {seed} must be in 0 .. 2**64 - 1", line)
     return seed
 
 
@@ -267,6 +276,6 @@ def experiment_option(cfg: RawConfig, key: str, default: int) -> int:
         return default
     value = _as_int(cfg, "experiment", key, cfg.get("experiment", key))
     if value < 1:
-        raise ConfigError(f"key {key!r} in [experiment] must be >= 1",
-                          cfg.line_of("experiment", key))
+        raise cfg.error(f"key {key!r} in [experiment] must be >= 1",
+                        "experiment", key)
     return value

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (InvalidParameterError, InvalidSizeError,
                      NearBoundaryError, UnstablePlatoonError)
 from .graph import LaplacianSpectrum, pair_difference_matrix
-from .stability import check_platoon, solve_a
+from .stability import check_platoon, region_bound
 
 # Refuse f for a mode closer than this to the stability boundary: f grows
 # like 1/margin there, and its 1e-8 accuracy is tested down to this margin.
@@ -149,10 +149,8 @@ def _refuse_near_boundary(margin: float) -> None:
 def f_integral(s1: float, s2: float) -> float:
     """The covariance integral; requires (s1, s2) inside the stability
     region with margin, returns a positive value with relative accuracy
-    better than 1e-8. One root a of a sin a = s1 gives the region bound
-    a/tan(a)."""
-    a = solve_a(s1) if 0.0 < s1 < math.pi / 2 else math.nan
-    bound = a / math.tan(a)
+    better than 1e-8."""
+    bound = region_bound(s1)
     if not 0.0 < s2 < bound:
         raise UnstablePlatoonError(
             f"(s1, s2) = ({s1:.6g}, {s2:.6g}) is outside the stability region")
@@ -165,13 +163,8 @@ def steady_state_covariance(spec: LaplacianSpectrum,
     """Distance covariance from the Laplacian spectrum (any connected
     topology). One batched f evaluation over all modes."""
     report = check_platoon(spec, noise.tau, noise.beta)
-    if not report.stable:
-        worst = report.worst_mode()
-        raise UnstablePlatoonError(
-            f"platoon does not form: mode with eigenvalue {worst.eigenvalue:.6g} "
-            f"has (s1, s2) = ({worst.s1:.6g}, {worst.s2:.6g}) outside the "
-            f"stability region", report)
-    _refuse_near_boundary(report.min_margin())
+    report.require_stable()
+    _refuse_near_boundary(report.margin.min())
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
     fvals = _f_modes(spec.eigenvalues[1:] * noise.tau, noise.beta * noise.tau)
     pref = noise.g * noise.g * noise.tau ** 3 / (2.0 * math.pi)

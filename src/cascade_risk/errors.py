@@ -24,13 +24,18 @@ class InvalidQueryError(CascadeRiskError, ValueError):
 
 
 class ConfigError(CascadeRiskError, ValueError):
-    """Malformed run configuration; the message carries the source line."""
+    """Malformed run configuration; the message carries the source line
+    and names the file it came from."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None,
+                 path: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{message} (in {path})"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class UnstablePlatoonError(CascadeRiskError):

@@ -29,10 +29,9 @@ from .stability import StabilityReport
 def stability_rows(report: StabilityReport):
     """(mode index, eigenvalue, s1, s2, bound, margin) per oscillatory
     mode; the bound is NaN when s1 already falls outside (0, pi/2)."""
-    rows = []
-    for k, mode in enumerate(report.modes, start=2):
-        rows.append((k, mode.eigenvalue, mode.s1, mode.s2, mode.bound,
-                     mode.margin))
+    rows = list(zip(itertools.count(2), report.eigenvalues.tolist(),
+                    report.s1.tolist(), itertools.repeat(report.s2),
+                    report.bound.tolist(), report.margin.tolist()))
     return rows, [f"stable={1 if report.stable else 0}"]
 
 

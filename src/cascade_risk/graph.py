@@ -6,6 +6,7 @@ user-facing interface; internal arrays are 0-based.
 """
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -21,6 +22,16 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _integer(value) -> int | None:
+    """value as an int if it is an integer or an integral float, not a
+    bool; None otherwise."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -108,9 +119,9 @@ def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
         if len(e) != 3:
             raise InvalidParameterError(f"edge {e!r} is not (i, j, weight)")
         i, j, wt = e
-        if i != int(i) or j != int(j):
+        i, j = _integer(i), _integer(j)
+        if i is None or j is None:
             raise InvalidParameterError(f"edge {e!r} has non-integer endpoints")
-        i, j = int(i), int(j)
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidParameterError(f"edge ({i},{j}) out of range 1..{n}")
         if i == j:
@@ -176,11 +187,8 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
         lam, Q = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    Q = np.array(Q)
-    for k in range(Q.shape[1]):
-        col = Q[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            Q[:, k] = -col
+    flip = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] < 0.0
+    Q[:, flip] = -Q[:, flip]
     return LaplacianSpectrum(_frozen_array(lam), _frozen_array(Q))
 
 

@@ -10,7 +10,6 @@ saves it, and otherwise an explicit formula in the conditional moments.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -20,6 +19,7 @@ import numpy as np
 from .covariance import CovarianceMatrix
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, NumericalError)
+from .graph import _integer
 
 # Reject conditioning when the failed-block covariance has 2-norm
 # condition number above 1/RCOND_MIN.
@@ -44,11 +44,10 @@ def _check_query(d: float, c: float | None = None) -> None:
 
 def _pair_index(i) -> int:
     """i as a pair index: an integer or an integral float, not a bool."""
-    if isinstance(i, numbers.Integral) and not isinstance(i, bool):
-        return int(i)
-    if isinstance(i, float) and i.is_integer():
-        return int(i)
-    raise InvalidQueryError(f"pair index {i!r} is not an integer")
+    index = _integer(i)
+    if index is None:
+        raise InvalidQueryError(f"pair index {i!r} is not an integer")
+    return index
 
 
 @dataclass(frozen=True)

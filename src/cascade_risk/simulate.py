@@ -15,16 +15,14 @@ independently of the analytic route.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import NoiseParams, PlatoonParams
-from .errors import (DivergenceError, InvalidParameterError,
-                     UnstablePlatoonError)
-from .graph import WeightedGraph, laplacian, spectrum
+from .errors import DivergenceError, InvalidParameterError
+from .graph import WeightedGraph, _integer, laplacian, spectrum
 from .stability import check_platoon
 
 # noise values drawn per chunk, ~1 MB; two chunk buffers are in use
@@ -56,7 +54,7 @@ class SimConfig:
             raise InvalidParameterError(
                 f"sample_interval={self.sample_interval!r} must be positive")
         for name in ("samples_per_trial", "trials", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         # The standard errors need at least 2 trials and 2 samples each.
         if self.samples_per_trial < 2:
             raise InvalidParameterError(
@@ -68,13 +66,12 @@ class SimConfig:
                 f"seed={self.seed!r} must be a 64-bit unsigned integer")
 
 
-def _integer(name, value) -> int:
+def _count(name, value) -> int:
     """value as an int: an integer or an integral float, not a bool."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidParameterError(f"{name}={value!r} is not an integer")
+    count = _integer(value)
+    if count is None:
+        raise InvalidParameterError(f"{name}={value!r} is not an integer")
+    return count
 
 
 def delay_steps(tau: float, dt: float) -> int:
@@ -209,13 +206,7 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
             f"platoon n={params.n} does not match graph n={graph.n}")
     L = laplacian(graph)
     spec = spectrum(L)
-    report = check_platoon(spec, noise.tau, noise.beta)
-    if not report.stable:
-        worst = report.worst_mode()
-        raise UnstablePlatoonError(
-            f"refusing to simulate an unstable platoon: mode "
-            f"(s1, s2) = ({worst.s1:.6g}, {worst.s2:.6g}) outside the "
-            f"stability region", report)
+    check_platoon(spec, noise.tau, noise.beta).require_stable()
 
     n = graph.n
     dt = sim.dt

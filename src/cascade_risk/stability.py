@@ -9,71 +9,65 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
-from .errors import InvalidParameterError
-from .graph import LaplacianSpectrum
+import numpy as np
 
-_A_TOL = 1e-13
-_MAX_ITER = 200
+from .errors import InvalidParameterError, UnstablePlatoonError
+from .graph import LaplacianSpectrum, _frozen_array
+
+# Halvings of (0, pi/2) that bring the bracket on a below 1e-13:
+# (pi/2) / 2^44 < 1e-13 < (pi/2) / 2^43.
+_HALVINGS = 44
 
 
-def solve_a(s1: float) -> float:
-    """Root of a*sin(a) = s1 on (0, pi/2).
+def region_bound(s1):
+    """Upper limit a/tan(a) on s2 for each scaled delay in s1 (a float or
+    an array; a float gives a float), NaN where s1 is outside (0, pi/2).
 
-    The left side is strictly increasing there, so bisection converges
-    unconditionally; tolerance 1e-13 on a.
+    a*sin(a) is strictly increasing on (0, pi/2), so a fixed number of
+    masked bisection steps finds every root a to within 1e-13 at once.
     """
-    if not 0.0 < s1 < math.pi / 2:
-        raise InvalidParameterError(
-            f"s1={s1!r} outside the open interval (0, pi/2)")
-    lo, hi = 0.0, math.pi / 2
-    for _ in range(_MAX_ITER):
+    s1 = np.asarray(s1, dtype=float)
+    lo = np.zeros_like(s1)
+    hi = np.full_like(s1, math.pi / 2)
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if mid * math.sin(mid) < s1:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _A_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def region_bound(s1: float) -> float:
-    """Upper limit a/tan(a) on s2 for a mode with scaled delay s1."""
-    a = solve_a(s1)
-    return a / math.tan(a)
-
-
-@dataclass(frozen=True)
-class ModeStability:
-    """Stability data for one Laplacian mode (k >= 2).
-
-    bound is NaN and margin -inf when s1 falls outside (0, pi/2);
-    otherwise margin = bound - s2, positive iff the mode is stable.
-    """
-
-    eigenvalue: float
-    s1: float
-    s2: float
-    bound: float
-    margin: float
-
-    @property
-    def stable(self) -> bool:
-        return self.margin > 0.0 and self.s2 > 0.0
+        below = mid * np.sin(mid) < s1
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    a = 0.5 * (lo + hi)
+    bound = np.where((s1 > 0.0) & (s1 < math.pi / 2), a / np.tan(a), math.nan)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    stable: bool
-    modes: Tuple[ModeStability, ...]
+    """Stability of each oscillatory Laplacian mode (k >= 2), as
+    read-only arrays in mode order: its eigenvalue, s1 = lambda*tau, the
+    region bound on s2 and the margin bound - s2. Where s1 falls outside
+    (0, pi/2) the bound is NaN and the margin -inf. s2 = beta*tau is
+    common to all modes."""
 
-    def min_margin(self) -> float:
-        return min(m.margin for m in self.modes)
+    eigenvalues: np.ndarray
+    s1: np.ndarray
+    s2: float
+    bound: np.ndarray
+    margin: np.ndarray
 
-    def worst_mode(self) -> ModeStability:
-        return min(self.modes, key=lambda m: m.margin)
+    @property
+    def stable(self) -> bool:
+        return bool(np.all(self.margin > 0.0)) and self.s2 > 0.0
+
+    def require_stable(self) -> None:
+        """Raise UnstablePlatoonError, naming the mode of least margin,
+        unless the platoon forms."""
+        if self.stable:
+            return
+        k = int(np.argmin(self.margin))
+        raise UnstablePlatoonError(
+            f"platoon does not form: mode with eigenvalue "
+            f"{self.eigenvalues[k]:.6g} has (s1, s2) = ({self.s1[k]:.6g}, "
+            f"{self.s2:.6g}) outside the stability region", self)
 
 
 def check_platoon(spec: LaplacianSpectrum, tau: float, beta: float) -> StabilityReport:
@@ -81,20 +75,15 @@ def check_platoon(spec: LaplacianSpectrum, tau: float, beta: float) -> Stability
 
     Mode 1 (eigenvalue 0) carries the rigid translation and is excluded.
     """
-    if tau <= 0.0:
+    if not (math.isfinite(tau) and tau > 0.0):
         raise InvalidParameterError(f"delay tau={tau!r} must be positive")
-    if beta <= 0.0:
+    if not (math.isfinite(beta) and beta > 0.0):
         raise InvalidParameterError(f"gain beta={beta!r} must be positive")
     s2 = beta * tau
-    modes = []
-    for lam in spec.eigenvalues[1:]:
-        s1 = float(lam) * tau
-        if 0.0 < s1 < math.pi / 2:
-            bound = region_bound(s1)
-            margin = bound - s2
-        else:
-            bound = math.nan
-            margin = -math.inf
-        modes.append(ModeStability(float(lam), s1, s2, bound, margin))
-    stable = all(m.stable for m in modes)
-    return StabilityReport(stable, tuple(modes))
+    eigenvalues = spec.eigenvalues[1:]
+    with np.errstate(over="ignore"):    # s1 = inf lies outside the region
+        s1 = eigenvalues * tau
+    bound = region_bound(s1)
+    margin = np.where(np.isnan(bound), -math.inf, bound - s2)
+    return StabilityReport(_frozen_array(eigenvalues), _frozen_array(s1),
+                           s2, _frozen_array(bound), _frozen_array(margin))

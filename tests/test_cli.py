@@ -122,6 +122,14 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert main(["stability", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert "line 1" in err and "orbit" in err
+    assert err.count(cfg) == 1
+    # errors found while building from the parsed file name it too
+    for section in ('[graph]\ntype = star\nn = 4\n',
+                    '[graph]\ntype = complete\n',
+                    PATH6.replace("tau = ", "tau = [1]\n# ")):
+        cfg = write_cfg(tmp_path, section)
+        assert main(["stability", "--config", cfg]) == 1
+        assert capsys.readouterr().err.count(cfg) == 1
 
 
 def test_bad_custom_edge_exit_code(tmp_path, capsys):
@@ -151,11 +159,12 @@ def test_undecodable_config_exit_code(tmp_path, capsys):
                     .encode("latin-1"))
     assert main(["stability", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert str(cfg) in err and "line 8:" in err and "0xe9" in err
+    assert err.count(str(cfg)) == 1 and "line 8:" in err and "0xe9" in err
     cfg.write_bytes(b"\xff" + PATH6.encode())
     assert main(["stability", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert str(cfg) in err and "line 1:" in err and "not UTF-8" in err
+    assert err.count(str(cfg)) == 1 and "line 1:" in err
+    assert "not UTF-8" in err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

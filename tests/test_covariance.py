@@ -10,8 +10,8 @@ from cascade_risk import (CovarianceMatrix, InvalidParameterError,
                           PlatoonParams, UnstablePlatoonError,
                           build_complete, build_path, build_pcycle,
                           complete_graph_covariance, complete_graph_sigma_c,
-                          f_integral, laplacian, region_bound, solve_a,
-                          spectrum, steady_state_covariance)
+                          f_integral, laplacian, region_bound, spectrum,
+                          steady_state_covariance)
 from cascade_risk import covariance, stability
 
 from oracles import f_simpson, integrand
@@ -85,15 +85,15 @@ def test_f_integral_outside_region():
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_one_region_root_per_mode(monkeypatch, warm):
-    # check_platoon needs a root of a sin a = s1 per mode; the covariance
-    # solves for none again and evaluates f for all modes in one call.
-    # A warm run, after one covariance was already computed, does the
-    # same work: no state carries over from one call to the next
-    roots, f_calls = [], []
+    # check_platoon finds the region bound of every mode in one call; the
+    # covariance solves for none again and evaluates f for all modes in
+    # one call. A warm run, after one covariance was already computed,
+    # does the same work: no state carries over from one call to the next
+    bound_calls, f_calls = [], []
 
-    def counting_solve_a(s1):
-        roots.append(s1)
-        return solve_a(s1)
+    def counting_region_bound(s1):
+        bound_calls.append(np.shape(s1))
+        return region_bound(s1)
 
     def counting_f_modes(s1, s2):
         f_calls.append(len(s1))
@@ -103,11 +103,11 @@ def test_one_region_root_per_mode(monkeypatch, warm):
     spec = spectrum(laplacian(build_path(20)))
     if warm:
         steady_state_covariance(spec, PATH_NOISE)
-    monkeypatch.setattr(stability, "solve_a", counting_solve_a)
-    monkeypatch.setattr(covariance, "solve_a", counting_solve_a)
+    monkeypatch.setattr(stability, "region_bound", counting_region_bound)
+    monkeypatch.setattr(covariance, "region_bound", counting_region_bound)
     monkeypatch.setattr(covariance, "_f_modes", counting_f_modes)
     steady_state_covariance(spec, PATH_NOISE)
-    assert len(roots) == 19
+    assert bound_calls == [(19,)]
     assert f_calls == [19]
 
 

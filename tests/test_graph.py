@@ -87,6 +87,18 @@ def test_spectrum_sign_normalization():
         assert col[np.argmax(np.abs(col))] > 0.0
     # constant eigenvector of the zero eigenvalue comes out positive
     assert np.allclose(Q[:, 0], 1.0 / math.sqrt(7.0), atol=1e-12)
+    # with repeated eigenvalues too, Q is eigh's output with each column
+    # negated or kept whole, to the bit
+    L = laplacian(build_pcycle(12, 2))
+    _, raw = np.linalg.eigh(L)
+    expected = raw.copy()
+    for k in range(12):
+        col = raw[:, k]
+        if col[np.argmax(np.abs(col))] < 0:
+            expected[:, k] = -col
+    spec = spectrum(L)
+    assert np.any(np.diff(spec.eigenvalues) < 1e-9)
+    assert spec.eigenvectors.tobytes() == expected.tobytes()
 
 
 def test_spectrum_deterministic():
@@ -141,6 +153,19 @@ def test_custom_graph_matches_path():
 def test_custom_graph_rejects(edges):
     with pytest.raises((InvalidParameterError, InvalidSizeError)):
         build_custom(3, edges)
+
+
+def test_custom_graph_endpoint_rule():
+    # an endpoint is an integer or an integral float, never a bool: the
+    # rule of FailureScenario and SimConfig
+    g = build_custom(3, [(1.0, np.int64(2), 1.0), (np.float64(2.0), 3, 1.0)])
+    assert np.array_equal(g.weights, build_path(3).weights)
+    for bad in (math.nan, math.inf, -math.inf, 1.5, True, np.bool_(True),
+                "1", None):
+        with pytest.raises(InvalidParameterError):
+            build_custom(3, [(bad, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(InvalidParameterError):
+            build_custom(3, [(1, 2, 1.0), (2, bad, 1.0)])
 
 
 def test_weighted_graph_validation():
