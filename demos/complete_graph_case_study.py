@@ -16,9 +16,9 @@ import numpy as np
 
 from cascade_risk import (ConditionalDistribution, FailureScenario,
                           NoiseParams, build_complete, check_platoon,
-                          complete_graph_covariance, complete_graph_sigma_c,
-                          complete_profile, laplacian, risk_profile,
-                          spectrum, var_risk)
+                          complete_graph_sigma_c, complete_profile,
+                          laplacian, risk_profile, spectrum,
+                          steady_state_covariance, var_risk)
 from cascade_risk.experiments import sweep_scale_rows
 
 N, D, C, EPSILON = 50, 3.0, 2.0, 0.1
@@ -62,7 +62,7 @@ def main():
           "zero while the")
     print("far pairs stay at the naive level, infinite at this epsilon.")
 
-    sigma = complete_graph_covariance(N, NOISE)
+    sigma = steady_state_covariance(spec, NOISE)
     generic = risk_profile(sigma, scenario, D, C, EPSILON)
     agree = all(
         a.risk.value == b.risk.value or

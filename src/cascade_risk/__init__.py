@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 from .closed_form import complete_profile
 from .covariance import (CovarianceMatrix, NoiseParams, PlatoonParams,
-                         complete_graph_covariance, complete_graph_sigma_c,
-                         f_integral, steady_state_covariance)
+                         complete_graph_sigma_c, f_integral,
+                         steady_state_covariance)
 from .errors import (CascadeRiskError, ConfigError, DivergenceError,
                      IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, InvalidSizeError, NearBoundaryError,
@@ -33,7 +33,7 @@ from .graph import (LaplacianSpectrum, WeightedGraph, add_pair_edges,
                     laplacian, pair_difference_matrix, spectrum)
 from .risk import (ConditionalDistribution, FailureScenario, ProfileEntry,
                    RiskResult, condition, iota, risk_profile, var_risk)
-from .simulate import EmpiricalCovariance, SimConfig, delay_steps, run
+from .simulate import EmpiricalCovariance, SimConfig, run
 from .stability import StabilityReport, check_platoon, region_bound
 
 __all__ = [
@@ -45,9 +45,8 @@ __all__ = [
     "NumericalError", "PlatoonParams", "ProfileEntry", "RiskResult",
     "SimConfig", "StabilityReport", "UnstablePlatoonError", "WeightedGraph",
     "add_pair_edges", "build_complete", "build_custom", "build_path",
-    "build_pcycle", "check_platoon", "complete_graph_covariance",
-    "complete_graph_sigma_c", "complete_profile", "condition", "delay_steps",
-    "f_integral", "iota", "laplacian", "pair_difference_matrix",
-    "region_bound", "risk_profile", "run", "spectrum",
-    "steady_state_covariance", "var_risk",
+    "build_pcycle", "check_platoon", "complete_graph_sigma_c",
+    "complete_profile", "condition", "f_integral", "iota", "laplacian",
+    "pair_difference_matrix", "region_bound", "risk_profile", "run",
+    "spectrum", "steady_state_covariance", "var_risk",
 ]

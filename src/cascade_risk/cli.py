@@ -2,8 +2,9 @@
 
 Every subcommand reads a sectioned config file, runs one analysis, and
 emits a versioned CSV to stdout or --out. Exit codes: 0 success, 1
-validation or configuration error, 2 numerical failure (margin below
-the near-boundary limit, ill-conditioned scenario, diverging simulation).
+usage, validation or configuration error, 2 numerical failure (margin
+below the near-boundary limit, ill-conditioned scenario, diverging
+simulation).
 """
 from __future__ import annotations
 
@@ -179,21 +180,31 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1, since 2 is reserved
+    for numerical failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cascade-risk",
         description="Cascading-collision risk analysis for noisy, "
                     "time-delayed vehicle platoons.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--config", required=True,
                        help="path to the run configuration file")
         p.add_argument("--out", default=None,
                        help="output CSV path (default: stdout)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed from [sim]")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the seed from [sim]")
 
     common(sub.add_parser("stability",
                           help="per-mode stability report"))
@@ -207,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="conditioning route (closed-form requires the "
                         "complete graph)")
     common(sub.add_parser("simulate",
-                          help="Monte Carlo check of the analytic covariance"))
+                          help="Monte Carlo check of the analytic covariance"),
+           seed=True)
     p = sub.add_parser("sweep-scale",
                        help="risk vs number of leading failures")
     common(p)
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest failure count (failures occupy pairs 1..m)")
     p = sub.add_parser("sweep-sparsity",
                        help="average risk vs failure-pattern sparsity")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--m", type=int, required=True,
                    help="number of failed pairs in every pattern")
     p = sub.add_parser("add-edge",

@@ -1,15 +1,19 @@
 """Complete-graph shortcut for the whole-platoon risk profile.
 
 On the unit-weight complete graph the distance covariance is
-tridiagonal: every pair couples only with its immediate neighbours.
-Conditioning a surviving pair on the failed pairs then depends only on
-the runs of consecutive failures next to it, one on each side, and the
-tridiagonal block inverse has an explicit entrywise formula, so the
-whole profile needs no linear algebra.
+tridiagonal, sigma_c on the diagonal and -sigma_c/2 beside it. A
+maximal run of m consecutive failed pairs a..b then has the block
+sigma_c/2 K_m, K_m = tridiag(-1, 2, -1), and meets the rest of the
+platoon only through the survivors a-1 and b+1, each with covariance
+-sigma_c/2 against the run's end pair. Conditioning on the run shifts
+survivor b+1 by -sum_i i/(m+1) (x_i - d) and survivor a-1 by the same
+sum with the weights reversed, the end rows of K_m^-1, and removes
+sigma_c/2 * m/(m+1) of variance from each. sigma_c cancels from the
+shift, so the profile forms no matrix and nothing underflows.
 
-A failed run two or more pairs away is uncorrelated with the pair and
-with its adjacent runs, so it drops out; an empty run adds nothing.
-Tests pin equality with the generic conditioning path.
+Two runs are uncorrelated, so a survivor between two runs adds both
+contributions, and a failure two or more pairs away drops out. Tests
+pin equality with the generic conditioning route.
 """
 from __future__ import annotations
 
@@ -17,10 +21,9 @@ import math
 
 import numpy as np
 
-from .errors import (InvalidParameterError, InvalidQueryError,
-                     InvalidSizeError, NumericalError)
-from .risk import (_BRANCHES, FailureScenario, ProfileEntry, RiskResult,
-                   _check_query, _var_risk_array, iota)
+from .errors import InvalidParameterError, InvalidQueryError, InvalidSizeError
+from .risk import (FailureScenario, _check_query, _conditioned,
+                   _profile_entries, iota)
 
 
 def _check_sigma_c(sigma_c: float) -> None:
@@ -28,51 +31,17 @@ def _check_sigma_c(sigma_c: float) -> None:
         raise InvalidParameterError(f"sigma_c={sigma_c!r} must be positive")
 
 
-def _tridiag_parts(m: int, sigma_c: float):
-    """(alpha, theta): the inverse alpha of the m x m tridiagonal matrix
-    with sigma_c on the diagonal and -sigma_c/2 off it, from the leading
-    principal minors theta_k = 2^-k sigma_c^k (k+1) as
-    alpha_ij = (sigma_c/2)^(j-i) theta_{i-1} theta_{m-j} / theta_m for
-    i <= j (symmetric)."""
-    k = np.arange(m + 1, dtype=float)
-    theta = 0.5 ** k * sigma_c ** k * (k + 1.0)
-    i = np.arange(1, m + 1)
-    lo = np.minimum.outer(i, i)
-    hi = np.maximum.outer(i, i)
-    alpha = (0.5 * sigma_c) ** (hi - lo) * theta[lo - 1] * theta[m - hi] / theta[m]
-    return alpha, theta
-
-
-def _adjacent_runs(j: int, state_of: dict):
-    """Observed distances of the runs of consecutive failed pairs next to
-    pair j, each front to back: (left run, right run). state_of maps
-    each failed pair to its observed distance."""
-    left = []
-    k = j - 1
-    while k in state_of:
-        left.append(state_of[k])
-        k -= 1
-    left.reverse()
-    right = []
-    k = j + 1
-    while k in state_of:
-        right.append(state_of[k])
-        k += 1
-    return left, right
+def _run_weights(m: int) -> np.ndarray:
+    """i/(m+1) for i = 1..m: the weights a run of m failures puts on the
+    survivor after it (reversed, on the survivor before it)."""
+    return np.arange(1, m + 1) / (m + 1.0)
 
 
 def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
                      d: float, c: float, epsilon: float) -> list:
     """Whole-platoon risk profile on the complete graph; mirrors
-    risk.risk_profile entry for entry.
-
-    Each adjacent run of m failures has cross-covariance -sigma_c/2 with
-    the pair through its failure next to the pair, and the two runs are
-    mutually uncorrelated, so their contributions add: a run shifts the
-    mean through that failure's row of the run's inverse block and
-    removes sigma_c/2 * m/(m+1) of variance. The reductions stay below
-    sigma_c, so every conditional variance is positive.
-    """
+    risk.risk_profile entry for entry. Each reduction stays below
+    sigma_c/2, so every conditional variance is positive."""
     _check_query(d, c)
     it = iota(epsilon)
     _check_sigma_c(sigma_c)
@@ -81,36 +50,23 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     if scenario.m and scenario.indices[-1] > n - 1:
         raise InvalidQueryError(
             f"failed pair {scenario.indices[-1]} outside 1..{n - 1}")
-    state_of = dict(zip(scenario.indices, scenario.states))
-    survivors = [j for j in range(1, n) if j not in state_of]
-    sigma_j = math.sqrt(sigma_c)
-    mu, var = [], []
-    for j in survivors:
-        left, right = _adjacent_runs(j, state_of)
-        shift = reduction = 0.0
-        for run, row in ((left, len(left) - 1), (right, 0)):
-            if run:
-                adjacent = _tridiag_parts(len(run), sigma_c)[0][row]
-                # Overflow is caught by the finiteness check below.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    dot = float(adjacent @ (np.asarray(run) - d))
-                shift += -0.5 * sigma_c * dot
-                reduction += 0.5 * sigma_c * len(run) / (len(run) + 1.0)
-        mu.append(d + shift)
-        var.append(sigma_j * sigma_j - reduction)
-    if not all(map(math.isfinite, mu)):
-        raise NumericalError("conditional moments overflowed: "
-                             "observed states too far from the target gap")
-    sig = np.sqrt(var)
-    value, branch = _var_risk_array(np.array(mu), sig, d, c, it)
-    survived = iter(zip(value.tolist(), branch.tolist(), mu, sig.tolist()))
-    entries = []
-    for j in range(1, n):
-        if j in state_of:
-            entries.append(ProfileEntry(j, True, RiskResult(0.0, "zero"),
-                                        None, None))
-            continue
-        v, b, mu_j, sigma_tilde = next(survived)
-        entries.append(ProfileEntry(j, False, RiskResult(v, _BRANCHES[b]),
-                                    mu_j, sigma_tilde))
-    return entries
+    # Pairs 0..n: pairs 0 and n stand in for the survivors beyond the
+    # platoon's ends and are dropped at the end.
+    idx = np.array(scenario.indices, dtype=int)
+    dev = np.array(scenario.states) - d
+    failed = np.zeros(n + 1, dtype=bool)
+    failed[idx] = True
+    shift = np.zeros(n + 1)
+    reduction = np.zeros(n + 1)
+    starts = np.flatnonzero(np.diff(idx, prepend=-1) != 1)
+    # Overflow is caught by the finiteness check of _conditioned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(starts, np.append(starts[1:], len(idx))):
+            w = _run_weights(hi - lo)
+            shift[idx[lo] - 1] -= w[::-1] @ dev[lo:hi]
+            shift[idx[hi - 1] + 1] -= w @ dev[lo:hi]
+            reduction[[idx[lo] - 1, idx[hi - 1] + 1]] += 0.5 * sigma_c * w[-1]
+    cnd = _conditioned((d + shift)[None, 1:n],
+                       (sigma_c - reduction)[None, 1:n], failed[None, 1:n],
+                       [None])
+    return _profile_entries(cnd, d, c, it)

@@ -215,24 +215,19 @@ def build_scenario(cfg: RawConfig) -> FailureScenario:
 
 
 def scenario_state_values(cfg: RawConfig, m: int) -> list:
-    """States broadcast to m entries; scalars repeat, arrays must match."""
+    """States broadcast to m entries, each a finite number; a scalar or
+    a one-entry array repeats, a longer array must match."""
     states = cfg.require("scenario", "states")
-    if isinstance(states, bool):
-        raise cfg.error("key 'states' must be numeric", "scenario", "states")
-    if isinstance(states, (int, float)):
-        return [float(states)] * m
-    if isinstance(states, list) and \
-            all(isinstance(s, (int, float)) and not isinstance(s, bool)
-                for s in states):
-        if len(states) == 1:
-            return [float(states[0])] * m
-        if len(states) != m:
-            raise cfg.error(f"'states' has {len(states)} entries but the "
-                            f"scenario has {m} failed pairs",
-                            "scenario", "states")
-        return [float(s) for s in states]
-    raise cfg.error("key 'states' must be a number or an array of numbers",
-                    "scenario", "states")
+    if not isinstance(states, list):
+        states = [states]
+    values = [_as_number(cfg, "scenario", "states", s) for s in states]
+    if len(values) == 1:
+        return values * m
+    if len(values) != m:
+        raise cfg.error(f"'states' has {len(values)} entries but the "
+                        f"scenario has {m} failed pairs",
+                        "scenario", "states")
+    return values
 
 
 def build_sim(cfg: RawConfig, seed_override=None) -> SimConfig:

@@ -6,8 +6,9 @@ inside the stability region. It is 2 pi times the squared H2 norm of
 the delay system y'' = -s1 y'(t - 1) - s1 s2 y(t - 1), which its delay
 Lyapunov matrix gives exactly (Jarlebring, Vanbiervliet and Michiels,
 IEEE TAC 56(4), 2011). The covariance of the n-1 inter-vehicle distances
-is assembled from one f value per Laplacian mode; complete graphs admit
-a tridiagonal closed form with a single f evaluation.
+is assembled from one f value per Laplacian mode. On the complete graph
+every mode is the same, so one f evaluation gives the marginal variance
+sigma_c of the tridiagonal covariance.
 """
 from __future__ import annotations
 
@@ -179,16 +180,3 @@ def complete_graph_sigma_c(n: int, noise: NoiseParams) -> float:
         raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
     f = f_integral(n * noise.tau, noise.beta * noise.tau)
     return noise.g * noise.g * noise.tau ** 3 * f / math.pi
-
-
-def complete_graph_covariance(n: int, noise: NoiseParams) -> CovarianceMatrix:
-    """Closed-form covariance on the complete graph: sigma_c on the
-    diagonal, -sigma_c/2 on the first off-diagonals, zero elsewhere."""
-    sigma_c = complete_graph_sigma_c(n, noise)
-    m = n - 1
-    sigma = np.zeros((m, m))
-    np.fill_diagonal(sigma, sigma_c)
-    idx = np.arange(m - 1)
-    sigma[idx, idx + 1] = -0.5 * sigma_c
-    sigma[idx + 1, idx] = -0.5 * sigma_c
-    return CovarianceMatrix(sigma)

@@ -177,8 +177,7 @@ def _condition_stack(values: np.ndarray, idx: np.ndarray,
     pair's moments: with W = L^-1 S21 and z = L^-1 (states - d), the
     mean is d + W^T z and the variance s11 - |W|^2 column by column.
     A pair uncorrelated with every failure gets a zero column, so its
-    moments stay exactly (d, s11). A conditional variance <= 0 is left
-    for the caller to report; a non-finite moment raises.
+    moments stay exactly (d, s11).
     """
     n_scen, m = idx.shape
     dim = values.shape[0]
@@ -195,13 +194,20 @@ def _condition_stack(values: np.ndarray, idx: np.ndarray,
         cross, dev = solved[:, :, :dim], solved[:, :, dim:]
         # Summed failure by failure, so a scenario's moments do not
         # depend on the other scenarios of its stack. Overflow is
-        # caught by the finiteness check below.
+        # caught by the finiteness check of _conditioned.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(m):
                 shift += cross[:, k] * dev[:, k]
                 reduction += cross[:, k] * cross[:, k]
-    mu = d + shift
-    var = np.diagonal(values) - reduction
+    return _conditioned(d + shift, np.diagonal(values) - reduction, failed,
+                        errors)
+
+
+def _conditioned(mu: np.ndarray, var: np.ndarray, failed: np.ndarray,
+                 errors: list) -> _Conditioned:
+    """_Conditioned from the moments of a stack: marks the usable pairs
+    and raises if any of their moments is not finite. A conditional
+    variance <= 0 is left for the caller to report."""
     usable = ~failed & ~(var <= 0.0)  # a nan variance stays, and raises
     usable[[e is not None for e in errors]] = False
     if not (np.isfinite(mu[usable]).all() and np.isfinite(var[usable]).all()):
@@ -338,7 +344,13 @@ def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
     of the profile still computes."""
     _check_query(d, c)
     it = iota(epsilon)
-    cnd = _condition_scenario(sigma, scenario, d)
+    return _profile_entries(_condition_scenario(sigma, scenario, d), d, c, it)
+
+
+def _profile_entries(cnd: _Conditioned, d: float, c: float,
+                     it: float) -> list:
+    """ProfileEntry of every pair of a one-scenario stack, on checked
+    inputs with it = iota(epsilon)."""
     value, branch = _stack_risk(cnd, d, c, it)
     mus, variances = cnd.mu[0].tolist(), cnd.var[0].tolist()
     entries = []

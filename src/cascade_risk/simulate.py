@@ -74,7 +74,7 @@ def _count(name, value) -> int:
     return count
 
 
-def delay_steps(tau: float, dt: float) -> int:
+def _delay_steps(tau: float, dt: float) -> int:
     """Delay expressed in steps; the delay must be an integer multiple
     of dt to within 1e-9 relative."""
     k = int(round(tau / dt))
@@ -210,7 +210,7 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
 
     n = graph.n
     dt = sim.dt
-    k = delay_steps(noise.tau, dt)
+    k = _delay_steps(noise.tau, dt)
     burn_in = sim.burn_in
     if burn_in is None:
         burn_in = max(10.0 * noise.tau,

@@ -7,15 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from cascade_risk import (ConditionalDistribution, FailureScenario,
-                          NoiseParams, PlatoonParams, SimConfig,
-                          build_complete, build_path, build_pcycle,
-                          check_platoon, complete_graph_covariance,
+from cascade_risk import (ConditionalDistribution, CovarianceMatrix,
+                          FailureScenario, NoiseParams, PlatoonParams,
+                          SimConfig, build_complete, build_path,
+                          build_pcycle, check_platoon,
                           complete_graph_sigma_c, complete_profile,
                           condition, laplacian, risk_profile, run, spectrum,
                           steady_state_covariance, var_risk)
 from cascade_risk.cli import main
-from cascade_risk.closed_form import _tridiag_parts
+from cascade_risk.closed_form import _run_weights
 
 from oracles import normal_cdf, tridiag_matrix, var_bisect
 
@@ -32,18 +32,19 @@ def budget():
 
 def test_01_closed_form_covariance_matches_generic(budget):
     for n in (3, 10, 50):
-        closed = complete_graph_covariance(n, COMPLETE_NOISE)
+        sigma_c = complete_graph_sigma_c(n, COMPLETE_NOISE)
+        closed = tridiag_matrix(n - 1, sigma_c)
         generic = steady_state_covariance(
             spectrum(laplacian(build_complete(n))), COMPLETE_NOISE)
-        diff = np.abs(closed.values - generic.values).max()
+        diff = np.abs(closed - generic.values).max()
         assert diff <= 1e-10, f"n={n}: max abs diff {diff:.3g}"
     assert budget(5.0)
 
 
 def test_02_case_stats_matches_conditioning_exhaustively(budget):
     n = 12
-    sigma = complete_graph_covariance(n, COMPLETE_NOISE)
     sigma_c = complete_graph_sigma_c(n, COMPLETE_NOISE)
+    sigma = CovarianceMatrix(tridiag_matrix(n - 1, sigma_c))
     d, c, epsilon = 3.0, 2.0, 0.1
     rng = np.random.default_rng(20260212)
     pairs = range(1, n)
@@ -66,12 +67,16 @@ def test_02_case_stats_matches_conditioning_exhaustively(budget):
 
 
 def test_03_tridiagonal_inverse(budget):
+    # the run weights i/(m+1), and reversed, times 2/sigma_c are the
+    # last and first rows of the run block's inverse
     rng = np.random.default_rng(33)
     for m in range(1, 21):
+        w = _run_weights(m)
         for sigma_c in rng.uniform(0.05, 10.0, size=10):
-            alpha, _ = _tridiag_parts(m, float(sigma_c))
-            residual = alpha @ tridiag_matrix(m, float(sigma_c))
-            assert np.abs(residual - np.eye(m)).max() <= 1e-8
+            inverse = np.linalg.inv(tridiag_matrix(m, float(sigma_c)))
+            scaled = 2.0 / sigma_c * w
+            assert np.abs(scaled - inverse[-1]).max() <= 1e-8
+            assert np.abs(scaled[::-1] - inverse[0]).max() <= 1e-8
     assert budget(1.0)
 
 

@@ -1,5 +1,7 @@
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import cascade_risk
 from cascade_risk import (ConditionalDistribution, NoiseParams, build_path,
                           laplacian, region_bound, spectrum,
                           steady_state_covariance, var_risk)
-from cascade_risk.cli import _SCHEMAS, main, render_csv
+from cascade_risk.cli import _SCHEMAS, build_parser, main, render_csv
 
 from oracles import format_cell
 
@@ -277,6 +279,107 @@ def test_sweep_scale_baseline_rows(tmp_path, capsys):
 def test_sweep_scale_bad_max_m(tmp_path, capsys):
     cfg = write_cfg(tmp_path, PATH6)
     assert main(["sweep-scale", "--config", cfg, "--max-m", "9"]) == 1
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    # 2 is reserved for numerical failures
+    cfg = write_cfg(tmp_path, PATH6)
+    for argv in (["stability", "--bogus"], [], ["orbit"],
+                 ["sweep-scale", "--config", cfg, "--max-m", "abc"],
+                 ["sweep-scale", "--config", cfg],
+                 ["risk-profile", "--config", cfg, "--method", "exact"],
+                 ["covariance", "--config", cfg, "--seed", "3"]):
+        assert _exit_code(argv) == 1, argv
+        assert "usage: cascade-risk" in capsys.readouterr().err
+    assert _exit_code(["--help"]) == 0
+    assert _exit_code(["sweep-sparsity", "--help"]) == 0
+    assert _exit_code(["--version"]) == 0
+    assert capsys.readouterr().out.strip().endswith(cascade_risk.__version__)
+
+
+def _subcommand_flags():
+    """Subcommand -> its option strings, without -h/--help."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for action in parser._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+            for name, parser in sub.choices.items()}
+
+
+def test_seed_only_on_seeded_subcommands():
+    seeded = {name for name, flags in _subcommand_flags().items()
+              if "--seed" in flags}
+    assert seeded == {"simulate", "sweep-sparsity"}
+
+
+def test_parser_flags_match_readme_synopsis():
+    # the synopsis lists each subcommand's flags; --out FILE, which all
+    # take, is described under it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    listed = {}
+    for line in synopsis.split("```", 1)[0].splitlines():
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "cascade-risk"
+        listed[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line)) | {"--out"}
+    assert listed == _subcommand_flags()
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk-profile"], ["sweep-scale", "--max-m", "2"],
+    ["sweep-sparsity", "--m", "2"]])
+def test_nonfinite_states_refused_at_config(tmp_path, capsys, argv):
+    # refused where they enter, naming the file and the line of `states`
+    for states in ("NaN", "Infinity", "[1, NaN]"):
+        text = PATH6.replace("indices = [3]", "indices = [3, 4]")
+        cfg = write_cfg(tmp_path, text.replace("states = 0",
+                                               f"states = {states}"))
+        assert main(argv + ["--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "line 19:" in err and "'states'" in err and "finite" in err
+        assert err.count(cfg) == 1
+
+
+def test_closed_form_long_run_on_weak_noise(tmp_path, capsys):
+    # pairs 1..58 of complete60 at 2.5 with sigma_c ~ 7e-7: the closed
+    # form agrees with the generic route instead of refusing
+    indices = list(range(1, 59))
+    cfg = write_cfg(tmp_path, f"""\
+[graph]
+type = complete
+n = 60
+
+[platoon]
+d = 3
+
+[noise]
+g = 0.1
+tau = 0.01
+beta = 2
+
+[query]
+epsilon = 0.1
+c = 2
+
+[scenario]
+indices = {indices}
+states = 2.5
+""")
+    rows = {}
+    for method in ("closed-form", "generic"):
+        assert main(["risk-profile", "--config", cfg,
+                     "--method", method]) == 0
+        rows[method] = parse_csv(capsys.readouterr().out)[2][-1]
+    closed, generic = rows["closed-form"], rows["generic"]
+    assert closed[:3] == generic[:3] == ["59", "0", "zero"]
+    assert float(closed[3]) == 17.5
+    assert abs(float(closed[3]) - float(generic[3])) <= 1e-12 * 17.5
 
 
 def test_add_edge_baseline_matches_profile(tmp_path, capsys):

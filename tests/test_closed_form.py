@@ -1,23 +1,27 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_risk import closed_form
-from cascade_risk import (FailureScenario, InvalidParameterError,
-                          InvalidQueryError, InvalidSizeError, NoiseParams,
-                          NumericalError, complete_graph_covariance,
-                          complete_graph_sigma_c, complete_profile,
-                          condition, risk_profile)
-from cascade_risk.closed_form import _adjacent_runs, _tridiag_parts
+from cascade_risk import (CovarianceMatrix, FailureScenario,
+                          InvalidParameterError, InvalidQueryError,
+                          InvalidSizeError, NoiseParams, NumericalError,
+                          build_complete, complete_graph_sigma_c,
+                          complete_profile, condition, laplacian,
+                          risk_profile, spectrum, steady_state_covariance)
+from cascade_risk.closed_form import _run_weights
 
 from oracles import tridiag_matrix
 
 NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 
 
-def _runs(j, scenario):
-    return _adjacent_runs(j, dict(zip(scenario.indices, scenario.states)))
+def _tridiag_cov(n, sigma_c):
+    return CovarianceMatrix(tridiag_matrix(n - 1, sigma_c))
 
 
 def _moments(n, scenario, sc, d, j):
@@ -27,71 +31,100 @@ def _moments(n, scenario, sc, d, j):
     return entry.mu_tilde, entry.sigma_tilde
 
 
+def _end_rows(m, sc):
+    """First and last rows of the inverse of the m x m tridiagonal block,
+    from the run weights: (2/sc) K_m^-1 with K_m^-1 ends (m+1-i)/(m+1)
+    and i/(m+1)."""
+    w = _run_weights(m)
+    return 2.0 / sc * w[::-1], 2.0 / sc * w
+
+
 def test_tridiag_inverse_m1():
-    alpha, theta = _tridiag_parts(1, 2.5)
-    assert alpha.shape == (1, 1)
-    assert abs(alpha[0, 0] - 1.0 / 2.5) < 1e-15
-    assert theta[1] == 2.5
+    first, last = _end_rows(1, 2.5)
+    assert first.shape == last.shape == (1,)
+    assert abs(last[0] - 1.0 / 2.5) < 1e-15 and first[0] == last[0]
 
 
 def test_tridiag_inverse_m2_unit():
-    alpha, _ = _tridiag_parts(2, 1.0)
-    assert np.allclose(alpha, [[4.0 / 3.0, 2.0 / 3.0],
-                               [2.0 / 3.0, 4.0 / 3.0]], atol=1e-14)
-
-
-def test_tridiag_theta_sequence():
-    sc = 3.0
-    _, theta = _tridiag_parts(4, sc)
-    for k in range(5):
-        assert abs(theta[k] - 0.5 ** k * sc ** k * (k + 1)) < 1e-12
+    first, last = _end_rows(2, 1.0)
+    assert np.allclose(first, [4.0 / 3.0, 2.0 / 3.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(last, [2.0 / 3.0, 4.0 / 3.0], rtol=0.0, atol=1e-15)
 
 
 def test_tridiag_inverse_is_inverse():
+    # the end rows times the block are the end rows of the identity
     rng = np.random.default_rng(11)
     for m in range(1, 21):
         sc = float(rng.uniform(0.05, 10.0))
-        alpha, _ = _tridiag_parts(m, sc)
-        prod = alpha @ tridiag_matrix(m, sc)
-        assert np.abs(prod - np.eye(m)).max() < 1e-8
+        first, last = _end_rows(m, sc)
+        block = tridiag_matrix(m, sc)
+        assert np.abs(first @ block - np.eye(m)[0]).max() < 1e-12
+        assert np.abs(last @ block - np.eye(m)[-1]).max() < 1e-12
 
 
 def test_tridiag_inverse_simplified_entries():
-    # the theta-ratio products collapse to 2 min(i,j) (m+1-max(i,j)) / (sc (m+1))
+    # the inverse's entries 2 min(i,j) (m+1-max(i,j)) / (sc (m+1)) at
+    # j = 1 and j = m
     m, sc = 7, 4.2
-    alpha, _ = _tridiag_parts(m, sc)
+    first, last = _end_rows(m, sc)
     for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            ref = 2.0 * min(i, j) * (m + 1 - max(i, j)) / (sc * (m + 1))
-            assert abs(alpha[i - 1, j - 1] - ref) < 1e-12 * ref
+        ref_first = 2.0 * 1 * (m + 1 - i) / (sc * (m + 1))
+        ref_last = 2.0 * i * (m + 1 - m) / (sc * (m + 1))
+        assert abs(first[i - 1] - ref_first) < 1e-15 * ref_first
+        assert abs(last[i - 1] - ref_last) < 1e-15 * ref_last
 
 
 def test_classify_one_sided_right():
-    scenario = FailureScenario(tuple(range(23, 28)), (0.0,) * 5)
-    assert _runs(22, scenario) == ([], [0.0] * 5)
+    # pair 22 sees only the run 23..27 on its right, through the
+    # reversed weights 5/6 .. 1/6
+    sc, d = 4.0, 3.0
+    scenario = FailureScenario(tuple(range(23, 28)), (1.0, 2.0, 3.0, 4.0, 5.0))
+    mu, sig = _moments(50, scenario, sc, d, 22)
+    assert abs(mu - (d - (5 * -2 + 4 * -1 + 2 * 1 + 1 * 2) / 6.0)) < 1e-14
+    assert abs(sig ** 2 - (sc - sc / 2.0 * 5.0 / 6.0)) < 1e-14
 
 
 def test_classify_one_sided_left():
+    # pair 28 sees only the run 23..27 on its left, front to back
+    # through the weights 1/6 .. 5/6
+    sc, d = 4.0, 3.0
     scenario = FailureScenario(tuple(range(23, 28)), (1.0, 2.0, 3.0, 4.0, 5.0))
-    # front to back
-    assert _runs(28, scenario) == ([1.0, 2.0, 3.0, 4.0, 5.0], [])
+    mu, sig = _moments(50, scenario, sc, d, 28)
+    assert abs(mu - (d - (1 * -2 + 2 * -1 + 4 * 1 + 5 * 2) / 6.0)) < 1e-14
+    assert abs(sig ** 2 - (sc - sc / 2.0 * 5.0 / 6.0)) < 1e-14
 
 
 def test_classify_none():
+    # pairs not next to the run keep their marginal law exactly
+    sc, d = 4.0, 3.0
     scenario = FailureScenario(tuple(range(23, 28)), (0.0,) * 5)
-    assert _runs(30, scenario) == ([], [])
-    assert _runs(1, scenario) == ([], [])
+    for j in (1, 21, 29, 30, 49):
+        assert _moments(50, scenario, sc, d, j) == (d, 2.0)
 
 
 def test_classify_surrounded():
+    # pair 22 adds its left run 20..21 and its right run 23..25
+    sc, d = 4.0, 3.0
     scenario = FailureScenario((20, 21, 23, 24, 25), (1.0, 2.0, 3.0, 4.0, 5.0))
-    assert _runs(22, scenario) == ([1.0, 2.0], [3.0, 4.0, 5.0])
+    mu, sig = _moments(50, scenario, sc, d, 22)
+    left = (1 * -2 + 2 * -1) / 3.0
+    right = (3 * 0 + 2 * 1 + 1 * 2) / 4.0
+    assert abs(mu - (d - left - right)) < 1e-14
+    assert abs(sig ** 2 - (sc - sc / 2.0 * (2.0 / 3.0 + 3.0 / 4.0))) < 1e-14
 
 
 def test_classify_drops_far_failures():
+    # failures two or more pairs away leave pair 5 at its marginal law;
+    # pair 6 sees only the run 7..8, pair 2 only the run 1
+    sc, d = 4.0, 3.0
     scenario = FailureScenario((1, 7, 8), (0.5, 0.6, 0.7))
-    assert _runs(5, scenario) == ([], [])
-    assert _runs(6, scenario) == ([], [0.6, 0.7])
+    assert _moments(12, scenario, sc, d, 5) == (d, 2.0)
+    mu, sig = _moments(12, scenario, sc, d, 6)
+    assert abs(mu - (d - (2 * (0.6 - d) + 1 * (0.7 - d)) / 3.0)) < 1e-14
+    assert abs(sig ** 2 - (sc - sc / 2.0 * 2.0 / 3.0)) < 1e-14
+    mu, sig = _moments(12, scenario, sc, d, 2)
+    assert abs(mu - (d - (0.5 - d) / 2.0)) < 1e-14
+    assert abs(sig ** 2 - (sc - sc / 4.0)) < 1e-14
 
 
 def test_classify_rejects():
@@ -150,8 +183,8 @@ def test_case_stats_variance_reduction_formulas():
 
 def test_case_stats_matches_generic_conditioning():
     n = 12
-    sigma = complete_graph_covariance(n, NOISE)
     sc = complete_graph_sigma_c(n, NOISE)
+    sigma = _tridiag_cov(n, sc)
     d = 3.0
     rng = np.random.default_rng(3)
     scenarios = [
@@ -170,8 +203,8 @@ def test_case_stats_matches_generic_conditioning():
 
 def test_complete_profile_matches_generic():
     n = 12
-    sigma = complete_graph_covariance(n, NOISE)
     sc = complete_graph_sigma_c(n, NOISE)
+    sigma = _tridiag_cov(n, sc)
     d, c, eps = 3.0, 1.0, 0.4
     scenario = FailureScenario((4, 5, 9), (0.0, 0.1, 5.0))
     fast = complete_profile(n, scenario, sc, d, c, eps)
@@ -190,12 +223,11 @@ def test_complete_profile_overflowed_moment_raises():
     # routes refuse it
     n = 7
     scenario = FailureScenario((2, 3, 4, 5, 6), (1e308,) * 5)
-    sigma = complete_graph_covariance(n, NOISE)
+    sc = complete_graph_sigma_c(n, NOISE)
     with pytest.raises(NumericalError):
-        complete_profile(n, scenario, complete_graph_sigma_c(n, NOISE), 3.0,
-                         1.0, 0.1)
+        complete_profile(n, scenario, sc, 3.0, 1.0, 0.1)
     with pytest.raises(NumericalError):
-        risk_profile(sigma, scenario, 3.0, 1.0, 0.1)
+        risk_profile(_tridiag_cov(n, sc), scenario, 3.0, 1.0, 0.1)
 
 
 def test_complete_profile_rejects_bad_query_when_all_failed():
@@ -240,3 +272,69 @@ def test_complete_profile_rejects_bad_platoon_when_all_failed():
                          3.0, 2.0, 0.1)
     with pytest.raises(InvalidSizeError):
         complete_profile(1, FailureScenario((), ()), 4.0, 3.0, 2.0, 0.1)
+
+
+def test_long_run_on_weak_noise_matches_generic():
+    # pairs 1..58 of complete60 failed at 2.5 with sigma_c ~ 7e-7: the
+    # last survivor is shifted by sum_i i/59 * 0.5 = 14.5 exactly, while
+    # the (sigma_c/2)^k (k+1) powers of an explicit block inverse
+    # underflow to 0/0
+    n, d = 60, 3.0
+    noise = NoiseParams(g=0.1, tau=0.01, beta=2.0)
+    scenario = FailureScenario(tuple(range(1, 59)), (2.5,) * 58)
+    sc = complete_graph_sigma_c(n, noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = complete_profile(n, scenario, sc, d, 2.0, 0.1)[-1]
+    ref = risk_profile(steady_state_covariance(
+        spectrum(laplacian(build_complete(n))), noise), scenario, d, 2.0,
+        0.1)[-1]
+    assert fast.j == ref.j == 59 and not fast.failed
+    assert fast.mu_tilde == 17.5
+    assert abs(fast.mu_tilde - ref.mu_tilde) <= 1e-12 * ref.mu_tilde
+    assert abs(fast.sigma_tilde - ref.sigma_tilde) <= 1e-12 * ref.sigma_tilde
+    assert fast.risk == ref.risk
+
+
+@st.composite
+def _complete_cases(draw):
+    """(n, g, scenario, d): a run of 1..n-2 failures plus scattered
+    ones, with states within a few standard deviations of d or spread
+    over meters."""
+    n = draw(st.integers(3, 80))
+    length = draw(st.integers(1, n - 2))
+    start = draw(st.integers(1, n - 1 - length))
+    extra = draw(st.sets(st.integers(1, n - 1), max_size=n // 3))
+    failed = sorted(set(range(start, start + length)) | extra)[:n - 2]
+    g = 10.0 ** draw(st.floats(-3.0, 1.0))
+    d = draw(st.floats(0.5, 10.0))
+    near = draw(st.booleans())
+    z = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(failed),
+                      max_size=len(failed)))
+    return n, g, failed, d, near, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_complete_cases(), epsilon=st.floats(1e-6, 0.45))
+def test_complete_profile_matches_generic_property(case, epsilon):
+    # moments within 1e-12 of the scale of the inputs, branches equal;
+    # sigma_c spans ~1e-10 .. 1e-1. epsilon stays below 1/2: there iota
+    # is 0, and simple states put a pair's mean exactly on the zero /
+    # finite edge, where the last bit of each route picks the branch.
+    n, g, failed, d, near, z = case
+    noise = NoiseParams(g=g, tau=0.01, beta=2.0)
+    sc = complete_graph_sigma_c(n, noise)
+    unit = math.sqrt(sc) if near else d
+    scenario = FailureScenario(tuple(failed), tuple(d + unit * x for x in z))
+    fast = complete_profile(n, scenario, sc, d, 1.5, epsilon)
+    ref = risk_profile(steady_state_covariance(
+        spectrum(laplacian(build_complete(n))), noise), scenario, d, 1.5,
+        epsilon)
+    scale = d + unit * sum(map(abs, z))
+    for a, b in zip(fast, ref, strict=True):
+        assert a.j == b.j and a.failed == b.failed
+        assert a.risk.branch == b.risk.branch
+        if a.failed:
+            continue
+        assert abs(a.mu_tilde - b.mu_tilde) <= 1e-12 * scale
+        assert abs(a.sigma_tilde - b.sigma_tilde) <= 1e-12 * b.sigma_tilde

@@ -9,12 +9,11 @@ from cascade_risk import (CovarianceMatrix, InvalidParameterError,
                           InvalidSizeError, NearBoundaryError, NoiseParams,
                           PlatoonParams, UnstablePlatoonError,
                           build_complete, build_path, build_pcycle,
-                          complete_graph_covariance, complete_graph_sigma_c,
-                          f_integral, laplacian, region_bound, spectrum,
-                          steady_state_covariance)
+                          complete_graph_sigma_c, f_integral, laplacian,
+                          region_bound, spectrum, steady_state_covariance)
 from cascade_risk import covariance, stability
 
-from oracles import f_simpson, integrand
+from oracles import f_simpson, integrand, tridiag_matrix
 
 COMPLETE_NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
@@ -245,13 +244,12 @@ def test_steady_state_covariance_near_boundary():
 
 
 def test_complete_graph_covariance_structure():
-    sigma = complete_graph_covariance(6, COMPLETE_NOISE)
-    v = sigma.values
+    # the generic route on the complete graph gives the tridiagonal
+    # sigma_c / -sigma_c/2 covariance the closed form assumes
+    v = steady_state_covariance(spectrum(laplacian(build_complete(6))),
+                                COMPLETE_NOISE).values
     sc = complete_graph_sigma_c(6, COMPLETE_NOISE)
-    assert np.allclose(np.diag(v), sc, rtol=0.0, atol=0.0)
-    assert np.allclose(np.diag(v, 1), -0.5 * sc, rtol=0.0, atol=0.0)
-    beyond = np.triu(v, 2)
-    assert np.all(beyond == 0.0)
+    assert np.abs(v - tridiag_matrix(5, sc)).max() <= 1e-12 * sc
 
 
 def test_complete_graph_sigma_c_frozen():
@@ -265,8 +263,8 @@ def test_complete_graph_sigma_c_frozen():
 def test_complete_graph_matches_generic_small():
     spec = spectrum(laplacian(build_complete(3)))
     generic = steady_state_covariance(spec, COMPLETE_NOISE)
-    closed = complete_graph_covariance(3, COMPLETE_NOISE)
-    assert np.abs(generic.values - closed.values).max() <= 1e-10
+    closed = tridiag_matrix(2, complete_graph_sigma_c(3, COMPLETE_NOISE))
+    assert np.abs(generic.values - closed).max() <= 1e-10
 
 
 @settings(max_examples=10, deadline=None)

@@ -4,6 +4,11 @@ import re
 from pathlib import Path
 
 import cascade_risk
+from cascade_risk.config import (build_graph, build_noise, build_platoon,
+                                 build_query, build_scenario, build_sim,
+                                 parse_config)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_lists_each_public_name_once():
@@ -17,7 +22,7 @@ def test_all_lists_each_public_name_once():
 def test_readme_names_exist():
     # each bullet of "What's inside" names its modules before " - " and
     # then functions and classes, each of which one of them must define
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     section = readme.split("## What's inside", 1)[1].split("\n## ", 1)[0]
     checked = 0
     for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
@@ -29,3 +34,18 @@ def test_readme_names_exist():
             assert any(hasattr(module, name) for module in modules), name
             checked += 1
     assert checked >= 15
+
+
+def test_readme_config_example_loads():
+    # the README's ini block is a working config: every build_* reads it
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block, "README.md")
+    assert build_graph(cfg).n == 10
+    assert build_platoon(cfg).d == 3.0
+    noise = build_noise(cfg)
+    assert (noise.g, noise.tau, noise.beta) == (0.1, 0.03, 2.0)
+    assert build_query(cfg) == (0.1, 2.0)
+    scenario = build_scenario(cfg)
+    assert scenario.indices == (4, 5) and scenario.states == (0.0, 0.0)
+    sim = build_sim(cfg)
+    assert (sim.dt, sim.trials, sim.seed) == (0.001, 64, 0)

@@ -8,9 +8,9 @@ import pytest
 from cascade_risk import (DivergenceError, EmpiricalCovariance,
                           InvalidParameterError, NoiseParams, PlatoonParams,
                           SimConfig, UnstablePlatoonError, build_path,
-                          build_pcycle, delay_steps, laplacian, run,
-                          simulate, spectrum, steady_state_covariance)
-from cascade_risk.simulate import _drift
+                          build_pcycle, laplacian, run, simulate, spectrum,
+                          steady_state_covariance)
+from cascade_risk.simulate import _delay_steps, _drift
 
 from oracles import em_distance_samples, pooled_cov_and_se
 
@@ -60,16 +60,16 @@ def test_sim_config_validation():
 
 
 def test_delay_steps():
-    assert delay_steps(0.03, 1e-3) == 30
-    assert delay_steps(0.03, 0.03) == 1
+    assert _delay_steps(0.03, 1e-3) == 30
+    assert _delay_steps(0.03, 0.03) == 1
     with pytest.raises(InvalidParameterError):
-        delay_steps(0.0301, 1e-3)      # not a multiple
+        _delay_steps(0.0301, 1e-3)      # not a multiple
     with pytest.raises(InvalidParameterError):
-        delay_steps(0.03, 0.08)        # dt longer than the delay
+        _delay_steps(0.03, 0.08)        # dt longer than the delay
 
 
 def test_initial_state_constant_history(monkeypatch):
-    # run starts from a constant history: the first delay_steps + 1
+    # run starts from a constant history: the first tau/dt + 1
     # steps, one block, read x on target and v = 0 one delay back, and
     # the next block's first step reads the state after the first step
     seen = []
@@ -82,7 +82,7 @@ def test_initial_state_constant_history(monkeypatch):
     sim = SimConfig(dt=1e-3, burn_in=0.3, sample_interval=0.1,
                     samples_per_trial=2, trials=2)
     run(build_path(5), PATH5_PARAMS, PATH5_NOISE, sim)
-    k = delay_steps(PATH5_NOISE.tau, 1e-3)
+    k = _delay_steps(PATH5_NOISE.tau, 1e-3)
     assert k == 30
     x, v = seen[0]
     assert x.shape == v.shape == (k + 1, 2, 5)
@@ -264,7 +264,7 @@ def _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
     noise = NoiseParams(g=0.1, tau=tau, beta=2.0)
     trials, n_samples, seed = 3, 7, 11
     burn_steps, int_steps = round(burn_in / dt), round(interval / dt)
-    k = delay_steps(tau, dt)
+    k = _delay_steps(tau, dt)
     assert burn_steps % (k + 1) and int_steps % (k + 1)
     total = burn_steps + (n_samples - 1) * int_steps
     xi = np.stack([np.random.default_rng(np.random.SeedSequence(
