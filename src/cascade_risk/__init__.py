@@ -7,16 +7,6 @@ off the three-branch collision risk. A Monte Carlo integrator provides
 an independent check of the covariance, and complete graphs get a
 closed-form fast path.
 """
-import os
-
-# Best-effort thread cap: BLAS libraries read these at import time, so
-# set them before numpy loads anywhere in this process.
-_threads = os.environ.get("CASCADE_RISK_THREADS")
-if _threads and _threads.isdigit():
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-del os
 
 __version__ = "0.1.0"
 

@@ -137,7 +137,7 @@ def cmd_sweep_scale(cfg: RawConfig, args) -> str:
     noise = build_noise(cfg)
     platoon = build_platoon(cfg)
     epsilon, c = build_query(cfg)
-    state = scenario_state_values(cfg, 1)[0]
+    state = scenario_state_values(cfg, None)[0]
     sigma = steady_state_covariance(spec, noise)
     rows = sweep_scale_rows(sigma, platoon.d, c, epsilon, args.max_m, state)
     return render_csv("sweep_scale", rows)
@@ -148,7 +148,7 @@ def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:
     noise = build_noise(cfg)
     platoon = build_platoon(cfg)
     epsilon, c = build_query(cfg)
-    state = scenario_state_values(cfg, 1)[0]
+    state = scenario_state_values(cfg, None)[0]
     sigma = steady_state_covariance(spec, noise)
     rows = sweep_sparsity_rows(
         sigma, platoon.d, c, epsilon, args.m, state,

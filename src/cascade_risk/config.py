@@ -214,15 +214,21 @@ def build_scenario(cfg: RawConfig) -> FailureScenario:
     return FailureScenario(tuple(indices), tuple(states))
 
 
-def scenario_state_values(cfg: RawConfig, m: int) -> list:
+def scenario_state_values(cfg: RawConfig, m: int | None) -> list:
     """States broadcast to m entries, each a finite number; a scalar or
-    a one-entry array repeats, a longer array must match."""
+    a one-entry array repeats, a longer array must match. m None is for
+    the sweeps, which place their own failures: one value, returned in a
+    list of one."""
     states = cfg.require("scenario", "states")
     if not isinstance(states, list):
         states = [states]
     values = [_as_number(cfg, "scenario", "states", s) for s in states]
     if len(values) == 1:
-        return values * m
+        return values * (m or 1)
+    if m is None:
+        raise cfg.error(f"'states' has {len(values)} entries but the sweep "
+                        f"subcommands take one state value for every "
+                        f"failure", "scenario", "states")
     if len(values) != m:
         raise cfg.error(f"'states' has {len(values)} entries but the "
                         f"scenario has {m} failed pairs",

@@ -90,12 +90,6 @@ class CovarianceMatrix:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def marginal_std(self, j: int) -> float:
-        """Standard deviation of pair j (1-based)."""
-        if not 1 <= j <= self.dim:
-            raise InvalidParameterError(f"pair index {j} outside 1..{self.dim}")
-        return math.sqrt(self.values[j - 1, j - 1])
-
 
 def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
     """f for each mode s1 at the common s2, all inside the region.

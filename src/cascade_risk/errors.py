@@ -42,10 +42,6 @@ class UnstablePlatoonError(CascadeRiskError):
     """The configured platoon does not form: some mode leaves the
     stability region, so steady-state statistics do not exist."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class NumericalError(CascadeRiskError):
     """A numerical routine failed to reach the requested accuracy."""

@@ -5,9 +5,9 @@ with the graph-coupled drift evaluated one delay (k = tau/dt steps) in
 the past plus white acceleration noise. The delay lets the stepper
 advance in blocks of k + 1 steps: their drifts read only the previous
 block's states, so each block is one batched drift evaluation and two
-running sums that add in the order single steps would. One helper
-thread draws the noise a chunk ahead into a second buffer while the
-blocks of the current chunk are stepped; the streams, the chunks and
+running sums that add in the order single steps would. While the
+blocks of one noise chunk are stepped, the one worker of a thread pool
+draws the next chunk into a second buffer; the streams, the chunks and
 the arithmetic are those of drawing in line, so results are identical
 to the bit. Used to estimate the steady-state distance covariance
 independently of the analytic route.
@@ -15,7 +15,8 @@ independently of the analytic route.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,9 @@ _NOISE_VALUES = 2 ** 17
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration controls. burn_in and sample_interval default to
-    values derived from the dynamics (see resolve within run): burn_in
-    max(10 tau, 20/(beta lambda_2)), sample_interval 20 tau."""
+    """Integration controls. When left None, run derives burn_in and
+    sample_interval from the dynamics: burn_in max(10 tau,
+    20/(beta lambda_2)), sample_interval 20 tau."""
 
     dt: float = 1e-3
     burn_in: float | None = None
@@ -101,62 +102,32 @@ def _drift(x_delayed, v_delayed, targets, L, beta, out=None):
     return np.subtract(work, out, out=out)
 
 
-class _NoiseAhead:
-    """Scaled noise g sqrt(dt) xi, chunk after chunk, drawn one chunk
-    ahead on a helper thread into two alternating (trials, chunk, n)
-    buffers; standard_normal(out=...) runs without the GIL, so drawing
-    overlaps the caller's stepping. Chunk i lives in buffer i % 2 and
-    stays valid until the next `take`. Use as a context manager: leaving
-    it stops and joins the helper, and an exception raised while
-    drawing is re-raised by `take`."""
+def _noise_chunks(rngs, n, total_steps, chunk, scale):
+    """Scaled noise g sqrt(dt) xi as (trials, chunk, n) arrays, chunk
+    after chunk, in two alternating buffers: chunk i lives in buffer
+    i % 2. Before chunk i is yielded, the draw of chunk i + 1 goes to a
+    one-worker pool, where standard_normal(out=...) runs without the GIL
+    and so overlaps the caller's stepping; chunk i stays valid until the
+    next one is taken. A failed draw is raised where its chunk is taken;
+    closing the generator shuts the pool down and joins its worker."""
+    bufs = (np.empty((len(rngs), chunk, n)), np.empty((len(rngs), chunk, n)))
+    starts = range(0, total_steps, chunk)
 
-    def __init__(self, rngs, n, total_steps, chunk, scale):
-        self._bufs = (np.empty((len(rngs), chunk, n)),
-                      np.empty((len(rngs), chunk, n)))
-        self._free = threading.Semaphore(2)
-        self._filled = threading.Semaphore(0)
-        self._stop = threading.Event()
-        self._failure = None
-        self._taken = 0
-        self._thread = threading.Thread(
-            target=self._draw, args=(rngs, total_steps, chunk, scale),
-            name="cascade-risk-noise")
-
-    def _draw(self, rngs, total_steps, chunk, scale):
-        try:
-            for i, start in enumerate(range(0, total_steps, chunk)):
-                self._free.acquire()
-                if self._stop.is_set():
-                    return
-                xi = self._bufs[i % 2]
-                csz = min(chunk, total_steps - start)
-                for rg, out in zip(rngs, xi):
-                    rg.standard_normal(out=out[:csz])
-                xi[:, :csz] *= scale
-                self._filled.release()
-        except BaseException as exc:    # re-raised in the caller by take
-            self._failure = exc
-            self._filled.release()
-
-    def take(self) -> np.ndarray:
-        """The next chunk; hands the previous one's buffer back."""
-        if self._taken:
-            self._free.release()
-        self._filled.acquire()
-        if self._failure is not None:
-            raise self._failure
-        xi = self._bufs[self._taken % 2]
-        self._taken += 1
+    def draw(i):
+        xi = bufs[i % 2]
+        csz = min(chunk, total_steps - starts[i])
+        for rg, out in zip(rngs, xi):
+            rg.standard_normal(out=out[:csz])
+        xi[:, :csz] *= scale
         return xi
 
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stop.set()
-        self._free.release()
-        self._thread.join()
+    with ThreadPoolExecutor(1, thread_name_prefix="cascade-risk-noise") as pool:
+        ahead = pool.submit(draw, 0)
+        for i in range(1, len(starts) + 1):
+            xi = ahead.result()
+            if i < len(starts):
+                ahead = pool.submit(draw, i)
+            yield xi
 
 
 @dataclass(frozen=True)
@@ -196,8 +167,8 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
 
     Per-trial noise streams are spawned from (seed, trial index), so a
     given trial's trajectory does not depend on how many trials run.
-    The noise is drawn one chunk ahead on a helper thread, which ends
-    before run returns or raises.
+    The noise is drawn one chunk ahead on a one-worker thread pool, which
+    is shut down, its worker joined, before run returns or raises.
     Returns EmpiricalCovariance, or (EmpiricalCovariance, samples) with
     samples shaped (samples_per_trial, trials, n-1) when requested.
     """
@@ -249,13 +220,13 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
 
     beta = noise.beta
     s_idx = 0
-    noise_ahead = _NoiseAhead(rngs, n, total_steps, chunk,
-                              noise.g * math.sqrt(dt))
-    with noise_ahead, np.errstate(over="ignore", invalid="ignore"):
+    chunks = _noise_chunks(rngs, n, total_steps, chunk,
+                           noise.g * math.sqrt(dt))
+    with closing(chunks), np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, total_steps, kb):
             c = t0 % chunk
             if c == 0:
-                xi = noise_ahead.take()
+                xi = next(chunks)
             m = min(kb, total_steps - t0)
             # v_{t+1} = v_t + dt drift + g sqrt(dt) xi_t and
             # x_{t+1} = x_t + dt v_t as running sums seeded with state t0,

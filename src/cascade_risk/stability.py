@@ -67,7 +67,7 @@ class StabilityReport:
         raise UnstablePlatoonError(
             f"platoon does not form: mode with eigenvalue "
             f"{self.eigenvalues[k]:.6g} has (s1, s2) = ({self.s1[k]:.6g}, "
-            f"{self.s2:.6g}) outside the stability region", self)
+            f"{self.s2:.6g}) outside the stability region")
 
 
 def check_platoon(spec: LaplacianSpectrum, tau: float, beta: float) -> StabilityReport:

@@ -136,7 +136,7 @@ def test_06_complete_graph_profile_reproduction(budget):
         assert entry.error is None
         if not 22 <= j <= 28:
             naive = var_risk(ConditionalDistribution(
-                d, sigma.marginal_std(j)), d, c, epsilon)
+                d, math.sqrt(sigma.values[j - 1, j - 1])), d, c, epsilon)
             assert entry.risk.branch == naive.branch
             if math.isfinite(naive.value):
                 assert abs(entry.risk.value - naive.value) <= 1e-12
@@ -172,7 +172,7 @@ def test_07_risk_monotone_in_epsilon(budget):
         indices = tuple(int(k) for k in chosen if k != j)
         states = tuple(rng.uniform(0.0, 2.0 * d, size=m))
         cnd = condition(sigma, d, j, FailureScenario(indices, states))
-        assert cnd.sigma_tilde <= sigma.marginal_std(j) + 1e-12
+        assert cnd.sigma_tilde <= math.sqrt(sigma.values[j - 1, j - 1]) + 1e-12
         c = float(rng.uniform(1.0, 3.0))
         results = [var_risk(cnd, d, c, float(eps)) for eps in eps_grid]
         for prev, cur in zip(results, results[1:]):

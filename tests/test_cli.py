@@ -268,7 +268,7 @@ def test_sweep_scale_baseline_rows(tmp_path, capsys):
         assert row[0] == "0"
         j = int(row[1])
         expected = var_risk(ConditionalDistribution(
-            3.0, sigma.marginal_std(j)), 3.0, 2.0, 0.1).value
+            3.0, math.sqrt(sigma.values[j - 1, j - 1])), 3.0, 2.0, 0.1).value
         assert float(row[2]) == expected
     for row in rows[5:]:
         m, j = int(row[0]), int(row[1])
@@ -344,6 +344,20 @@ def test_nonfinite_states_refused_at_config(tmp_path, capsys, argv):
         err = capsys.readouterr().err
         assert "line 19:" in err and "'states'" in err and "finite" in err
         assert err.count(cfg) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-scale", "--max-m", "2"], ["sweep-sparsity", "--m", "2"]])
+def test_sweep_takes_one_state(tmp_path, capsys, argv):
+    # the sweeps place their own failures, so a states array with more
+    # than one entry is refused as such, not against a scenario's pairs
+    text = PATH6.replace("indices = [3]", "indices = [3, 4]")
+    cfg = write_cfg(tmp_path, text.replace("states = 0", "states = [1, 2]"))
+    assert main(argv + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "line 19:" in err and err.count(cfg) == 1
+    assert "take one state value for every failure" in err
+    assert "failed pairs" not in err
 
 
 def test_closed_form_long_run_on_weak_noise(tmp_path, capsys):

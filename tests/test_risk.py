@@ -85,14 +85,14 @@ def test_condition_rejects_bad_indices(path6_sigma):
 def test_condition_empty_scenario(path6_sigma):
     cnd = condition(path6_sigma, 3.0, 2, FailureScenario((), ()))
     assert cnd.mu_tilde == 3.0
-    assert cnd.sigma_tilde == path6_sigma.marginal_std(2)
+    assert cnd.sigma_tilde == math.sqrt(path6_sigma.values[1, 1])
 
 
 def test_condition_on_target_states_keeps_mean(path6_sigma):
     d = 3.0
     cnd = condition(path6_sigma, d, 3, FailureScenario((1, 5), (d, d)))
     assert cnd.mu_tilde == d
-    assert cnd.sigma_tilde < path6_sigma.marginal_std(3)
+    assert cnd.sigma_tilde < math.sqrt(path6_sigma.values[2, 2])
 
 
 def test_condition_matches_matrix_inverse_oracle(path6_sigma):
@@ -133,7 +133,7 @@ def test_condition_never_inflates_variance(seed):
     states = rng.uniform(0.0, 6.0, size=m)
     cnd = condition(sigma, 3.0, j, FailureScenario(tuple(int(i) for i in idx),
                                                    tuple(states)))
-    assert cnd.sigma_tilde <= sigma.marginal_std(j) + 1e-15
+    assert cnd.sigma_tilde <= math.sqrt(sigma.values[j - 1, j - 1]) + 1e-15
 
 
 def test_iota_values():
@@ -213,7 +213,7 @@ def test_var_risk_branch_conditions_match_probabilities():
 def test_naive_risk_equals_empty_conditioning(path6_sigma):
     # the no-failure column of profiles and sweeps
     d, c, eps = 3.0, 1.5, 0.23
-    stds = [path6_sigma.marginal_std(j) for j in range(1, 6)]
+    stds = [math.sqrt(path6_sigma.values[j - 1, j - 1]) for j in range(1, 6)]
     column = _naive_column(stds, d, c, iota(eps))
     for j, value in enumerate(column, start=1):
         b = var_risk(condition(path6_sigma, d, j, FailureScenario((), ())),
@@ -243,7 +243,7 @@ def test_risk_profile_empty_scenario_is_naive(path6_sigma):
                            3.0, 2.0, 0.1)
     for e in entries:
         ref = var_risk(ConditionalDistribution(
-            3.0, path6_sigma.marginal_std(e.j)), 3.0, 2.0, 0.1)
+            3.0, math.sqrt(path6_sigma.values[e.j - 1, e.j - 1])), 3.0, 2.0, 0.1)
         assert e.risk.value == ref.value
 
 
@@ -359,7 +359,7 @@ def test_risk_profile_matches_matrix_inverse_oracle(seed, dim, kind):
             continue
         assert e.error is None
         mu, sig = conditional_moments(sigma.values, d, e.j, idx, states)
-        scale = abs(mu) + sigma.marginal_std(e.j)
+        scale = abs(mu) + math.sqrt(sigma.values[e.j - 1, e.j - 1])
         assert abs(e.mu_tilde - mu) <= 1e-10 * scale
         assert abs(e.sigma_tilde - sig) <= 1e-10 * sig
         assert e.risk.branch == var_risk(ConditionalDistribution(mu, sig),

@@ -149,8 +149,8 @@ def _overflow_at(monkeypatch, call, row, bad_trials):
         return drift
 
     monkeypatch.setattr(simulate, "_drift", overflowing)
-    # 15-step noise chunks: the noise thread is two chunks ahead and
-    # waiting for a free buffer when the run stops
+    # 15-step noise chunks: the noise worker is one chunk ahead, possibly
+    # mid-draw, when the run stops
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                     samples_per_trial=4, trials=2)
@@ -158,7 +158,7 @@ def _overflow_at(monkeypatch, call, row, bad_trials):
     with pytest.raises(DivergenceError) as exc:
         run(build_path(3), PlatoonParams(n=3, d=3.0),
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
-    # the noise helper thread does not outlive the call
+    # the noise worker does not outlive the call
     assert threading.active_count() == threads
     return exc.value
 
@@ -205,7 +205,7 @@ def _recording_rngs(monkeypatch, fail_at=None):
 
 
 def test_noise_failure_reaches_caller(monkeypatch):
-    # an exception raised on the helper thread while the third chunk is
+    # an exception raised on the noise worker while the third chunk is
     # drawn is re-raised by run, and no thread is left behind
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     made = _recording_rngs(monkeypatch, fail_at=3)
@@ -220,7 +220,7 @@ def test_noise_failure_reaches_caller(monkeypatch):
 
 
 def test_concurrent_runs_match_oracle(monkeypatch):
-    # four runs at once, each with its own noise thread handing over 54
+    # four runs at once, each with its own noise worker handing over 54
     # small chunks, under a short switch interval: a buffer read before
     # it is filled, or refilled while read, breaks bitwise equality
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
@@ -279,8 +279,11 @@ def _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
     made = _recording_rngs(monkeypatch)
     sim = SimConfig(dt=dt, burn_in=burn_in, sample_interval=interval,
                     samples_per_trial=n_samples, trials=trials, seed=seed)
+    threads = threading.active_count()
     _, samples = run(build_path(5), PATH5_PARAMS, noise, sim,
                      return_samples=True)
+    # a run that ends normally leaves no noise worker behind either
+    assert threading.active_count() == threads
     assert np.array_equal(samples, expected)
     assert all(sum(rng.sizes) == total for rng in made)
     return made[0].sizes
