@@ -14,11 +14,10 @@ import math
 
 import numpy as np
 
-from cascade_risk import (ConditionalDistribution, FailureScenario,
-                          NoiseParams, build_complete, check_platoon,
-                          complete_graph_sigma_c, complete_profile,
-                          laplacian, risk_profile, spectrum,
-                          steady_state_covariance, var_risk)
+from cascade_risk import (FailureScenario, NoiseParams, build_complete,
+                          check_platoon, complete_graph_sigma_c,
+                          complete_profile, laplacian, risk_profile,
+                          spectrum, steady_state_covariance)
 from cascade_risk.experiments import sweep_scale_rows
 
 N, D, C, EPSILON = 50, 3.0, 2.0, 0.1
@@ -41,8 +40,9 @@ def main():
 
     scenario = FailureScenario(tuple(range(23, 28)), (0.0,) * 5)
     entries = complete_profile(N, scenario, sigma_c, D, C, EPSILON)
-    # no failures: the marginal law N(D, sigma_j)
-    naive = var_risk(ConditionalDistribution(D, sigma_j), D, C, EPSILON)
+    # no failures: every pair keeps its marginal law N(D, sigma_j)
+    naive = complete_profile(N, FailureScenario((), ()), sigma_c, D, C,
+                             EPSILON)[0].risk
     print(f"\nfailed pairs: {scenario.indices}, observed at 0 m")
     print(f"naive (unconditional) risk of any pair: {naive.value}")
     print("\n  pair   risk        conditional mean/std")

@@ -15,8 +15,8 @@ CLI equivalents:
 """
 import math
 
-from cascade_risk import (FailureScenario, NoiseParams, PlatoonParams,
-                          build_path, laplacian, risk_profile, spectrum,
+from cascade_risk import (FailureScenario, NoiseParams, build_path,
+                          laplacian, risk_profile, spectrum,
                           steady_state_covariance)
 from cascade_risk.experiments import add_edge_rows
 
@@ -51,8 +51,7 @@ def rewiring_part():
     graph = build_path(n)
     scenario = FailureScenario((9, 10), (0.0, 0.0))
     j = 8
-    rows = add_edge_rows(graph, PlatoonParams(n, D), NOISE, EPSILON, C,
-                         scenario, j)
+    rows = add_edge_rows(graph, D, NOISE, EPSILON, C, scenario, j)
     base = rows[0][1]
     print(f"path graph, n = {n}, failures at pairs {scenario.indices}, "
           f"queried pair {j}")

@@ -21,22 +21,22 @@ from .errors import (CascadeRiskError, ConfigError, DivergenceError,
 from .graph import (LaplacianSpectrum, WeightedGraph, add_pair_edges,
                     build_complete, build_custom, build_path, build_pcycle,
                     laplacian, pair_difference_matrix, spectrum)
-from .risk import (ConditionalDistribution, FailureScenario, ProfileEntry,
-                   RiskResult, condition, iota, risk_profile, var_risk)
+from .risk import (FailureScenario, ProfileEntry, RiskResult, iota,
+                   risk_profile)
 from .simulate import EmpiricalCovariance, SimConfig, run
 from .stability import StabilityReport, check_platoon, region_bound
 
 __all__ = [
-    "CascadeRiskError", "ConditionalDistribution", "ConfigError",
-    "CovarianceMatrix", "DivergenceError", "EmpiricalCovariance",
-    "FailureScenario", "IllConditionedScenarioError",
-    "InvalidParameterError", "InvalidQueryError", "InvalidSizeError",
-    "LaplacianSpectrum", "NearBoundaryError", "NoiseParams",
-    "NumericalError", "PlatoonParams", "ProfileEntry", "RiskResult",
-    "SimConfig", "StabilityReport", "UnstablePlatoonError", "WeightedGraph",
-    "add_pair_edges", "build_complete", "build_custom", "build_path",
-    "build_pcycle", "check_platoon", "complete_graph_sigma_c",
-    "complete_profile", "condition", "f_integral", "iota", "laplacian",
-    "pair_difference_matrix", "region_bound", "risk_profile", "run",
-    "spectrum", "steady_state_covariance", "var_risk",
+    "CascadeRiskError", "ConfigError", "CovarianceMatrix",
+    "DivergenceError", "EmpiricalCovariance", "FailureScenario",
+    "IllConditionedScenarioError", "InvalidParameterError",
+    "InvalidQueryError", "InvalidSizeError", "LaplacianSpectrum",
+    "NearBoundaryError", "NoiseParams", "NumericalError", "PlatoonParams",
+    "ProfileEntry", "RiskResult", "SimConfig", "StabilityReport",
+    "UnstablePlatoonError", "WeightedGraph", "add_pair_edges",
+    "build_complete", "build_custom", "build_path", "build_pcycle",
+    "check_platoon", "complete_graph_sigma_c", "complete_profile",
+    "f_integral", "iota", "laplacian", "pair_difference_matrix",
+    "region_bound", "risk_profile", "run", "spectrum",
+    "steady_state_covariance",
 ]

@@ -9,7 +9,6 @@ simulation).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from .experiments import (add_edge_rows, covariance_rows, profile_rows,
                           simulate_rows, stability_rows, sweep_scale_rows,
                           sweep_sparsity_rows)
 from .graph import build_complete, laplacian, spectrum
-from .risk import risk_profile
+from .risk import FailureScenario, risk_profile
 from .simulate import run
 from .stability import check_platoon
 
@@ -111,14 +110,16 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
                 "--method closed-form applies only to the complete graph; "
                 "use --method generic for this topology")
         sigma_c = complete_graph_sigma_c(graph.n, noise)
-        entries = complete_profile(graph.n, scenario, sigma_c, platoon.d,
-                                   c, epsilon)
-        stds = [math.sqrt(sigma_c)] * (graph.n - 1)
+
+        def profile(s):
+            return complete_profile(graph.n, s, sigma_c, platoon.d, c,
+                                    epsilon)
     else:
         sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
-        entries = risk_profile(sigma, scenario, platoon.d, c, epsilon)
-        stds = np.sqrt(np.diag(sigma.values))
-    rows = profile_rows(entries, stds, platoon.d, c, epsilon)
+
+        def profile(s):
+            return risk_profile(sigma, s, platoon.d, c, epsilon)
+    rows = profile_rows(profile(scenario), profile(FailureScenario((), ())))
     return render_csv("risk_profile", rows)
 
 
@@ -164,7 +165,7 @@ def cmd_add_edge(cfg: RawConfig, args) -> str:
     platoon = build_platoon(cfg)
     epsilon, c = build_query(cfg)
     scenario = build_scenario(cfg)
-    rows = add_edge_rows(graph, platoon, noise, epsilon, c, scenario,
+    rows = add_edge_rows(graph, platoon.d, noise, epsilon, c, scenario,
                          args.pair)
     return render_csv("add_edge", rows)
 

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidQueryError, InvalidSizeError
+from .graph import _integer
 from .risk import (FailureScenario, _check_query, _conditioned,
                    _profile_entries, iota)
 
@@ -45,6 +46,7 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     _check_query(d, c)
     it = iota(epsilon)
     _check_sigma_c(sigma_c)
+    n = _integer(n, "vehicle count", InvalidSizeError)
     if n < 2:
         raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
     if scenario.m and scenario.indices[-1] > n - 1:

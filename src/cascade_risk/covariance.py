@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameterError, InvalidSizeError,
                      NearBoundaryError, UnstablePlatoonError)
-from .graph import LaplacianSpectrum, pair_difference_matrix
+from .graph import LaplacianSpectrum, _integer, pair_difference_matrix
 from .stability import check_platoon, region_bound
 
 # Refuse f for a mode closer than this to the stability boundary: f grows
@@ -71,8 +71,9 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InvalidParameterError(f"covariance shape {v.shape} is not square")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or not v.size:
+            raise InvalidParameterError(
+                f"covariance shape {v.shape} is not square and non-empty")
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("covariance entries must be finite")
         if np.abs(v - v.T).max() > 1e-12 * max(1.0, np.abs(v).max()):
@@ -170,6 +171,7 @@ def steady_state_covariance(spec: LaplacianSpectrum,
 def complete_graph_sigma_c(n: int, noise: NoiseParams) -> float:
     """Marginal distance variance sigma_c on the unit-weight complete
     graph (all nonzero Laplacian eigenvalues equal n)."""
+    n = _integer(n, "vehicle count", InvalidSizeError)
     if n < 2:
         raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
     f = f_integral(n * noise.tau, noise.beta * noise.tau)

@@ -4,8 +4,11 @@ Each function returns plain row tuples (ints, floats, None for empty
 cells, strings for tags) ready for CSV serialization, so the sweep
 policies (aggregation of infinities, pattern enumeration, sampling
 fallback) live here and are unit-testable without going through the
-command line. Rows come as a list, or as a lazy iterable where a table
-is large (`covariance_rows`, n^2 rows): iterate it once.
+command line. Every risk cell is read off the one conditioning core,
+`risk._condition_stack` and `risk._stack_risk`, directly or through a
+profile; the no-failure baseline is the empty scenario. Rows come as a
+list, or as a lazy iterable where a table is large (`covariance_rows`,
+n^2 rows): iterate it once.
 """
 from __future__ import annotations
 
@@ -14,14 +17,14 @@ import math
 
 import numpy as np
 
-from .covariance import (CovarianceMatrix, NoiseParams, PlatoonParams,
+from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
-from .errors import (InvalidParameterError, InvalidQueryError,
-                     NumericalError, UnstablePlatoonError)
-from .graph import WeightedGraph, add_pair_edges, laplacian, spectrum
+from .errors import (IllConditionedScenarioError, InvalidParameterError,
+                     InvalidQueryError, NumericalError, UnstablePlatoonError)
+from .graph import (WeightedGraph, _integer, add_pair_edges, laplacian,
+                    spectrum)
 from .risk import (FailureScenario, _check_query, _condition_scenario,
-                   _condition_stack, _naive_column, _stack_risk, condition,
-                   iota, var_risk)
+                   _condition_stack, _entry_error, _stack_risk, iota)
 from .simulate import EmpiricalCovariance
 from .stability import StabilityReport
 
@@ -41,12 +44,11 @@ def covariance_rows(sigma: CovarianceMatrix):
         yield from zip(itertools.repeat(i), itertools.count(1), row)
 
 
-def profile_rows(entries, marginal_stds, d: float, c: float, epsilon: float):
-    """Profile entries plus the per-pair no-failure baseline column."""
-    _check_query(d, c)
-    naive_column = _naive_column(marginal_stds, d, c, iota(epsilon))
+def profile_rows(entries, baseline):
+    """Profile entries plus the no-failure column: the risks of
+    `baseline`, the profile of the empty scenario by the same route."""
     rows = []
-    for entry, naive in zip(entries, naive_column):
+    for entry, naive in zip(entries, (e.risk.value for e in baseline)):
         if entry.error is not None:
             rows.append((entry.j, None, "error", None, None, 0, naive))
             continue
@@ -56,23 +58,34 @@ def profile_rows(entries, marginal_stds, d: float, c: float, epsilon: float):
     return rows
 
 
+def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,
+                 d: float, c: float, epsilon: float):
+    """Entry check of the sweeps: `count` failures, an integer in
+    1..dim-1, each observed at one finite state. Returns the count, the
+    state and iota(epsilon)."""
+    count = _integer(count, name, InvalidQueryError)
+    if not 1 <= count <= sigma.dim - 1:
+        raise InvalidQueryError(
+            f"{name}={count} must lie in 1..{sigma.dim - 1}")
+    if isinstance(state_value, (bool, np.bool_)) or \
+            not math.isfinite(state_value):
+        raise InvalidQueryError(
+            f"observed state {state_value!r} must be a finite number")
+    _check_query(d, c)
+    return count, float(state_value), iota(epsilon)
+
+
 def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
                      epsilon: float, max_m: int, state_value: float):
     """Failures {1..m} at the head of the platoon for m = 0..max_m;
     m = 0 is the no-failure baseline."""
-    if not 1 <= max_m <= sigma.dim - 1:
-        raise InvalidQueryError(
-            f"max_m={max_m} must lie in 1..{sigma.dim - 1}")
-    _check_query(d, c)
-    it = iota(epsilon)
-    stds = np.sqrt(np.diagonal(sigma.values))
-    rows = [(0, j, value) for j, value in
-            enumerate(_naive_column(stds, d, c, it), start=1)]
-    for m in range(1, max_m + 1):
-        scenario = FailureScenario(tuple(range(1, m + 1)),
-                                   (state_value,) * m)
-        value, branch = _stack_risk(_condition_scenario(sigma, scenario, d),
-                                    d, c, it)
+    max_m, state, it = _check_sweep(sigma, "max_m", max_m, state_value,
+                                    d, c, epsilon)
+    rows = []
+    for m in range(max_m + 1):
+        cnd = _condition_stack(sigma.values, np.arange(m)[None],
+                               np.full((1, m), state), d)
+        value, branch = _stack_risk(cnd, d, c, it)
         for j, (v, b) in enumerate(zip(value[0].tolist(),
                                        branch[0].tolist()), start=1):
             rows.append((m, j, v if b >= 0 else None))
@@ -128,14 +141,8 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
     in stacks of _STACK_CHUNK, which bounds memory and does not change
     the result.
     """
+    m, state, it = _check_sweep(sigma, "m", m, state_value, d, c, epsilon)
     n_pairs = sigma.dim
-    if not 1 <= m <= n_pairs - 1:
-        raise InvalidQueryError(f"m={m} must lie in 1..{n_pairs - 1}")
-    if not math.isfinite(state_value):
-        raise InvalidQueryError(
-            f"observed state {state_value!r} must be finite")
-    _check_query(d, c)
-    it = iota(epsilon)
     rows = []
     for s in range(0, n_pairs - m + 1):
         span = m + s
@@ -163,7 +170,7 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
             idx = np.array([[offset + k for k in pattern]
                             for pattern, offset in chunk])
             cnd = _condition_stack(sigma.values, idx,
-                                   np.full(idx.shape, float(state_value)), d)
+                                   np.full(idx.shape, state), d)
             value, branch = _stack_risk(cnd, d, c, it)
             # Summed pair by pair in order, as a pattern's own loop would.
             pattern_sum = np.zeros(len(chunk))
@@ -189,25 +196,39 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
     return rows
 
 
-def add_edge_rows(graph: WeightedGraph, platoon: PlatoonParams,
-                  noise: NoiseParams, epsilon: float, c: float,
-                  scenario: FailureScenario, j: int):
-    """Risk of pair j when both of its vehicles gain a unit-weight link
-    to each candidate target vehicle. Row target=0 is the unmodified
-    baseline; rows for destabilizing targets carry an empty risk."""
-    base_sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
-    base = var_risk(condition(base_sigma, platoon.d, j, scenario),
-                    platoon.d, c, epsilon)
-    rows = [(0, base.value, 1)]
+def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
+                  epsilon: float, c: float, scenario: FailureScenario,
+                  j: int):
+    """Risk of pair j, at target gap d, when both of its vehicles gain a
+    unit-weight link to each candidate target vehicle. Row target=0 is
+    the unmodified baseline. A destabilizing target gets an empty risk
+    with stable = 0, a candidate on which the scenario cannot be
+    conditioned an empty risk with stable = 1."""
+    _check_query(d, c)
+    it = iota(epsilon)
+    j = _integer(j, "pair index", InvalidQueryError)
+    if not 1 <= j <= graph.n - 1:
+        raise InvalidQueryError(f"pair index {j} outside 1..{graph.n - 1}")
+    if j in scenario:
+        raise InvalidQueryError(f"queried pair {j} is already failed")
+
+    def pair_risk(sigma: CovarianceMatrix) -> float:
+        cnd = _condition_scenario(sigma, scenario, d)
+        value, branch = _stack_risk(cnd, d, c, it)
+        if branch[0, j - 1] < 0:
+            raise IllConditionedScenarioError(_entry_error(cnd, j))
+        return value[0, j - 1].item()
+
+    base = steady_state_covariance(spectrum(laplacian(graph)), noise)
+    rows = [(0, pair_risk(base), 1)]
     for target in range(1, graph.n + 1):
         if target in (j, j + 1):
             continue
         augmented = add_pair_edges(graph, j, target)
         try:
-            sig = steady_state_covariance(spectrum(laplacian(augmented)),
-                                          noise)
-            value = var_risk(condition(sig, platoon.d, j, scenario),
-                             platoon.d, c, epsilon).value
+            sigma = steady_state_covariance(spectrum(laplacian(augmented)),
+                                            noise)
+            value = pair_risk(sigma)
         except UnstablePlatoonError:
             rows.append((target, None, 0))
             continue

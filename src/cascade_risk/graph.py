@@ -24,14 +24,14 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _integer(value) -> int | None:
+def _integer(value, name: str, error=InvalidParameterError) -> int:
     """value as an int if it is an integer or an integral float, not a
-    bool; None otherwise."""
+    bool; otherwise `error`, naming the value as `name`."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    return None
+    raise error(f"{name} {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -115,17 +115,25 @@ def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
     if n < 2:
         raise InvalidSizeError(f"need at least 2 nodes, got n={n}")
     w = np.zeros((n, n))
+    seen = set()
     for e in edges:
-        if len(e) != 3:
-            raise InvalidParameterError(f"edge {e!r} is not (i, j, weight)")
-        i, j, wt = e
-        i, j = _integer(i), _integer(j)
-        if i is None or j is None:
-            raise InvalidParameterError(f"edge {e!r} has non-integer endpoints")
+        try:
+            i, j, wt = e
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"edge {e!r} is not (i, j, weight)") from None
+        i, j = (_integer(v, f"edge {e!r} endpoint") for v in (i, j))
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidParameterError(f"edge ({i},{j}) out of range 1..{n}")
         if i == j:
             raise InvalidParameterError(f"self-loop on node {i}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise InvalidParameterError(f"edge ({i},{j}) repeats {pair}")
+        seen.add(pair)
+        if isinstance(wt, bool) or not isinstance(wt, numbers.Real):
+            raise InvalidParameterError(f"edge ({i},{j}) weight {wt!r} "
+                                        f"is not a number")
         if wt < 0:
             raise InvalidParameterError(f"edge ({i},{j}) has negative weight")
         w[i - 1, j - 1] = wt
@@ -179,8 +187,11 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     connected Laplacian comes out all-positive.
     """
     L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise InvalidParameterError(f"matrix shape {L.shape} is not square")
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
+        raise InvalidParameterError(
+            f"matrix shape {L.shape} is not square and non-empty")
+    if not np.isfinite(L).all():
+        raise InvalidParameterError("matrix entries must be finite")
     if np.abs(L - L.T).max() > SYMMETRY_TOL:
         raise InvalidParameterError("matrix is not symmetric")
     try:

@@ -1,11 +1,14 @@
-"""Collision value-at-risk for a single pair given earlier failures.
+"""Collision value-at-risk of every pair given earlier failures.
 
 Distances are jointly Gaussian in steady state, so conditioning on the
-observed distances of failed pairs is a Schur complement, and the
-smallest distance-scaling under which the pair stays safe with
-probability 1-epsilon has a three-branch closed form: zero risk when
-the pair is safe even unscaled, infinite risk when no finite scaling
-saves it, and otherwise an explicit formula in the conditional moments.
+observed distances of failed pairs is a Schur complement. One core
+conditions a stack of scenarios at once (`_condition_stack`), and one
+array routine turns the conditional moments into the three-branch
+value-at-risk of each pair (`_stack_risk`): zero risk when the pair is
+safe even unscaled, infinite risk when no finite scaling saves it, and
+otherwise an explicit formula in the conditional moments. Profiles, the
+sweeps and add-edge all read their risks off this core; the no-failure
+baseline is the profile of the empty scenario.
 """
 from __future__ import annotations
 
@@ -17,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import CovarianceMatrix
-from .errors import (IllConditionedScenarioError, InvalidParameterError,
-                     InvalidQueryError, NumericalError)
+from .errors import InvalidParameterError, InvalidQueryError, NumericalError
 from .graph import _integer
 
 # Reject conditioning when the failed-block covariance has 2-norm
@@ -42,14 +44,6 @@ def _check_query(d: float, c: float | None = None) -> None:
         raise InvalidQueryError(f"offset c={c!r} must be >= 1")
 
 
-def _pair_index(i) -> int:
-    """i as a pair index: an integer or an integral float, not a bool."""
-    index = _integer(i)
-    if index is None:
-        raise InvalidQueryError(f"pair index {i!r} is not an integer")
-    return index
-
-
 @dataclass(frozen=True)
 class FailureScenario:
     """Failed pairs (1-based, strictly increasing) and their observed
@@ -59,7 +53,8 @@ class FailureScenario:
     states: tuple
 
     def __post_init__(self):
-        idx = tuple(map(_pair_index, self.indices))
+        idx = tuple(_integer(i, "pair index", InvalidQueryError)
+                    for i in self.indices)
         if any(isinstance(s, (bool, np.bool_)) for s in self.states):
             raise InvalidQueryError(
                 f"observed states must be numbers, not bools, got {self.states}")
@@ -83,22 +78,6 @@ class FailureScenario:
 
     def __contains__(self, j: int) -> bool:
         return j in self.indices
-
-
-@dataclass(frozen=True)
-class ConditionalDistribution:
-    """Mean and standard deviation of one pair distance after
-    conditioning on the failed pairs."""
-
-    mu_tilde: float
-    sigma_tilde: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma_tilde) and self.sigma_tilde > 0.0):
-            raise InvalidParameterError(
-                f"sigma_tilde={self.sigma_tilde!r} must be positive")
-        if not math.isfinite(self.mu_tilde):
-            raise InvalidParameterError(f"mu_tilde={self.mu_tilde!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -227,32 +206,11 @@ def _condition_scenario(sigma: CovarianceMatrix, scenario: FailureScenario,
     return _condition_stack(sigma.values, idx, states, d)
 
 
-def _entry_error(cnd: _Conditioned, j: int) -> str | None:
-    """Why pair j (1-based) of a one-scenario stack has no conditional
-    law."""
-    if cnd.errors[0] is not None:
-        return cnd.errors[0]
-    var = cnd.var[0, j - 1]
-    if var <= 0.0:
-        return f"conditional variance {var:.3g} for pair {j} is not positive"
-    return None
-
-
-def condition(sigma: CovarianceMatrix, d: float, j: int,
-              scenario: FailureScenario) -> ConditionalDistribution:
-    """Gaussian conditional law of pair j's distance given the observed
-    distances of the failed pairs."""
-    _check_query(d)
-    if not 1 <= j <= sigma.dim:
-        raise InvalidQueryError(f"pair index {j} outside 1..{sigma.dim}")
-    if j in scenario:
-        raise InvalidQueryError(f"queried pair {j} is already failed")
-    cnd = _condition_scenario(sigma, scenario, d)
-    error = _entry_error(cnd, j)
-    if error is not None:
-        raise IllConditionedScenarioError(error)
-    return ConditionalDistribution(float(cnd.mu[0, j - 1]),
-                                   math.sqrt(cnd.var[0, j - 1]))
+def _entry_error(cnd: _Conditioned, j: int) -> str:
+    """Why pair j (1-based) of a one-scenario stack, a survivor that is
+    not usable, has no conditional law."""
+    return cnd.errors[0] or (f"conditional variance {cnd.var[0, j - 1]:.3g} "
+                             f"for pair {j} is not positive")
 
 
 def iota(epsilon: float) -> float:
@@ -263,16 +221,6 @@ def iota(epsilon: float) -> float:
         raise InvalidQueryError(
             f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
     return _STD_NORMAL.inv_cdf(epsilon) / _SQRT2
-
-
-def var_risk(cond: ConditionalDistribution, d: float, c: float,
-             epsilon: float) -> RiskResult:
-    """Three-branch value-at-risk of the conditioned pair."""
-    _check_query(d, c)
-    value, branch = _var_risk_array(np.array([cond.mu_tilde]),
-                                    np.array([cond.sigma_tilde]), d, c,
-                                    iota(epsilon))
-    return RiskResult(value.item(), _BRANCHES[branch.item()])
 
 
 def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
@@ -301,14 +249,6 @@ def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
             f"risk value {value[overflowed][0]!r} inconsistent with branch "
             f"'finite'")
     return value, branch
-
-
-def _naive_column(stds, d: float, c: float, it: float) -> list:
-    """No-failure risk for a column of marginal standard deviations (the
-    marginal law N(d, std) of each pair), on checked inputs with
-    it = iota(epsilon)."""
-    stds = np.asarray(stds, dtype=float)
-    return _var_risk_array(np.full(stds.shape, d), stds, d, c, it)[0].tolist()
 
 
 def _stack_risk(cnd: _Conditioned, d: float, c: float, it: float):

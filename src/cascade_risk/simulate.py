@@ -55,7 +55,7 @@ class SimConfig:
             raise InvalidParameterError(
                 f"sample_interval={self.sample_interval!r} must be positive")
         for name in ("samples_per_trial", "trials", "seed"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         # The standard errors need at least 2 trials and 2 samples each.
         if self.samples_per_trial < 2:
             raise InvalidParameterError(
@@ -65,14 +65,6 @@ class SimConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidParameterError(
                 f"seed={self.seed!r} must be a 64-bit unsigned integer")
-
-
-def _count(name, value) -> int:
-    """value as an int: an integer or an integral float, not a bool."""
-    count = _integer(value)
-    if count is None:
-        raise InvalidParameterError(f"{name}={value!r} is not an integer")
-    return count
 
 
 def _delay_steps(tau: float, dt: float) -> int:

@@ -7,17 +7,17 @@ import time
 import numpy as np
 import pytest
 
-from cascade_risk import (ConditionalDistribution, CovarianceMatrix,
-                          FailureScenario, NoiseParams, PlatoonParams,
-                          SimConfig, build_complete, build_path,
-                          build_pcycle, check_platoon,
-                          complete_graph_sigma_c, complete_profile,
-                          condition, laplacian, risk_profile, run, spectrum,
-                          steady_state_covariance, var_risk)
+from cascade_risk import (CovarianceMatrix, FailureScenario, NoiseParams,
+                          PlatoonParams, SimConfig, build_complete,
+                          build_path, build_pcycle, check_platoon,
+                          complete_graph_sigma_c, complete_profile, iota,
+                          laplacian, risk_profile, run, spectrum,
+                          steady_state_covariance)
 from cascade_risk.cli import main
 from cascade_risk.closed_form import _run_weights
+from cascade_risk.risk import _BRANCHES, _var_risk_array
 
-from oracles import normal_cdf, tridiag_matrix, var_bisect
+from oracles import normal_cdf, tridiag_matrix, var_bisect, var_risk_scalar
 
 COMPLETE_NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
@@ -92,13 +92,15 @@ def test_04_risk_against_bisection_oracle(budget):
         d = float(rng.uniform(0.5, 10.0))
         c = float(rng.uniform(1.0, 5.0))
         epsilon = float(rng.uniform(0.01, 0.99))
-        result = var_risk(ConditionalDistribution(mu, sigma), d, c, epsilon)
-        if result.branch == "finite":
+        value, code = _var_risk_array(np.array([mu]), np.array([sigma]), d,
+                                      c, iota(epsilon))
+        value, branch = value.item(), _BRANCHES[code.item()]
+        if branch == "finite":
             oracle = var_bisect(mu, sigma, d, c, epsilon,
-                                hi=2.0 * result.value + 10.0)
-            assert abs(result.value - oracle) <= 1e-6
+                                hi=2.0 * value + 10.0)
+            assert abs(value - oracle) <= 1e-6
             finite += 1
-        elif result.branch == "zero":
+        elif branch == "zero":
             # the tightest alarm zone is already improbable enough
             assert normal_cdf((d / c - mu) / sigma) <= epsilon + 1e-12
             zero += 1
@@ -135,13 +137,13 @@ def test_06_complete_graph_profile_reproduction(budget):
         entry = entries[j]
         assert entry.error is None
         if not 22 <= j <= 28:
-            naive = var_risk(ConditionalDistribution(
-                d, math.sqrt(sigma.values[j - 1, j - 1])), d, c, epsilon)
-            assert entry.risk.branch == naive.branch
-            if math.isfinite(naive.value):
-                assert abs(entry.risk.value - naive.value) <= 1e-12
+            naive, branch = var_risk_scalar(
+                d, math.sqrt(sigma.values[j - 1, j - 1]), d, c, iota(epsilon))
+            assert entry.risk.branch == branch
+            if math.isfinite(naive):
+                assert abs(entry.risk.value - naive) <= 1e-12
             else:
-                assert entry.risk.value == naive.value
+                assert entry.risk.value == naive
     front, back = entries[22].risk, entries[28].risk
     assert front.branch == back.branch
     if math.isfinite(front.value):
@@ -171,13 +173,18 @@ def test_07_risk_monotone_in_epsilon(budget):
         j = int(chosen[int(rng.integers(0, m + 1))])
         indices = tuple(int(k) for k in chosen if k != j)
         states = tuple(rng.uniform(0.0, 2.0 * d, size=m))
-        cnd = condition(sigma, d, j, FailureScenario(indices, states))
-        assert cnd.sigma_tilde <= math.sqrt(sigma.values[j - 1, j - 1]) + 1e-12
         c = float(rng.uniform(1.0, 3.0))
-        results = [var_risk(cnd, d, c, float(eps)) for eps in eps_grid]
-        for prev, cur in zip(results, results[1:]):
-            assert cur.value <= prev.value * (1.0 + 1e-12) + 1e-12
-            assert order[cur.branch] >= order[prev.branch]
+        entry = risk_profile(sigma, FailureScenario(indices, states), d, c,
+                             0.5)[j - 1]
+        assert entry.sigma_tilde <= \
+            math.sqrt(sigma.values[j - 1, j - 1]) + 1e-12
+        results = [_var_risk_array(np.array([entry.mu_tilde]),
+                                   np.array([entry.sigma_tilde]), d, c,
+                                   iota(float(eps))) for eps in eps_grid]
+        for (prev, prev_code), (cur, cur_code) in zip(results, results[1:]):
+            assert cur.item() <= prev.item() * (1.0 + 1e-12) + 1e-12
+            assert order[_BRANCHES[cur_code.item()]] >= \
+                order[_BRANCHES[prev_code.item()]]
     assert budget(30.0)
 
 

@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_risk
-from cascade_risk import (ConditionalDistribution, NoiseParams, build_path,
-                          laplacian, region_bound, spectrum,
-                          steady_state_covariance, var_risk)
+from cascade_risk import (NoiseParams, build_path, iota, laplacian,
+                          region_bound, spectrum, steady_state_covariance)
 from cascade_risk.cli import _SCHEMAS, build_parser, main, render_csv
 
-from oracles import format_cell
+from oracles import format_cell, var_risk_scalar
 
 PATH6 = """\
 [graph]
@@ -267,8 +266,8 @@ def test_sweep_scale_baseline_rows(tmp_path, capsys):
     for row in rows[:5]:
         assert row[0] == "0"
         j = int(row[1])
-        expected = var_risk(ConditionalDistribution(
-            3.0, math.sqrt(sigma.values[j - 1, j - 1])), 3.0, 2.0, 0.1).value
+        expected, _ = var_risk_scalar(
+            3.0, math.sqrt(sigma.values[j - 1, j - 1]), 3.0, 2.0, iota(0.1))
         assert float(row[2]) == expected
     for row in rows[5:]:
         m, j = int(row[0]), int(row[1])
@@ -426,6 +425,68 @@ def test_add_edge_destabilizing_targets(tmp_path, capsys):
     assert abs(float(rows[0][1]) - 0.17590627659760427) <= 5e-6 * 2.18
     assert rows[1:] == [["1", "", "0"], ["2", "", "0"], ["3", "", "0"],
                         ["6", "", "0"]]
+
+
+def test_add_edge_refuses_failed_or_out_of_range_pair(tmp_path, capsys):
+    # PATH6 has pair 3 failed and pairs 1..5
+    cfg = write_cfg(tmp_path, PATH6)
+    for pair, message in (("3", "queried pair 3 is already failed"),
+                          ("0", "pair index 0 outside 1..5"),
+                          ("6", "pair index 6 outside 1..5")):
+        assert main(["add-edge", "--config", cfg, "--pair", pair]) == 1
+        assert message in capsys.readouterr().err
+
+
+def _pair_block_cond(graph, indices):
+    sigma = steady_state_covariance(
+        spectrum(laplacian(graph)), NoiseParams(g=0.1, tau=0.03, beta=2.0))
+    idx = np.array(indices) - 1
+    return float(np.linalg.cond(sigma.values[np.ix_(idx, idx)]))
+
+
+def test_add_edge_refused_scenario(tmp_path, capsys, monkeypatch):
+    # failures at pairs 2 and 3; which failed blocks are refused is set
+    # through the condition-number limit
+    cfg = write_cfg(tmp_path, PATH6.replace("indices = [3]",
+                                            "indices = [2, 3]"))
+    graph = build_path(6)
+    base = _pair_block_cond(graph, (2, 3))
+    # every two-failure block is refused: the baseline has no risk
+    monkeypatch.setattr(cascade_risk.risk, "RCOND_MIN", 1.0)
+    assert main(["add-edge", "--config", cfg, "--pair", "4"]) == 2
+    assert "numerical error" in capsys.readouterr().err
+    # the baseline's block passes, so do candidates that condition no
+    # worse; the others get an empty risk and stay stable
+    limit = base * (1.0 + 1e-9)
+    monkeypatch.setattr(cascade_risk.risk, "RCOND_MIN", 1.0 / limit)
+    assert main(["add-edge", "--config", cfg, "--pair", "4"]) == 0
+    rows = parse_csv(capsys.readouterr().out)[2]
+    assert rows[0][0] == "0" and rows[0][1] != "" and rows[0][2] == "1"
+    refused = []
+    for target, risk, stable in rows[1:]:
+        cond = _pair_block_cond(
+            cascade_risk.add_pair_edges(graph, 4, int(target)), (2, 3))
+        assert stable == "1"
+        assert (risk == "") == (cond > limit), (target, cond, limit)
+        if risk == "":
+            refused.append(target)
+    assert refused and len(refused) < len(rows) - 1
+
+
+@pytest.mark.parametrize("method", ["generic", "closed-form"])
+def test_naive_column_is_profile_without_failures(tmp_path, capsys, method):
+    # the naive_risk column of a scenario run is, to the byte, the risk
+    # column of the same platoon with no [scenario]
+    runs = {}
+    for name, text in (("scenario", COMPLETE12),
+                       ("none", COMPLETE12.split("[scenario]")[0])):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert main(["risk-profile", "--config", cfg,
+                     "--method", method]) == 0
+        runs[name] = parse_csv(capsys.readouterr().out)[2]
+    assert [r[5] for r in runs["scenario"]].count("1") == 3
+    assert [r[6] for r in runs["scenario"]] == [r[1] for r in runs["none"]]
+    assert [r[6] for r in runs["none"]] == [r[1] for r in runs["none"]]
 
 
 def test_simulate_subcommand(tmp_path, capsys):

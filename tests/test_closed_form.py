@@ -11,11 +11,11 @@ from cascade_risk import (CovarianceMatrix, FailureScenario,
                           InvalidParameterError, InvalidQueryError,
                           InvalidSizeError, NoiseParams, NumericalError,
                           build_complete, complete_graph_sigma_c,
-                          complete_profile, condition, laplacian,
-                          risk_profile, spectrum, steady_state_covariance)
+                          complete_profile, laplacian, risk_profile,
+                          spectrum, steady_state_covariance)
 from cascade_risk.closed_form import _run_weights
 
-from oracles import tridiag_matrix
+from oracles import conditional_moments, tridiag_matrix
 
 NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 
@@ -196,9 +196,10 @@ def test_case_stats_matches_generic_conditioning():
                                                      size=len(indices)))
         scenario = FailureScenario(indices, states)
         mu, sig = _moments(n, scenario, sc, d, j)
-        ref = condition(sigma, d, j, scenario)
-        assert abs(mu - ref.mu_tilde) < 1e-10
-        assert abs(sig - ref.sigma_tilde) < 1e-10
+        ref_mu, ref_sig = conditional_moments(sigma.values, d, j, indices,
+                                              states)
+        assert abs(mu - ref_mu) < 1e-10
+        assert abs(sig - ref_sig) < 1e-10
 
 
 def test_complete_profile_matches_generic():
@@ -231,7 +232,7 @@ def test_complete_profile_overflowed_moment_raises():
 
 
 def test_complete_profile_rejects_bad_query_when_all_failed():
-    # every pair failed: no pair reaches var_risk, so the query is
+    # every pair failed: no pair reaches the risk branches, so the query is
     # checked at entry
     scenario = FailureScenario((1, 2, 3), (0.0, 0.0, 0.0))
     complete_profile(4, scenario, 4.0, 3.0, 2.0, 0.1)
@@ -240,6 +241,16 @@ def test_complete_profile_rejects_bad_query_when_all_failed():
             complete_profile(4, scenario, 4.0, 3.0, c, eps)
     with pytest.raises(InvalidParameterError):
         complete_profile(4, scenario, 4.0, 0.0, 2.0, 0.1)
+
+
+def test_complete_profile_count_rule():
+    # the vehicle count is an integer or an integral float, not a bool
+    scenario = FailureScenario((2,), (0.0,))
+    assert complete_profile(5.0, scenario, 4.0, 3.0, 2.0, 0.1) == \
+        complete_profile(5, scenario, 4.0, 3.0, 2.0, 0.1)
+    for bad in (5.5, True, math.inf):
+        with pytest.raises(InvalidSizeError):
+            complete_profile(bad, scenario, 4.0, 3.0, 2.0, 0.1)
 
 
 def test_complete_profile_rejects_bad_sigma_c():

@@ -190,6 +190,8 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(InvalidParameterError):
         CovarianceMatrix(np.ones((2, 3)))
+    with pytest.raises(InvalidParameterError):
+        CovarianceMatrix(np.zeros((0, 0)))
 
 
 def test_steady_state_covariance_path_oracle():
@@ -254,6 +256,15 @@ def test_complete_graph_sigma_c_frozen():
     assert abs(math.sqrt(sc) - 2.832282186724222) < 1e-9
     with pytest.raises(InvalidSizeError):
         complete_graph_sigma_c(1, COMPLETE_NOISE)
+
+
+def test_complete_graph_sigma_c_count_rule():
+    # the vehicle count is an integer or an integral float, not a bool
+    assert complete_graph_sigma_c(50.0, COMPLETE_NOISE) == \
+        complete_graph_sigma_c(50, COMPLETE_NOISE)
+    for bad in (2.5, True, math.nan, "50"):
+        with pytest.raises(InvalidSizeError):
+            complete_graph_sigma_c(bad, COMPLETE_NOISE)
 
 
 def test_complete_graph_matches_generic_small():

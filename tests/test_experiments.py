@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cascade_risk import (ConditionalDistribution, InvalidParameterError,
-                          InvalidQueryError, NoiseParams, build_path,
-                          laplacian, spectrum, steady_state_covariance,
-                          var_risk)
+from cascade_risk import (FailureScenario, InvalidParameterError,
+                          InvalidQueryError, NoiseParams, build_path, iota,
+                          laplacian, spectrum, steady_state_covariance)
 from cascade_risk import experiments
 from cascade_risk.covariance import CovarianceMatrix
-from cascade_risk.experiments import sweep_sparsity_rows
+from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
+                                      sweep_sparsity_rows)
 
-from oracles import conditional_moments
+from oracles import conditional_moments, var_risk_scalar
 
 D, C, EPSILON, STATE, M = 3.0, 1.5, 0.2, 1.0, 3
 
@@ -51,8 +51,7 @@ def _oracle_rows(sigma):
                 continue
             mu, sig = conditional_moments(sigma.values, D, j, idx,
                                           (STATE,) * M)
-            risks.append(var_risk(ConditionalDistribution(mu, sig),
-                                  D, C, EPSILON).value)
+            risks.append(var_risk_scalar(mu, sig, D, C, iota(EPSILON))[0])
         value = math.inf if math.inf in risks else sum(risks) / len(risks)
         levels.setdefault(idx[-1] - idx[0] + 1 - M, []).append(value)
     rows = []
@@ -144,11 +143,48 @@ def test_one_factorization_per_chunk(path8, monkeypatch):
 
 
 def test_sweep_checks_query_at_entry(path8):
-    for state in (math.nan, math.inf):
+    for state in (math.nan, math.inf, True, np.True_):
         with pytest.raises(InvalidQueryError):
             sweep_sparsity_rows(path8, D, C, EPSILON, M, state, seed=11)
+        with pytest.raises(InvalidQueryError):
+            sweep_scale_rows(path8, D, C, EPSILON, M, state)
     for c, eps in ((0.5, EPSILON), (C, 1.0)):
         with pytest.raises(InvalidQueryError):
             sweep_sparsity_rows(path8, D, c, eps, M, STATE, seed=11)
     with pytest.raises(InvalidParameterError):
         sweep_sparsity_rows(path8, -D, C, EPSILON, M, STATE, seed=11)
+
+
+def test_sweep_counts_follow_integer_rule(path8):
+    assert sweep_scale_rows(path8, D, C, EPSILON, 2.0, STATE) == \
+        sweep_scale_rows(path8, D, C, EPSILON, 2, STATE)
+    assert sweep_sparsity_rows(path8, D, C, EPSILON, 2.0, STATE, seed=11) == \
+        sweep_sparsity_rows(path8, D, C, EPSILON, 2, STATE, seed=11)
+    for bad in (2.5, True, math.nan, "2"):
+        with pytest.raises(InvalidQueryError):
+            sweep_scale_rows(path8, D, C, EPSILON, bad, STATE)
+        with pytest.raises(InvalidQueryError):
+            sweep_sparsity_rows(path8, D, C, EPSILON, bad, STATE, seed=11)
+
+
+PATH6_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
+
+
+def test_add_edge_pair_follows_integer_rule():
+    graph, scenario = build_path(6), FailureScenario((3,), (0.0,))
+    rows = add_edge_rows(graph, D, PATH6_NOISE, EPSILON, C, scenario, 4)
+    assert add_edge_rows(graph, D, PATH6_NOISE, EPSILON, C, scenario,
+                         4.0) == rows
+    for j in (True, 2.5, np.bool_(True), "4"):
+        with pytest.raises(InvalidQueryError):
+            add_edge_rows(graph, D, PATH6_NOISE, EPSILON, C, scenario, j)
+
+
+def test_add_edge_checks_query_at_entry():
+    graph, scenario = build_path(6), FailureScenario((3,), (0.0,))
+    for d in (0.0, -D, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            add_edge_rows(graph, d, PATH6_NOISE, EPSILON, C, scenario, 4)
+    for c, eps in ((0.5, EPSILON), (C, 0.0), (C, 1.0)):
+        with pytest.raises(InvalidQueryError):
+            add_edge_rows(graph, D, PATH6_NOISE, eps, c, scenario, 4)

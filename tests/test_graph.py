@@ -114,6 +114,12 @@ def test_spectrum_rejects_nonsymmetric():
         spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidParameterError):
         spectrum(np.zeros((2, 3)))
+    # empty or non-finite: a NaN slips past a max-based symmetry test,
+    # and eigh would return NaN eigenvalues for it
+    for bad in ([[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                [[1.0, -math.inf], [-math.inf, 1.0]], np.zeros((0, 0))):
+        with pytest.raises(InvalidParameterError):
+            spectrum(bad)
 
 
 @pytest.mark.parametrize("build,args", [
@@ -149,6 +155,15 @@ def test_custom_graph_matches_path():
     [(0, 2, 1.0)],                     # out of range
     [(1, 2, -1.0), (2, 3, 1.0)],       # negative weight
     [(1, 2, 1.0)],                     # disconnected (n=3)
+    # refused at the config layer too
+    [(1, 2, 1.0), (2, 1, 5.0), (2, 3, 1.0)],     # repeated, reversed
+    [(1, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0)],     # repeated, same weight
+    [(1, 2, True), (2, 3, 1.0)],                 # bool weight
+    [(1, 2, np.True_), (2, 3, 1.0)],
+    [(1, 2, "1"), (2, 3, 1.0)],                  # non-numeric weight
+    [(1, 2, None), (2, 3, 1.0)],
+    [5, (2, 3, 1.0)],                            # not a sequence
+    [None, (2, 3, 1.0)],
 ])
 def test_custom_graph_rejects(edges):
     with pytest.raises((InvalidParameterError, InvalidSizeError)):
@@ -224,16 +239,17 @@ def test_pair_difference_matrix():
 @given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_random_graph_laplacian_properties(n, seed):
     rng = np.random.default_rng(seed)
-    edges = []
+    # keyed by pair, since build_custom refuses a repeated edge: a later
+    # draw of the same pair replaces the earlier one
+    edges = {}
     for i in range(2, n + 1):
-        edges.append((int(rng.integers(1, i)), i,
-                      float(rng.uniform(0.1, 2.0))))
+        edges[int(rng.integers(1, i)), i] = float(rng.uniform(0.1, 2.0))
     for _ in range(n):
         i, j = rng.integers(1, n + 1, size=2)
         if i != j:
-            edges.append((int(min(i, j)), int(max(i, j)),
-                          float(rng.uniform(0.1, 2.0))))
-    g = build_custom(n, edges)
+            edges[int(min(i, j)), int(max(i, j))] = float(
+                rng.uniform(0.1, 2.0))
+    g = build_custom(n, [(i, j, w) for (i, j), w in edges.items()])
     L = laplacian(g)
     assert np.abs(L.sum(axis=1)).max() < 1e-12
     lam = spectrum(L).eigenvalues

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_risk import (ConditionalDistribution, FailureScenario,
-                          IllConditionedScenarioError, InvalidParameterError,
+from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
-                          RiskResult, build_path, condition, iota, laplacian,
-                          risk_profile, spectrum, steady_state_covariance,
-                          var_risk)
+                          RiskResult, build_path, iota, laplacian,
+                          risk_profile, spectrum, steady_state_covariance)
 from cascade_risk.covariance import CovarianceMatrix
-from cascade_risk.risk import _BRANCHES, _naive_column, _var_risk_array
+from cascade_risk.experiments import add_edge_rows
+from cascade_risk.risk import _BRANCHES, _condition_scenario, _var_risk_array
 
 from oracles import (conditional_moments, erfinv_bisect, normal_cdf,
                      var_bisect, var_risk_scalar)
@@ -72,36 +71,48 @@ def test_risk_result_validation():
             RiskResult(value, branch)
 
 
+def _entry(sigma, d, j, scenario):
+    """Profile entry of pair j, at c = 1 and epsilon = 0.1."""
+    entry = risk_profile(sigma, scenario, d, 1.0, 0.1)[j - 1]
+    assert entry.j == j and not entry.failed
+    return entry
+
+
 def test_condition_rejects_bad_indices(path6_sigma):
-    with pytest.raises(InvalidQueryError):      # queried pair already failed
-        condition(path6_sigma, 3.0, 2, FailureScenario((2,), (0.0,)))
-    for j in (0, 6, 9):                         # j outside 1..5
+    # the queried pair of add-edge: not failed, inside 1..5
+    graph = build_path(6)
+    with pytest.raises(InvalidQueryError):
+        add_edge_rows(graph, 3.0, PATH_NOISE, 0.1, 1.0,
+                      FailureScenario((2,), (0.0,)), 2)
+    for j in (0, 6, 9):
         with pytest.raises(InvalidQueryError):
-            condition(path6_sigma, 3.0, j, FailureScenario((), ()))
+            add_edge_rows(graph, 3.0, PATH_NOISE, 0.1, 1.0,
+                          FailureScenario((), ()), j)
     with pytest.raises(InvalidQueryError):      # failed pair outside 1..5
-        condition(path6_sigma, 3.0, 1, FailureScenario((7,), (0.0,)))
+        risk_profile(path6_sigma, FailureScenario((7,), (0.0,)), 3.0, 1.0,
+                     0.1)
 
 
 def test_condition_empty_scenario(path6_sigma):
-    cnd = condition(path6_sigma, 3.0, 2, FailureScenario((), ()))
-    assert cnd.mu_tilde == 3.0
-    assert cnd.sigma_tilde == math.sqrt(path6_sigma.values[1, 1])
+    entry = _entry(path6_sigma, 3.0, 2, FailureScenario((), ()))
+    assert entry.mu_tilde == 3.0
+    assert entry.sigma_tilde == math.sqrt(path6_sigma.values[1, 1])
 
 
 def test_condition_on_target_states_keeps_mean(path6_sigma):
     d = 3.0
-    cnd = condition(path6_sigma, d, 3, FailureScenario((1, 5), (d, d)))
-    assert cnd.mu_tilde == d
-    assert cnd.sigma_tilde < math.sqrt(path6_sigma.values[2, 2])
+    entry = _entry(path6_sigma, d, 3, FailureScenario((1, 5), (d, d)))
+    assert entry.mu_tilde == d
+    assert entry.sigma_tilde < math.sqrt(path6_sigma.values[2, 2])
 
 
 def test_condition_matches_matrix_inverse_oracle(path6_sigma):
     scenario = FailureScenario((1, 2, 5), (0.1, 0.5, 2.9))
-    cnd = condition(path6_sigma, 3.0, 4, scenario)
+    entry = _entry(path6_sigma, 3.0, 4, scenario)
     mu, sig = conditional_moments(path6_sigma.values, 3.0, 4,
                                   scenario.indices, scenario.states)
-    assert abs(cnd.mu_tilde - mu) < 1e-12
-    assert abs(cnd.sigma_tilde - sig) < 1e-12
+    assert abs(entry.mu_tilde - mu) < 1e-12
+    assert abs(entry.sigma_tilde - sig) < 1e-12
 
 
 def test_condition_rejects_singular_block():
@@ -110,13 +121,13 @@ def test_condition_rejects_singular_block():
                   [1.0 - eps, 1.0, 0.1],
                   [0.1, 0.1, 1.0]])
     sigma = CovarianceMatrix(v)
-    with pytest.raises(IllConditionedScenarioError):
-        condition(sigma, 1.0, 3, FailureScenario((1, 2), (0.5, 0.5)))
+    entry = _entry(sigma, 1.0, 3, FailureScenario((1, 2), (0.5, 0.5)))
+    assert entry.risk is None and entry.mu_tilde is None and entry.error
 
 
 def test_condition_rejects_bad_gap(path6_sigma):
     with pytest.raises(InvalidParameterError):
-        condition(path6_sigma, 0.0, 1, FailureScenario((), ()))
+        risk_profile(path6_sigma, FailureScenario((), ()), 0.0, 1.0, 0.1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,9 +142,9 @@ def test_condition_never_inflates_variance(seed):
     free = [j for j in range(1, 6) if j not in idx]
     j = int(rng.choice(free))
     states = rng.uniform(0.0, 6.0, size=m)
-    cnd = condition(sigma, 3.0, j, FailureScenario(tuple(int(i) for i in idx),
-                                                   tuple(states)))
-    assert cnd.sigma_tilde <= math.sqrt(sigma.values[j - 1, j - 1]) + 1e-15
+    entry = _entry(sigma, 3.0, j, FailureScenario(tuple(int(i) for i in idx),
+                                                  tuple(states)))
+    assert entry.sigma_tilde <= math.sqrt(sigma.values[j - 1, j - 1]) + 1e-15
 
 
 def test_iota_values():
@@ -158,29 +169,32 @@ def test_iota_exact_over_whole_range():
         assert abs(math.erfc(iota(eps)) / 2.0 - tail) <= 1e-12 * tail
 
 
+def _var_risk(mu, sig, d, c, eps):
+    """_var_risk_array at one (mu, sig) as a RiskResult."""
+    value, branch = _var_risk_array(np.array([mu]), np.array([sig]), d, c,
+                                    iota(eps))
+    return RiskResult(value.item(), _BRANCHES[branch.item()])
+
+
 def test_naive_risk_branch_stable_for_tiny_epsilon():
     # iota must stay finite below 1e-16, where 2 eps - 1 rounds to -1;
     # an iota of -inf would flip this query to `infinite`
     for eps in (1e-16, 1e-17, 1e-20):
-        cnd = ConditionalDistribution(3.0, 0.1)
-        assert var_risk(cnd, 3.0, 2.0, eps).branch == "zero"
+        assert _var_risk(3.0, 0.1, 3.0, 2.0, eps).branch == "zero"
 
 
 def test_var_risk_zero_branch_boundary():
-    cnd = ConditionalDistribution(3.0, 1.0)
-    res = var_risk(cnd, 3.0, 1.0, 0.5)
+    res = _var_risk(3.0, 1.0, 3.0, 1.0, 0.5)
     assert res.branch == "zero" and res.value == 0.0
 
 
 def test_var_risk_infinite_branch():
-    cnd = ConditionalDistribution(0.0, 1.0)
-    res = var_risk(cnd, 3.0, 1.0, 0.3)
+    res = _var_risk(0.0, 1.0, 3.0, 1.0, 0.3)
     assert res.branch == "infinite" and res.value == math.inf
 
 
 def test_var_risk_finite_against_bisection():
-    cnd = ConditionalDistribution(2.5, 0.8)
-    res = var_risk(cnd, 3.0, 1.0, 0.2)
+    res = _var_risk(2.5, 0.8, 3.0, 1.0, 0.2)
     assert res.branch == "finite"
     ref = var_bisect(2.5, 0.8, 3.0, 1.0, 0.2)
     assert abs(res.value - ref) < 1e-6
@@ -198,7 +212,7 @@ def test_var_risk_branch_conditions_match_probabilities():
         d = float(rng.uniform(0.5, 6.0))
         c = float(rng.uniform(1.0, 3.0))
         eps = float(rng.uniform(0.01, 0.99))
-        res = var_risk(ConditionalDistribution(mu, sig), d, c, eps)
+        res = _var_risk(mu, sig, d, c, eps)
         p_at_zero = normal_cdf((d / c - mu) / sig)
         p_in_c = normal_cdf((0.0 - mu) / sig)
         if res.branch == "zero":
@@ -211,15 +225,18 @@ def test_var_risk_branch_conditions_match_probabilities():
 
 
 def test_naive_risk_equals_empty_conditioning(path6_sigma):
-    # the no-failure column of profiles and sweeps
+    # the no-failure column of profiles and sweeps: the marginal law
+    # N(d, sigma_jj) of each pair, to the bit
     d, c, eps = 3.0, 1.5, 0.23
-    stds = [math.sqrt(path6_sigma.values[j - 1, j - 1]) for j in range(1, 6)]
-    column = _naive_column(stds, d, c, iota(eps))
-    for j, value in enumerate(column, start=1):
-        b = var_risk(condition(path6_sigma, d, j, FailureScenario((), ())),
-                     d, c, eps)
-        assert value == b.value
-    assert _naive_column([1.0], 3.0, 1.0, iota(0.5)) == [0.0]
+    entries = risk_profile(path6_sigma, FailureScenario((), ()), d, c, eps)
+    for e in entries:
+        std = math.sqrt(path6_sigma.values[e.j - 1, e.j - 1])
+        assert (e.mu_tilde, e.sigma_tilde) == (d, std)
+        value, branch = var_risk_scalar(d, std, d, c, iota(eps))
+        assert e.risk == RiskResult(value, branch)
+    entries = risk_profile(CovarianceMatrix(np.array([[1.0]])),
+                           FailureScenario((), ()), 3.0, 1.0, 0.5)
+    assert [e.risk.value for e in entries] == [0.0]
 
 
 def test_risk_profile_structure(path6_sigma):
@@ -232,19 +249,23 @@ def test_risk_profile_structure(path6_sigma):
             assert e.mu_tilde is None
         else:
             assert not e.failed
-            cnd = condition(path6_sigma, 3.0, e.j, scenario)
-            assert e.mu_tilde == cnd.mu_tilde
-            assert e.sigma_tilde == cnd.sigma_tilde
-            assert e.risk == var_risk(cnd, 3.0, 2.0, 0.1)
+            mu, sig = conditional_moments(path6_sigma.values, 3.0, e.j,
+                                          scenario.indices, scenario.states)
+            assert abs(e.mu_tilde - mu) < 1e-12
+            assert abs(e.sigma_tilde - sig) < 1e-12
+            value, branch = var_risk_scalar(e.mu_tilde, e.sigma_tilde, 3.0,
+                                            2.0, iota(0.1))
+            assert e.risk == RiskResult(value, branch)
 
 
 def test_risk_profile_empty_scenario_is_naive(path6_sigma):
     entries = risk_profile(path6_sigma, FailureScenario((), ()),
                            3.0, 2.0, 0.1)
     for e in entries:
-        ref = var_risk(ConditionalDistribution(
-            3.0, math.sqrt(path6_sigma.values[e.j - 1, e.j - 1])), 3.0, 2.0, 0.1)
-        assert e.risk.value == ref.value
+        ref, _ = var_risk_scalar(
+            3.0, math.sqrt(path6_sigma.values[e.j - 1, e.j - 1]), 3.0, 2.0,
+            iota(0.1))
+        assert e.risk.value == ref
 
 
 def _singular_block_sigma():
@@ -269,7 +290,8 @@ def test_risk_profile_singular_block_marks_entries():
 
 
 def test_risk_profile_rejects_bad_query_on_singular_block():
-    # no pair reaches var_risk here, so the query is checked at entry
+    # no pair reaches the risk branches here, so the query is checked at
+    # entry
     sigma = _singular_block_sigma()
     scenario = FailureScenario((1, 2), (0.5, 0.5))
     for c, eps in ((1.0, 7.0), (0.5, 0.1)):
@@ -296,7 +318,7 @@ def test_risk_profile_overflowed_moment_raises():
     with pytest.raises(NumericalError):
         risk_profile(sigma, FailureScenario((2,), (1e308,)), 3.0, 1.0, 0.1)
     with pytest.raises(NumericalError):
-        condition(sigma, 3.0, 1, FailureScenario((2,), (1e308,)))
+        _condition_scenario(sigma, FailureScenario((2,), (1e308,)), 3.0)
 
 
 _moment = st.floats(-50.0, 50.0, allow_nan=False)
@@ -362,14 +384,12 @@ def test_risk_profile_matches_matrix_inverse_oracle(seed, dim, kind):
         scale = abs(mu) + math.sqrt(sigma.values[e.j - 1, e.j - 1])
         assert abs(e.mu_tilde - mu) <= 1e-10 * scale
         assert abs(e.sigma_tilde - sig) <= 1e-10 * sig
-        assert e.risk.branch == var_risk(ConditionalDistribution(mu, sig),
-                                         d, c, eps).branch
+        assert e.risk.branch == var_risk_scalar(mu, sig, d, c, iota(eps))[1]
 
 
 def test_var_risk_exactly_on_infinite_edge():
     # mu = -sqrt(2) iota sigma puts P{X < 0} at epsilon: the risk is
     # infinite, not a division by a zero denominator
     it = iota(0.75)
-    cnd = ConditionalDistribution(-it * math.sqrt(2.0) * 4.5, 4.5)
-    res = var_risk(cnd, 1.0, 1.0, 0.75)
+    res = _var_risk(-it * math.sqrt(2.0) * 4.5, 4.5, 1.0, 1.0, 0.75)
     assert res.branch == "infinite" and res.value == math.inf
