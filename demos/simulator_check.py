@@ -13,28 +13,28 @@ CLI equivalent:
 """
 import numpy as np
 
-from cascade_risk import (NoiseParams, PlatoonParams, SimConfig, build_path,
-                          laplacian, run, spectrum, steady_state_covariance)
+from cascade_risk import (NoiseParams, SimConfig, build_path, laplacian, run,
+                          spectrum, steady_state_covariance)
 
 NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
-PARAMS = PlatoonParams(n=5, d=3.0)
+N, D = 5, 3.0   # vehicles, target gap (m)
 SIM = SimConfig(dt=1e-3, burn_in=6.0, sample_interval=0.6,
                 samples_per_trial=100, trials=16, seed=7)
 
 
 def main():
-    graph = build_path(PARAMS.n)
+    graph = build_path(N)
     analytic = steady_state_covariance(spectrum(laplacian(graph)), NOISE)
-    emp = run(graph, PARAMS, NOISE, SIM)
+    emp = run(graph, D, NOISE, SIM)
 
-    print(f"path graph, n = {PARAMS.n}, {SIM.trials} trials x "
+    print(f"path graph, n = {N}, {SIM.trials} trials x "
           f"{SIM.samples_per_trial} samples = {emp.sample_count} snapshots")
     print(f"dt = {SIM.dt} s, burn-in {SIM.burn_in} s, one snapshot every "
           f"{SIM.sample_interval} s\n")
 
     print("  pair means (target 3 m):")
     for j, (m, se) in enumerate(zip(emp.mean, emp.mean_standard_errors), 1):
-        z = (m - PARAMS.d) / se
+        z = (m - D) / se
         print(f"    pair {j}:  {m:8.5f} +- {se:.5f}   z = {z:+.2f}")
 
     print("\n  covariance entries, empirical vs predicted:")

@@ -11,16 +11,16 @@ closed-form fast path.
 __version__ = "0.1.0"
 
 from .closed_form import complete_profile
-from .covariance import (CovarianceMatrix, NoiseParams, PlatoonParams,
+from .covariance import (CovarianceMatrix, NoiseParams,
                          complete_graph_sigma_c, f_integral,
                          steady_state_covariance)
 from .errors import (CascadeRiskError, ConfigError, DivergenceError,
                      IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, InvalidSizeError, NearBoundaryError,
                      NumericalError, UnstablePlatoonError)
-from .graph import (LaplacianSpectrum, WeightedGraph, add_pair_edges,
-                    build_complete, build_custom, build_path, build_pcycle,
-                    laplacian, pair_difference_matrix, spectrum)
+from .graph import (LaplacianSpectrum, WeightedGraph, build_complete,
+                    build_custom, build_path, build_pcycle, laplacian,
+                    pair_difference_matrix, spectrum)
 from .risk import (FailureScenario, ProfileEntry, RiskResult, iota,
                    risk_profile)
 from .simulate import EmpiricalCovariance, SimConfig, run
@@ -31,12 +31,11 @@ __all__ = [
     "DivergenceError", "EmpiricalCovariance", "FailureScenario",
     "IllConditionedScenarioError", "InvalidParameterError",
     "InvalidQueryError", "InvalidSizeError", "LaplacianSpectrum",
-    "NearBoundaryError", "NoiseParams", "NumericalError", "PlatoonParams",
-    "ProfileEntry", "RiskResult", "SimConfig", "StabilityReport",
-    "UnstablePlatoonError", "WeightedGraph", "add_pair_edges",
-    "build_complete", "build_custom", "build_path", "build_pcycle",
-    "check_platoon", "complete_graph_sigma_c", "complete_profile",
-    "f_integral", "iota", "laplacian", "pair_difference_matrix",
-    "region_bound", "risk_profile", "run", "spectrum",
-    "steady_state_covariance",
+    "NearBoundaryError", "NoiseParams", "NumericalError", "ProfileEntry",
+    "RiskResult", "SimConfig", "StabilityReport", "UnstablePlatoonError",
+    "WeightedGraph", "build_complete", "build_custom", "build_path",
+    "build_pcycle", "check_platoon", "complete_graph_sigma_c",
+    "complete_profile", "f_integral", "iota", "laplacian",
+    "pair_difference_matrix", "region_bound", "risk_profile", "run",
+    "spectrum", "steady_state_covariance",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import complete_profile
-from .config import (RawConfig, build_graph, build_noise, build_platoon,
+from .config import (RawConfig, build_gap, build_graph, build_noise,
                      build_query, build_scenario, build_sim,
                      experiment_option, load_config, resolve_seed,
                      scenario_state_values)
@@ -24,7 +24,7 @@ from .errors import CascadeRiskError, InvalidQueryError, NumericalError
 from .experiments import (add_edge_rows, covariance_rows, profile_rows,
                           simulate_rows, stability_rows, sweep_scale_rows,
                           sweep_sparsity_rows)
-from .graph import build_complete, laplacian, spectrum
+from .graph import laplacian, spectrum
 from .risk import FailureScenario, risk_profile
 from .simulate import run
 from .stability import check_platoon
@@ -95,13 +95,14 @@ def cmd_covariance(cfg: RawConfig, args) -> str:
 
 
 def _is_complete(graph) -> bool:
-    return np.array_equal(graph.weights, build_complete(graph.n).weights)
+    """True for the unit-weight clique: every link present, weight 1."""
+    return np.array_equal(graph.weights, 1.0 - np.eye(graph.n))
 
 
 def cmd_risk_profile(cfg: RawConfig, args) -> str:
     graph = build_graph(cfg)
     noise = build_noise(cfg)
-    platoon = build_platoon(cfg)
+    d = build_gap(cfg)
     epsilon, c = build_query(cfg)
     scenario = build_scenario(cfg)
     if args.method == "closed-form":
@@ -112,13 +113,12 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
         sigma_c = complete_graph_sigma_c(graph.n, noise)
 
         def profile(s):
-            return complete_profile(graph.n, s, sigma_c, platoon.d, c,
-                                    epsilon)
+            return complete_profile(graph.n, s, sigma_c, d, c, epsilon)
     else:
         sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
 
         def profile(s):
-            return risk_profile(sigma, s, platoon.d, c, epsilon)
+            return risk_profile(sigma, s, d, c, epsilon)
     rows = profile_rows(profile(scenario), profile(FailureScenario((), ())))
     return render_csv("risk_profile", rows)
 
@@ -126,9 +126,9 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
 def cmd_simulate(cfg: RawConfig, args) -> str:
     graph, spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
-    platoon = build_platoon(cfg)
+    d = build_gap(cfg)
     analytic = steady_state_covariance(spec, noise)
-    empirical = run(graph, platoon, noise, build_sim(cfg, args.seed))
+    empirical = run(graph, d, noise, build_sim(cfg, args.seed))
     rows, trailers = simulate_rows(analytic, empirical)
     return render_csv("simulate", rows, trailers)
 
@@ -136,23 +136,23 @@ def cmd_simulate(cfg: RawConfig, args) -> str:
 def cmd_sweep_scale(cfg: RawConfig, args) -> str:
     _, spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
-    platoon = build_platoon(cfg)
+    d = build_gap(cfg)
     epsilon, c = build_query(cfg)
     state = scenario_state_values(cfg, None)[0]
     sigma = steady_state_covariance(spec, noise)
-    rows = sweep_scale_rows(sigma, platoon.d, c, epsilon, args.max_m, state)
+    rows = sweep_scale_rows(sigma, d, c, epsilon, args.max_m, state)
     return render_csv("sweep_scale", rows)
 
 
 def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:
     _, spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
-    platoon = build_platoon(cfg)
+    d = build_gap(cfg)
     epsilon, c = build_query(cfg)
     state = scenario_state_values(cfg, None)[0]
     sigma = steady_state_covariance(spec, noise)
     rows = sweep_sparsity_rows(
-        sigma, platoon.d, c, epsilon, args.m, state,
+        sigma, d, c, epsilon, args.m, state,
         seed=resolve_seed(cfg, args.seed),
         enum_cap=experiment_option(cfg, "enum_cap", 100_000),
         sample_count=experiment_option(cfg, "sample_count", 10_000))
@@ -162,11 +162,10 @@ def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:
 def cmd_add_edge(cfg: RawConfig, args) -> str:
     graph = build_graph(cfg)
     noise = build_noise(cfg)
-    platoon = build_platoon(cfg)
+    d = build_gap(cfg)
     epsilon, c = build_query(cfg)
     scenario = build_scenario(cfg)
-    rows = add_edge_rows(graph, platoon.d, noise, epsilon, c, scenario,
-                         args.pair)
+    rows = add_edge_rows(graph, d, noise, epsilon, c, scenario, args.pair)
     return render_csv("add_edge", rows)
 
 

@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidQueryError, InvalidSizeError
-from .graph import _integer
+from .errors import InvalidParameterError, InvalidQueryError
+from .graph import _vehicle_count
 from .risk import (FailureScenario, _check_query, _conditioned,
                    _profile_entries, iota)
 
@@ -46,9 +46,7 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     _check_query(d, c)
     it = iota(epsilon)
     _check_sigma_c(sigma_c)
-    n = _integer(n, "vehicle count", InvalidSizeError)
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
+    n = _vehicle_count(n)
     if scenario.m and scenario.indices[-1] > n - 1:
         raise InvalidQueryError(
             f"failed pair {scenario.indices[-1]} outside 1..{n - 1}")

@@ -21,8 +21,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .covariance import NoiseParams, PlatoonParams
-from .errors import ConfigError
+from .covariance import NoiseParams
+from .errors import ConfigError, InvalidParameterError, InvalidSizeError
 from .graph import (WeightedGraph, build_complete, build_custom, build_path,
                     build_pcycle)
 from .risk import FailureScenario
@@ -141,43 +141,56 @@ def _as_number(cfg: RawConfig, section: str, key: str, value, what=None):
 
 
 def build_graph(cfg: RawConfig) -> WeightedGraph:
+    """The [graph] section's graph. A refusal of the vehicle count names
+    the `n` line, any other refusal of the builder the `p` or `edges`
+    line."""
     kind = cfg.require("graph", "type")
     n = _as_int(cfg, "graph", "n", cfg.require("graph", "n"))
-    if kind == "complete":
-        return build_complete(n)
-    if kind == "path":
-        return build_path(n)
-    if kind == "pcycle":
-        p = _as_int(cfg, "graph", "p", cfg.require("graph", "p"))
-        return build_pcycle(n, p)
-    if kind == "custom":
-        edges = cfg.require("graph", "edges")
-        if not isinstance(edges, list):
-            raise cfg.error("key 'edges' must be a JSON array of "
-                            "[i, j] or [i, j, weight] triples",
-                            "graph", "edges")
-        by_pair = {}
-        for e in edges:
-            if not isinstance(e, list) or len(e) not in (2, 3):
-                raise cfg.error(f"bad edge entry {e!r}", "graph", "edges")
-            i, j = (_as_int(cfg, "graph", "edges", v,
-                            f"endpoint of edge {e!r}") for v in e[:2])
-            w = 1.0 if len(e) == 2 else _as_number(
-                cfg, "graph", "edges", e[2], f"weight of edge {e!r}")
-            pair = (min(i, j), max(i, j))
-            if pair in by_pair:
-                raise cfg.error(f"edge {e!r} repeats the edge {pair}",
-                                "graph", "edges")
-            by_pair[pair] = (i, j, w)
-        return build_custom(n, by_pair.values())
+    try:
+        if kind == "complete":
+            return build_complete(n)
+        if kind == "path":
+            return build_path(n)
+        if kind == "pcycle":
+            return build_pcycle(
+                n, _as_int(cfg, "graph", "p", cfg.require("graph", "p")))
+        if kind == "custom":
+            return build_custom(n, _edge_list(cfg))
+    except InvalidSizeError as exc:
+        raise cfg.error(str(exc), "graph", "n") from None
+    except InvalidParameterError as exc:
+        key = "p" if kind == "pcycle" else "edges"
+        raise cfg.error(str(exc), "graph", key) from None
     raise cfg.error(f"unknown graph type {kind!r}; expected complete, "
                     f"path, pcycle, or custom", "graph", "type")
 
 
-def build_platoon(cfg: RawConfig) -> PlatoonParams:
-    n = _as_int(cfg, "graph", "n", cfg.require("graph", "n"))
+def _edge_list(cfg: RawConfig) -> list:
+    """[graph] edges as (i, j, weight) triples; an omitted weight is 1."""
+    edges = cfg.require("graph", "edges")
+    if not isinstance(edges, list):
+        raise cfg.error("key 'edges' must be a JSON array of "
+                        "[i, j] or [i, j, weight] triples",
+                        "graph", "edges")
+    triples = []
+    for e in edges:
+        if not isinstance(e, list) or len(e) not in (2, 3):
+            raise cfg.error(f"bad edge entry {e!r}", "graph", "edges")
+        i, j = (_as_int(cfg, "graph", "edges", v,
+                        f"endpoint of edge {e!r}") for v in e[:2])
+        w = 1.0 if len(e) == 2 else _as_number(
+            cfg, "graph", "edges", e[2], f"weight of edge {e!r}")
+        triples.append((i, j, w))
+    return triples
+
+
+def build_gap(cfg: RawConfig) -> float:
+    """The target gap d of [platoon], a positive number."""
     d = _as_number(cfg, "platoon", "d", cfg.require("platoon", "d"))
-    return PlatoonParams(n, d)
+    if d <= 0.0:
+        raise cfg.error(f"target gap d={d!r} must be positive",
+                        "platoon", "d")
+    return d
 
 
 def build_noise(cfg: RawConfig) -> NoiseParams:

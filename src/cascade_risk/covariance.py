@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, InvalidSizeError,
-                     NearBoundaryError, UnstablePlatoonError)
-from .graph import LaplacianSpectrum, _integer, pair_difference_matrix
+from .errors import (InvalidParameterError, NearBoundaryError,
+                     UnstablePlatoonError)
+from .graph import LaplacianSpectrum, _vehicle_count, pair_difference_matrix
 from .stability import check_platoon, region_bound
 
 # Refuse f for a mode closer than this to the stability boundary: f grows
@@ -42,25 +42,6 @@ class NoiseParams:
             raise InvalidParameterError(f"delay tau={self.tau!r} must be positive")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise InvalidParameterError(f"gain beta={self.beta!r} must be positive")
-
-
-@dataclass(frozen=True)
-class PlatoonParams:
-    """Vehicle count n and target inter-vehicle gap d (length units)."""
-
-    n: int
-    d: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidSizeError(f"need at least 2 vehicles, got n={self.n}")
-        if not (math.isfinite(self.d) and self.d > 0.0):
-            raise InvalidParameterError(f"target gap d={self.d!r} must be positive")
-
-    @property
-    def targets(self) -> np.ndarray:
-        """Absolute target positions (d, 2d, ..., nd)."""
-        return self.d * np.arange(1, self.n + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -171,8 +152,6 @@ def steady_state_covariance(spec: LaplacianSpectrum,
 def complete_graph_sigma_c(n: int, noise: NoiseParams) -> float:
     """Marginal distance variance sigma_c on the unit-weight complete
     graph (all nonzero Laplacian eigenvalues equal n)."""
-    n = _integer(n, "vehicle count", InvalidSizeError)
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 vehicles, got n={n}")
+    n = _vehicle_count(n)
     f = f_integral(n * noise.tau, noise.beta * noise.tau)
     return noise.g * noise.g * noise.tau ** 3 * f / math.pi

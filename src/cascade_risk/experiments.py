@@ -21,8 +21,7 @@ from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, NumericalError, UnstablePlatoonError)
-from .graph import (WeightedGraph, _integer, add_pair_edges, laplacian,
-                    spectrum)
+from .graph import WeightedGraph, _integer, _laplacian, laplacian, spectrum
 from .risk import (FailureScenario, _check_query, _condition_scenario,
                    _condition_stack, _entry_error, _stack_risk, iota)
 from .simulate import EmpiricalCovariance
@@ -200,10 +199,11 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
                   epsilon: float, c: float, scenario: FailureScenario,
                   j: int):
     """Risk of pair j, at target gap d, when both of its vehicles gain a
-    unit-weight link to each candidate target vehicle. Row target=0 is
-    the unmodified baseline. A destabilizing target gets an empty risk
-    with stable = 0, a candidate on which the scenario cannot be
-    conditioned an empty risk with stable = 1."""
+    unit-weight link to each candidate target vehicle; an existing link
+    is set to weight 1. Row target=0 is the unmodified baseline. A
+    destabilizing target gets an empty risk with stable = 0, a candidate
+    on which the scenario cannot be conditioned an empty risk with
+    stable = 1."""
     _check_query(d, c)
     it = iota(epsilon)
     j = _integer(j, "pair index", InvalidQueryError)
@@ -224,10 +224,13 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
     for target in range(1, graph.n + 1):
         if target in (j, j + 1):
             continue
-        augmented = add_pair_edges(graph, j, target)
+        # links added to a connected graph keep it connected: the copy
+        # needs no second check
+        w = np.array(graph.weights)
+        w[[j - 1, j], target - 1] = 1.0
+        w[target - 1, [j - 1, j]] = 1.0
         try:
-            sigma = steady_state_covariance(spectrum(laplacian(augmented)),
-                                            noise)
+            sigma = steady_state_covariance(spectrum(_laplacian(w)), noise)
             value = pair_risk(sigma)
         except UnstablePlatoonError:
             rows.append((target, None, 0))

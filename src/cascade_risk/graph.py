@@ -34,6 +34,15 @@ def _integer(value, name: str, error=InvalidParameterError) -> int:
     raise error(f"{name} {value!r} is not an integer")
 
 
+def _vehicle_count(n, minimum: int = 2) -> int:
+    """n as an int by the integer rule, at least `minimum`; otherwise
+    InvalidSizeError."""
+    n = _integer(n, "vehicle count", InvalidSizeError)
+    if n < minimum:
+        raise InvalidSizeError(f"need at least {minimum} vehicles, got n={n}")
+    return n
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Communication topology: symmetric nonnegative link weights."""
@@ -42,8 +51,7 @@ class WeightedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidSizeError(f"need at least 2 nodes, got n={self.n}")
+        object.__setattr__(self, "n", _vehicle_count(self.n))
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n, self.n):
             raise InvalidParameterError(
@@ -77,16 +85,14 @@ def _require_connected(weights: np.ndarray) -> None:
 
 def build_complete(n: int) -> WeightedGraph:
     """Unit-weight clique on n nodes."""
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 nodes, got n={n}")
+    n = _vehicle_count(n)
     w = np.ones((n, n)) - np.eye(n)
     return WeightedGraph(n, w)
 
 
 def build_path(n: int) -> WeightedGraph:
     """Unit-weight chain: node i linked to i+1."""
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 nodes, got n={n}")
+    n = _vehicle_count(n)
     w = np.zeros((n, n))
     idx = np.arange(n - 1)
     w[idx, idx + 1] = 1.0
@@ -96,8 +102,8 @@ def build_path(n: int) -> WeightedGraph:
 
 def build_pcycle(n: int, p: int) -> WeightedGraph:
     """Circulant ring: node i linked to the p nearest nodes on each side."""
-    if n < 3:
-        raise InvalidSizeError(f"need at least 3 nodes for a ring, got n={n}")
+    n = _vehicle_count(n, 3)
+    p = _integer(p, "neighbor radius p")
     if not 1 <= p <= (n - 1) // 2:
         raise InvalidParameterError(
             f"neighbor radius p={p} outside 1..{(n - 1) // 2} for n={n}")
@@ -112,8 +118,7 @@ def build_pcycle(n: int, p: int) -> WeightedGraph:
 
 def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
     """Graph from an explicit edge list of (i, j, weight), 1-based nodes."""
-    if n < 2:
-        raise InvalidSizeError(f"need at least 2 nodes, got n={n}")
+    n = _vehicle_count(n)
     w = np.zeros((n, n))
     seen = set()
     for e in edges:
@@ -141,28 +146,14 @@ def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
     return WeightedGraph(n, w)
 
 
-def add_pair_edges(g: WeightedGraph, j: int, target: int) -> WeightedGraph:
-    """Link both vehicles of pair j (nodes j and j+1) to a target node.
-
-    Idempotent: existing links are set to weight 1. Indices are 1-based.
-    """
-    if not 1 <= j <= g.n - 1:
-        raise InvalidParameterError(f"pair index {j} outside 1..{g.n - 1}")
-    if not 1 <= target <= g.n:
-        raise InvalidParameterError(f"target node {target} outside 1..{g.n}")
-    if target in (j, j + 1):
-        raise InvalidParameterError(
-            f"target node {target} coincides with pair ({j},{j + 1})")
-    w = np.array(g.weights)
-    for node in (j, j + 1):
-        w[node - 1, target - 1] = 1.0
-        w[target - 1, node - 1] = 1.0
-    return WeightedGraph(g.n, w)
-
-
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Graph Laplacian: degree on the diagonal, minus weights elsewhere."""
-    w = g.weights
+    return _laplacian(g.weights)
+
+
+def _laplacian(w: np.ndarray) -> np.ndarray:
+    """Laplacian of a weight matrix the caller vouches for: a checked
+    graph's weights, or a copy with links added."""
     return np.diag(w.sum(axis=1)) - w
 
 

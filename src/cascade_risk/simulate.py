@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import NoiseParams, PlatoonParams
+from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError
 from .graph import WeightedGraph, _integer, laplacian, spectrum
+from .risk import _check_query
 from .stability import check_platoon
 
 # noise values drawn per chunk, ~1 MB; two chunk buffers are in use
@@ -152,10 +153,11 @@ class EmpiricalCovariance:
             object.__setattr__(self, name, a)
 
 
-def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
+def run(graph: WeightedGraph, d: float, noise: NoiseParams,
         sim: SimConfig, return_samples: bool = False):
-    """Simulate `trials` independent trajectories, thin each after
-    burn-in, and pool the inter-vehicle distances.
+    """Simulate `trials` independent trajectories about the targets
+    d, 2d, ..., nd, thin each after burn-in, and pool the inter-vehicle
+    distances.
 
     Per-trial noise streams are spawned from (seed, trial index), so a
     given trial's trajectory does not depend on how many trials run.
@@ -164,9 +166,7 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
     Returns EmpiricalCovariance, or (EmpiricalCovariance, samples) with
     samples shaped (samples_per_trial, trials, n-1) when requested.
     """
-    if params.n != graph.n:
-        raise InvalidParameterError(
-            f"platoon n={params.n} does not match graph n={graph.n}")
+    _check_query(d)
     L = laplacian(graph)
     spec = spectrum(L)
     check_platoon(spec, noise.tau, noise.beta).require_stable()
@@ -201,7 +201,7 @@ def run(graph: WeightedGraph, params: PlatoonParams, noise: NoiseParams,
     # block buffer hold a block's states and row 0 the state before it;
     # the history before the first block is the targets at rest.
     kb = k + 1
-    r = params.targets
+    r = d * np.arange(1, n + 1, dtype=float)
     hx = np.empty((kb + 1, trials, n))
     hx[:] = r
     hv = np.zeros((kb + 1, trials, n))

@@ -4,11 +4,26 @@ Everything here is built from math/numpy primitives only, on purpose:
 the package computes the covariance integral from a delay Lyapunov
 solve, not from the integrand, so these deliberately slower routes
 (adaptive Simpson panels over the integrand, plain bisection, explicit
-matrix inverses) give genuinely independent reference values.
+matrix inverses) give genuinely independent reference values. The one
+exception, `add_pair_edges`, returns a package graph, so that the
+augmented graph passes the full `WeightedGraph` validation.
 """
 import math
 
 import numpy as np
+
+from cascade_risk import WeightedGraph
+
+
+def add_pair_edges(g, j, target):
+    """g with both vehicles of pair j (nodes j and j+1) linked to the
+    target node at weight 1; an existing link is set to 1. The reference
+    for the candidate graphs of add-edge. Indices are 1-based."""
+    w = np.array(g.weights)
+    for node in (j, j + 1):
+        w[node - 1, target - 1] = 1.0
+        w[target - 1, node - 1] = 1.0
+    return WeightedGraph(g.n, w)
 
 
 def integrand(r, s1, s2):

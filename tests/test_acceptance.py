@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cascade_risk import (CovarianceMatrix, FailureScenario, NoiseParams,
-                          PlatoonParams, SimConfig, build_complete,
-                          build_path, build_pcycle, check_platoon,
+                          SimConfig, build_complete, build_path,
+                          build_pcycle, check_platoon,
                           complete_graph_sigma_c, complete_profile, iota,
                           laplacian, risk_profile, run, spectrum,
                           steady_state_covariance)
@@ -118,7 +118,7 @@ def test_05_monte_carlo_matches_analytic(budget):
                                        PATH_NOISE).values
     sim = SimConfig(dt=1e-3, burn_in=10.0, samples_per_trial=200,
                     trials=64, seed=20260825)
-    empirical = run(graph, PlatoonParams(n=5, d=3.0), PATH_NOISE, sim)
+    empirical = run(graph, 3.0, PATH_NOISE, sim)
     z = np.abs(empirical.cov - analytic) / empirical.standard_errors
     assert np.all(z <= 3.0), f"worst z = {z.max():.3f}"
     assert z.max() <= 4.0

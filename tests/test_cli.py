@@ -16,7 +16,7 @@ from cascade_risk import (NoiseParams, build_path, iota, laplacian,
                           region_bound, spectrum, steady_state_covariance)
 from cascade_risk.cli import _SCHEMAS, build_parser, main, render_csv
 
-from oracles import format_cell, var_risk_scalar
+from oracles import add_pair_edges, format_cell, var_risk_scalar
 
 PATH6 = """\
 [graph]
@@ -464,8 +464,8 @@ def test_add_edge_refused_scenario(tmp_path, capsys, monkeypatch):
     assert rows[0][0] == "0" and rows[0][1] != "" and rows[0][2] == "1"
     refused = []
     for target, risk, stable in rows[1:]:
-        cond = _pair_block_cond(
-            cascade_risk.add_pair_edges(graph, 4, int(target)), (2, 3))
+        cond = _pair_block_cond(add_pair_edges(graph, 4, int(target)),
+                                (2, 3))
         assert stable == "1"
         assert (risk == "") == (cond > limit), (target, cond, limit)
         if risk == "":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cascade_risk import ConfigError, build_path
-from cascade_risk.config import (build_graph, build_noise, build_platoon,
+from cascade_risk.config import (build_gap, build_graph, build_noise,
                                  build_query, build_scenario, build_sim,
                                  experiment_option, load_config, parse_config,
                                  resolve_seed, scenario_state_values)
@@ -132,10 +132,40 @@ def test_build_graph_custom_edge_errors(edges, words):
     assert words in str(exc.value)
 
 
+@pytest.mark.parametrize("text, line, words", [
+    ("[graph]\ntype = path\nn = 1\n", 3, "at least 2 vehicles"),
+    ("[graph]\ntype = pcycle\nn = 2\np = 1\n", 3, "at least 3 vehicles"),
+    ("[graph]\ntype = pcycle\nn = 7\np = 5\n", 4, "p=5 outside 1..3"),
+    ("[graph]\ntype = custom\nedges = [[1, 4], [2, 3]]\nn = 3\n", 3,
+     "out of range"),
+    ("[graph]\ntype = custom\nn = 4\nedges = [[1, 2], [3, 4]]\n", 4,
+     "not connected"),
+    ("[graph]\ntype = custom\nn = 1\nedges = []\n", 3,
+     "at least 2 vehicles"),
+], ids=["path-n", "pcycle-n", "pcycle-p", "custom-range",
+        "custom-disconnected", "custom-n"])
+def test_build_graph_refusals_name_the_line(text, line, words):
+    # the builders' own refusals come back as config errors on the line
+    # of n, or of p or edges
+    with pytest.raises(ConfigError) as exc:
+        build_graph(parse_config(text, "run.cfg"))
+    assert exc.value.line == line and exc.value.path == "run.cfg"
+    assert words in str(exc.value)
+
+
+def test_build_gap_refuses_nonpositive_d():
+    for d in ("0", "-3", "0.0"):
+        with pytest.raises(ConfigError) as exc:
+            build_gap(parse_config(f"[platoon]\n\nd = {d}\n", "run.cfg"))
+        assert exc.value.line == 3 and exc.value.path == "run.cfg"
+        assert "target gap" in str(exc.value)
+    with pytest.raises(ConfigError):
+        build_gap(parse_config("[platoon]\nd = NaN\n"))
+
+
 def test_build_platoon_and_noise_and_query():
     cfg = parse_config(FULL)
-    params = build_platoon(cfg)
-    assert params.n == 50 and params.d == 3.0
+    assert build_gap(cfg) == 3.0
     noise = build_noise(cfg)
     assert (noise.g, noise.tau, noise.beta) == (10.0, 0.03, 0.005)
     assert build_query(cfg) == (0.1, 2.0)

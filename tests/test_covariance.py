@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cascade_risk import (CovarianceMatrix, InvalidParameterError,
                           InvalidSizeError, NearBoundaryError, NoiseParams,
-                          PlatoonParams, UnstablePlatoonError,
+                          UnstablePlatoonError,
                           build_complete, build_path, build_pcycle,
                           complete_graph_sigma_c, f_integral, laplacian,
                           region_bound, spectrum, steady_state_covariance)
@@ -32,16 +32,6 @@ def test_noise_params_validation():
                 dict(g=1.0, tau=0.1, beta=math.inf)):
         with pytest.raises(InvalidParameterError):
             NoiseParams(**bad)
-
-
-def test_platoon_params_validation():
-    p = PlatoonParams(4, 3.0)
-    assert np.array_equal(p.targets, [3.0, 6.0, 9.0, 12.0])
-    with pytest.raises(InvalidSizeError):
-        PlatoonParams(1, 3.0)
-    for d in (0.0, math.nan, math.inf):
-        with pytest.raises(InvalidParameterError):
-            PlatoonParams(4, d)
 
 
 def test_integrand_at_zero_and_even():

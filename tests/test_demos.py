@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +9,8 @@ import pytest
 
 import cascade_risk
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
@@ -27,3 +30,16 @@ def test_demo_runs(demo):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    # the README's python block, run as written: one line per pair of
+    # the 10-vehicle chain that has not failed (9 pairs, 2 failed)
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.split("```", 1)[0], {})
+    lines = out.getvalue().splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"pair {j}" for j in (1, 2, 3, 6, 7, 8, 9)]

@@ -3,16 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascade_risk import (FailureScenario, InvalidParameterError,
-                          InvalidQueryError, NoiseParams, build_path, iota,
-                          laplacian, spectrum, steady_state_covariance)
+                          InvalidQueryError, NoiseParams, NumericalError,
+                          UnstablePlatoonError, build_custom, build_path,
+                          iota, laplacian, risk_profile, spectrum,
+                          steady_state_covariance)
 from cascade_risk import experiments
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
                                       sweep_sparsity_rows)
 
-from oracles import conditional_moments, var_risk_scalar
+from oracles import (add_pair_edges, conditional_moments,
+                     region_bound_bisect, var_risk_scalar)
 
 D, C, EPSILON, STATE, M = 3.0, 1.5, 0.2, 1.0, 3
 
@@ -188,3 +193,83 @@ def test_add_edge_checks_query_at_entry():
     for c, eps in ((0.5, EPSILON), (C, 0.0), (C, 1.0)):
         with pytest.raises(InvalidQueryError):
             add_edge_rows(graph, D, PATH6_NOISE, eps, c, scenario, 4)
+
+
+def test_add_edge_skips_pair_nodes():
+    # a pair is never linked to its own vehicles, and a pair index
+    # outside the platoon is refused
+    graph, scenario = build_path(6), FailureScenario((), ())
+    rows = add_edge_rows(graph, D, PATH6_NOISE, EPSILON, C, scenario, 2)
+    assert [row[0] for row in rows] == [0, 1, 4, 5, 6]
+    for j in (0, 6):
+        with pytest.raises(InvalidQueryError, match="outside 1..5"):
+            add_edge_rows(graph, D, PATH6_NOISE, EPSILON, C, scenario, j)
+
+
+def _oracle_add_edge_row(graph, target, j, noise, scenario):
+    """One add-edge row through a validated graph: oracles.add_pair_edges,
+    laplacian, spectrum, steady_state_covariance and risk_profile."""
+    if target:
+        graph = add_pair_edges(graph, j, target)
+    try:
+        sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
+    except UnstablePlatoonError:
+        return (target, None, 0)
+    except NumericalError:
+        return (target, None, 1)
+    entry = risk_profile(sigma, scenario, D, C, EPSILON)[j - 1]
+    return (target, None if entry.error else entry.risk.value, 1)
+
+
+def _critical_tau(lam, beta):
+    """The delay at which beta*tau meets the region bound of the mode
+    lam*tau; the platoon is stable below it."""
+    lo, hi = 0.0, math.pi / (2.0 * lam)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if beta * mid < region_bound_bisect(lam * mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1),
+       place=st.floats(0.05, 0.95), failure=st.booleans())
+def test_add_edge_rows_match_validated_graph_route(n, seed, place, failure):
+    # random connected graph with non-unit weights; pair j already has a
+    # link to one candidate target, which add-edge sets to weight 1
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(1, n))
+    linked = int(rng.choice([t for t in range(1, n + 1)
+                             if t not in (j, j + 1)]))
+    edges = {(int(rng.integers(1, i)), i): float(rng.uniform(0.1, 2.0))
+             for i in range(2, n + 1)}
+    for _ in range(n // 2):
+        a, b = sorted(int(v) for v in rng.choice(n, 2, replace=False) + 1)
+        edges[a, b] = float(rng.uniform(0.1, 2.0))
+    edges[min(j, linked), max(j, linked)] = float(rng.uniform(0.1, 0.9))
+    graph = build_custom(n, [(a, b, w) for (a, b), w in edges.items()])
+    others = [k for k in range(1, n) if k != j]
+    scenario = (FailureScenario((int(rng.choice(others)),),
+                                (float(rng.uniform(0.0, 2 * D)),))
+                if failure else FailureScenario((), ()))
+    # the delay sits between the critical delays of the baseline and of
+    # the candidate with the largest top eigenvalue: the baseline is
+    # stable and that candidate is not
+    targets = [t for t in range(1, n + 1) if t not in (j, j + 1)]
+    top = [np.linalg.eigvalsh(laplacian(g))[-1] for g in
+           [graph] + [add_pair_edges(graph, j, t) for t in targets]]
+    beta = 2.0
+    slow, fast = _critical_tau(top[0], beta), _critical_tau(max(top), beta)
+    destabilizing = slow > fast * (1.0 + 1e-2)
+    tau = fast + place * (slow - fast) if destabilizing else place * slow
+    noise = NoiseParams(g=0.1, tau=tau, beta=beta)
+
+    expected = [_oracle_add_edge_row(graph, t, j, noise, scenario)
+                for t in [0] + targets]
+    rows = add_edge_rows(graph, D, noise, EPSILON, C, scenario, j)
+    assert rows == expected
+    if destabilizing:
+        assert any(stable == 0 for _, _, stable in rows)

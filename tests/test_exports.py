@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import cascade_risk
-from cascade_risk.config import (build_graph, build_noise, build_platoon,
+from cascade_risk.config import (build_gap, build_graph, build_noise,
                                  build_query, build_scenario, build_sim,
                                  parse_config)
 
@@ -41,7 +41,7 @@ def test_readme_config_example_loads():
     block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = parse_config(block, "README.md")
     assert build_graph(cfg).n == 10
-    assert build_platoon(cfg).d == 3.0
+    assert build_gap(cfg) == 3.0
     noise = build_noise(cfg)
     assert (noise.g, noise.tau, noise.beta) == (0.1, 0.03, 2.0)
     assert build_query(cfg) == (0.1, 2.0)

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascade_risk import (InvalidParameterError, InvalidSizeError,
-                          WeightedGraph, add_pair_edges, build_complete,
-                          build_custom, build_path, build_pcycle, laplacian,
+                          WeightedGraph, build_complete, build_custom,
+                          build_path, build_pcycle, laplacian,
                           pair_difference_matrix, spectrum)
 
-from oracles import path_eigenvalue, pcycle_eigenvalues
+from oracles import add_pair_edges, path_eigenvalue, pcycle_eigenvalues
 
 
 def test_complete_structure():
@@ -140,6 +140,38 @@ def test_pcycle_rejects_bad_p():
     build_pcycle(6, 2)
 
 
+def test_pcycle_radius_follows_integer_rule():
+    # p is an integer or an integral float, never a bool
+    assert np.array_equal(build_pcycle(7, 2.0).weights,
+                          build_pcycle(7, 2).weights)
+    for bad in (1.5, math.nan, True, "2", None):
+        with pytest.raises(InvalidParameterError, match="not an integer"):
+            build_pcycle(7, bad)
+
+
+def test_vehicle_count_follows_integer_rule():
+    # every builder and WeightedGraph read n as pair indices are read:
+    # an integral float is taken, anything else is a size error
+    for build in (build_complete, build_path):
+        g = build(4.0)
+        assert g.n == 4 and type(g.n) is int
+        assert np.array_equal(g.weights, build(4).weights)
+    assert build_pcycle(7.0, 1).n == 7
+    assert build_custom(3.0, [(1, 2, 1.0), (2, 3, 1.0)]).n == 3
+    graph = WeightedGraph(3.0, build_path(3).weights)
+    assert graph.n == 3 and type(graph.n) is int
+    for bad in (2.5, math.nan, True, np.bool_(True), "4", None):
+        for build, args in ((build_complete, ()), (build_path, ()),
+                            (build_pcycle, (1,)),
+                            (build_custom, ([(1, 2, 1.0)],))):
+            with pytest.raises(InvalidSizeError):
+                build(bad, *args)
+    with pytest.raises(InvalidSizeError, match="not an integer"):
+        WeightedGraph(3.5, build_path(3).weights)
+    with pytest.raises(InvalidSizeError, match="at least 3"):
+        build_pcycle(2.0, 1)
+
+
 def test_custom_graph_matches_path():
     g = build_custom(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
     assert np.array_equal(g.weights, build_path(4).weights)
@@ -209,17 +241,6 @@ def test_add_pair_edges():
     # idempotent on the complete graph
     k = build_complete(5)
     assert np.array_equal(add_pair_edges(k, 1, 4).weights, k.weights)
-
-
-def test_add_pair_edges_rejects_pair_nodes():
-    g = build_path(6)
-    for target in (2, 3):
-        with pytest.raises(InvalidParameterError):
-            add_pair_edges(g, 2, target)
-    with pytest.raises(InvalidParameterError):
-        add_pair_edges(g, 0, 5)
-    with pytest.raises(InvalidParameterError):
-        add_pair_edges(g, 2, 7)
 
 
 def test_laplacian_small_fixture():

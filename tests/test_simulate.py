@@ -6,23 +6,27 @@ import numpy as np
 import pytest
 
 from cascade_risk import (DivergenceError, EmpiricalCovariance,
-                          InvalidParameterError, NoiseParams, PlatoonParams,
-                          SimConfig, UnstablePlatoonError, build_path,
-                          build_pcycle, laplacian, run, simulate, spectrum,
+                          InvalidParameterError, NoiseParams, SimConfig,
+                          UnstablePlatoonError, build_path, build_pcycle,
+                          laplacian, run, simulate, spectrum,
                           steady_state_covariance)
 from cascade_risk.simulate import _delay_steps, _drift
 
 from oracles import em_distance_samples, pooled_cov_and_se
 
 PATH5_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
-PATH5_PARAMS = PlatoonParams(n=5, d=3.0)
+
+
+def targets(n, d=3.0):
+    """The positions run steers vehicles 1..n to: d, 2d, ..., nd."""
+    return d * np.arange(1, n + 1, dtype=float)
 
 
 @pytest.fixture(scope="module")
 def reference_run():
     sim = SimConfig(dt=1e-3, burn_in=6.0, sample_interval=0.6,
                     samples_per_trial=100, trials=24, seed=5)
-    return run(build_path(5), PATH5_PARAMS, PATH5_NOISE, sim,
+    return run(build_path(5), 3.0, PATH5_NOISE, sim,
                return_samples=True)
 
 
@@ -81,12 +85,12 @@ def test_initial_state_constant_history(monkeypatch):
     monkeypatch.setattr(simulate, "_drift", recording)
     sim = SimConfig(dt=1e-3, burn_in=0.3, sample_interval=0.1,
                     samples_per_trial=2, trials=2)
-    run(build_path(5), PATH5_PARAMS, PATH5_NOISE, sim)
+    run(build_path(5), 3.0, PATH5_NOISE, sim)
     k = _delay_steps(PATH5_NOISE.tau, 1e-3)
     assert k == 30
     x, v = seen[0]
     assert x.shape == v.shape == (k + 1, 2, 5)
-    assert np.array_equal(x, np.tile(PATH5_PARAMS.targets, (k + 1, 2, 1)))
+    assert np.array_equal(x, np.tile(targets(5), (k + 1, 2, 1)))
     assert np.all(v == 0.0)
     assert not np.all(seen[1][1][0] == 0.0)
 
@@ -95,9 +99,8 @@ def test_step_fixed_point_without_noise():
     # at the targets with zero velocities the delayed drift vanishes, so
     # a noiseless trajectory started there never moves
     noise = NoiseParams(g=0.1, tau=0.01, beta=2.0)
-    params = PlatoonParams(n=7, d=3.0)
     L = laplacian(build_pcycle(7, 2))
-    r = params.targets
+    r = targets(7)
     assert np.all(_drift(r, np.zeros(7), r, L, noise.beta) == 0.0)
     batch = np.tile(r, (3, 1))
     assert np.all(_drift(batch, np.zeros((3, 7)), r, L, noise.beta) == 0.0)
@@ -105,25 +108,23 @@ def test_step_fixed_point_without_noise():
 
 def test_step_translation_invariance():
     noise = NoiseParams(g=0.1, tau=0.002, beta=2.0)
-    params = PlatoonParams(n=4, d=3.0)
     L = laplacian(build_path(4))
     rng = np.random.default_rng(8)
-    xd = params.targets + rng.normal(size=4)
+    xd = targets(4) + rng.normal(size=4)
     vd = rng.normal(size=4)
-    a0 = _drift(xd, vd, params.targets, L, noise.beta)
+    a0 = _drift(xd, vd, targets(4), L, noise.beta)
     shift = 17.25
-    a1 = _drift(xd + shift, vd, params.targets, L, noise.beta)
+    a1 = _drift(xd + shift, vd, targets(4), L, noise.beta)
     assert np.abs(a1 - a0).max() < 1e-12
 
 
 def test_drift_matches_per_vehicle_sums():
     # matrix form versus the summed control law, vehicle by vehicle
     noise = NoiseParams(g=0.1, tau=0.002, beta=2.0)
-    params = PlatoonParams(n=3, d=3.0)
     g = build_path(3)
     L = laplacian(g)
     rng = np.random.default_rng(17)
-    r = params.targets
+    r = targets(3)
     xd = r + rng.normal(size=3)
     vd = rng.normal(size=3)
     drift = _drift(xd, vd, r, L, noise.beta)
@@ -156,7 +157,7 @@ def _overflow_at(monkeypatch, call, row, bad_trials):
                     samples_per_trial=4, trials=2)
     threads = threading.active_count()
     with pytest.raises(DivergenceError) as exc:
-        run(build_path(3), PlatoonParams(n=3, d=3.0),
+        run(build_path(3), 3.0,
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
     # the noise worker does not outlive the call
     assert threading.active_count() == threads
@@ -213,7 +214,7 @@ def test_noise_failure_reaches_caller(monkeypatch):
                     samples_per_trial=4, trials=2)
     threads = threading.active_count()
     with pytest.raises(_NoiseFault):
-        run(build_path(3), PlatoonParams(n=3, d=3.0),
+        run(build_path(3), 3.0,
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
     assert threading.active_count() == threads
     assert made[0].sizes == [15, 15, 15]    # the third of 54 chunks
@@ -225,14 +226,13 @@ def test_concurrent_runs_match_oracle(monkeypatch):
     # it is filled, or refilled while read, breaks bitwise equality
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     noise = NoiseParams(g=0.1, tau=0.002, beta=2.0)
-    params = PlatoonParams(n=3, d=3.0)
     L = laplacian(build_path(3))
     results = {}
 
     def one(seed):
         sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                         samples_per_trial=4, trials=2, seed=seed)
-        results[seed] = run(build_path(3), params, noise, sim,
+        results[seed] = run(build_path(3), 3.0, noise, sim,
                             return_samples=True)[1]
 
     switch = sys.getswitchinterval()
@@ -251,7 +251,7 @@ def test_concurrent_runs_match_oracle(monkeypatch):
         xi = np.stack([np.random.default_rng(np.random.SeedSequence(
             seed, spawn_key=(t,))).standard_normal((800, 3))
             for t in range(2)], axis=1)
-        expected = em_distance_samples(L, params.targets, noise.g, noise.tau,
+        expected = em_distance_samples(L, targets(3), noise.g, noise.tau,
                                        noise.beta, 1e-3, xi, 500, 100, 4)
         assert np.array_equal(results[seed], expected)
 
@@ -271,7 +271,7 @@ def _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
         seed, spawn_key=(t,))).standard_normal((total, 5))
         for t in range(trials)], axis=1)
     expected = em_distance_samples(
-        laplacian(build_path(5)), PATH5_PARAMS.targets, noise.g, tau,
+        laplacian(build_path(5)), targets(5), noise.g, tau,
         noise.beta, dt, xi, burn_steps, int_steps, n_samples)
 
     if noise_values is not None:
@@ -280,7 +280,7 @@ def _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
     sim = SimConfig(dt=dt, burn_in=burn_in, sample_interval=interval,
                     samples_per_trial=n_samples, trials=trials, seed=seed)
     threads = threading.active_count()
-    _, samples = run(build_path(5), PATH5_PARAMS, noise, sim,
+    _, samples = run(build_path(5), 3.0, noise, sim,
                      return_samples=True)
     # a run that ends normally leaves no noise worker behind either
     assert threading.active_count() == threads
@@ -314,14 +314,14 @@ def test_run_matches_per_step_oracle_at_chunk_edges(monkeypatch, burn_in,
 def test_run_seed_determinism():
     sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                     samples_per_trial=8, trials=3, seed=42)
-    a = run(build_path(3), PlatoonParams(n=3, d=3.0),
+    a = run(build_path(3), 3.0,
             NoiseParams(g=0.1, tau=0.03, beta=2.0), sim)
-    b = run(build_path(3), PlatoonParams(n=3, d=3.0),
+    b = run(build_path(3), 3.0,
             NoiseParams(g=0.1, tau=0.03, beta=2.0), sim)
     assert np.array_equal(a.cov, b.cov)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.standard_errors, b.standard_errors)
-    other = run(build_path(3), PlatoonParams(n=3, d=3.0),
+    other = run(build_path(3), 3.0,
                 NoiseParams(g=0.1, tau=0.03, beta=2.0),
                 SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                           samples_per_trial=8, trials=3, seed=43))
@@ -333,11 +333,10 @@ def test_run_per_trial_streams_stable():
     kw = dict(dt=1e-3, burn_in=0.5, sample_interval=0.1,
               samples_per_trial=5, seed=9)
     graph = build_path(3)
-    params = PlatoonParams(n=3, d=3.0)
     noise = NoiseParams(g=0.1, tau=0.03, beta=2.0)
-    _, two = run(graph, params, noise, SimConfig(trials=2, **kw),
+    _, two = run(graph, 3.0, noise, SimConfig(trials=2, **kw),
                  return_samples=True)
-    _, three = run(graph, params, noise, SimConfig(trials=3, **kw),
+    _, three = run(graph, 3.0, noise, SimConfig(trials=3, **kw),
                    return_samples=True)
     assert np.array_equal(two, three[:, :2, :])
 
@@ -374,16 +373,15 @@ def test_dt_halving_within_monte_carlo_noise():
     # sums of fine pairs, so the difference isolates discretization bias
     n, trials, samples = 5, 12, 60
     L = laplacian(build_path(n))
-    targets = PATH5_PARAMS.targets
     dt = 1e-3
     burn_steps, int_steps = 4000, 600
     total = burn_steps + (samples - 1) * int_steps
     rng = np.random.default_rng(1)
     fine = rng.standard_normal((2 * total, trials, n))
     coarse = (fine[0::2] + fine[1::2]) / math.sqrt(2.0)
-    sc = em_distance_samples(L, targets, 0.1, 0.03, 2.0, dt, coarse,
+    sc = em_distance_samples(L, targets(n), 0.1, 0.03, 2.0, dt, coarse,
                              burn_steps, int_steps, samples)
-    sf = em_distance_samples(L, targets, 0.1, 0.03, 2.0, dt / 2, fine,
+    sf = em_distance_samples(L, targets(n), 0.1, 0.03, 2.0, dt / 2, fine,
                              2 * burn_steps, 2 * int_steps, samples)
     c1, se1 = pooled_cov_and_se(sc)
     c2, se2 = pooled_cov_and_se(sf)
@@ -398,7 +396,7 @@ def test_samples_decorrelate_at_widened_interval():
     # meets the 0.2 target is 1.5 s; 0.6 s measures ~0.7.
     sim = SimConfig(dt=1e-3, burn_in=6.0, sample_interval=1.5,
                     samples_per_trial=120, trials=8, seed=4)
-    _, samples = run(build_path(5), PATH5_PARAMS, PATH5_NOISE, sim,
+    _, samples = run(build_path(5), 3.0, PATH5_NOISE, sim,
                      return_samples=True)
     acs = []
     for b in range(samples.shape[1]):
@@ -415,7 +413,7 @@ def test_run_divergence_reports_trial_and_step():
     sim = SimConfig(dt=0.775, burn_in=4000 * 0.775, sample_interval=0.775,
                     samples_per_trial=2, trials=2, seed=0)
     with pytest.raises(DivergenceError) as exc:
-        run(build_path(2), PlatoonParams(n=2, d=3.0), noise, sim)
+        run(build_path(2), 3.0, noise, sim)
     assert exc.value.step is not None and exc.value.step > 0
     assert "trial" in str(exc.value)
 
@@ -437,23 +435,30 @@ def test_empirical_covariance_validation():
 
 def test_run_rejections():
     graph = build_path(3)
-    params = PlatoonParams(n=3, d=3.0)
     noise = NoiseParams(g=0.1, tau=0.03, beta=2.0)
     ok = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                    samples_per_trial=4, trials=2)
-    with pytest.raises(InvalidParameterError):
-        run(graph, PlatoonParams(n=4, d=3.0), noise, ok)
     with pytest.raises(UnstablePlatoonError):
-        run(build_path(2), PlatoonParams(n=2, d=3.0),
+        run(build_path(2), 3.0,
             NoiseParams(g=0.1, tau=0.8, beta=2.0), ok)
     with pytest.raises(InvalidParameterError):
-        run(graph, params, noise,
+        run(graph, 3.0, noise,
             SimConfig(dt=1e-3, burn_in=0.2, sample_interval=0.1,
                       samples_per_trial=4, trials=2))   # burn_in < 10 tau
 
 
+def test_run_refuses_bad_gap():
+    # the gap check of the risk routines, with their message
+    sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
+    for d in (0.0, -3.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError,
+                           match=r"target gap d=.* must be positive"):
+            run(build_path(3), d, PATH5_NOISE, sim)
+
+
 def test_run_refuses_sample_interval_of_zero_steps():
-    graph, params = build_path(3), PlatoonParams(n=3, d=3.0)
+    graph = build_path(3)
     noise = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
     def sim(interval):
@@ -462,5 +467,5 @@ def test_run_refuses_sample_interval_of_zero_steps():
 
     for interval in (1e-4, 0.005):  # 0.01 and 0.5 steps round to 0
         with pytest.raises(InvalidParameterError, match="0 steps"):
-            run(graph, params, noise, sim(interval))
-    assert run(graph, params, noise, sim(0.006)).sample_count == 4
+            run(graph, 3.0, noise, sim(interval))
+    assert run(graph, 3.0, noise, sim(0.006)).sample_count == 4
