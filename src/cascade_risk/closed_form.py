@@ -17,19 +17,12 @@ pin equality with the generic conditioning route.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidQueryError
-from .graph import _vehicle_count
+from .errors import InvalidQueryError
+from .graph import _real, _vehicle_count
 from .risk import (FailureScenario, _check_query, _conditioned,
-                   _profile_entries, iota)
-
-
-def _check_sigma_c(sigma_c: float) -> None:
-    if sigma_c <= 0.0 or not math.isfinite(sigma_c):
-        raise InvalidParameterError(f"sigma_c={sigma_c!r} must be positive")
+                   _profile_entries)
 
 
 def _run_weights(m: int) -> np.ndarray:
@@ -43,9 +36,8 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     """Whole-platoon risk profile on the complete graph; mirrors
     risk.risk_profile entry for entry. Each reduction stays below
     sigma_c/2, so every conditional variance is positive."""
-    _check_query(d, c)
-    it = iota(epsilon)
-    _check_sigma_c(sigma_c)
+    d, c, it = _check_query(d, c, epsilon)
+    sigma_c = _real(sigma_c, "sigma_c", positive=True)
     n = _vehicle_count(n)
     if scenario.m and scenario.indices[-1] > n - 1:
         raise InvalidQueryError(

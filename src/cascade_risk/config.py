@@ -17,14 +17,13 @@ comments are not supported. Errors carry the offending line number.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 
 from .covariance import NoiseParams
 from .errors import ConfigError, InvalidParameterError, InvalidSizeError
-from .graph import (WeightedGraph, build_complete, build_custom, build_path,
-                    build_pcycle)
+from .graph import (WeightedGraph, _real, build_complete, build_custom,
+                    build_path, build_pcycle)
 from .risk import FailureScenario
 from .simulate import SimConfig
 
@@ -129,15 +128,12 @@ def _as_int(cfg: RawConfig, section: str, key: str, value, what=None):
 
 
 def _as_number(cfg: RawConfig, section: str, key: str, value, what=None):
-    """value as a float; it must be a finite JSON number. `what` as in
-    _as_int."""
-    what = what or f"key {key!r} in [{section}]"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise cfg.error(f"{what} must be a number, got {value!r}",
-                        section, key)
-    if not math.isfinite(value):
-        raise cfg.error(f"{what} must be finite", section, key)
-    return float(value)
+    """value as a float by the real-number rule of the library, refused
+    on the key's line. `what` as in _as_int."""
+    try:
+        return _real(value, what or f"key {key!r} in [{section}]")
+    except InvalidParameterError as exc:
+        raise cfg.error(str(exc), section, key) from None
 
 
 def build_graph(cfg: RawConfig) -> WeightedGraph:
@@ -185,12 +181,13 @@ def _edge_list(cfg: RawConfig) -> list:
 
 
 def build_gap(cfg: RawConfig) -> float:
-    """The target gap d of [platoon], a positive number."""
-    d = _as_number(cfg, "platoon", "d", cfg.require("platoon", "d"))
-    if d <= 0.0:
-        raise cfg.error(f"target gap d={d!r} must be positive",
-                        "platoon", "d")
-    return d
+    """The target gap d of [platoon], checked as the risk routines check
+    it; a refusal names the `d` line."""
+    try:
+        return _real(cfg.require("platoon", "d"), "target gap d",
+                     positive=True)
+    except InvalidParameterError as exc:
+        raise cfg.error(str(exc), "platoon", "d") from None
 
 
 def build_noise(cfg: RawConfig) -> NoiseParams:

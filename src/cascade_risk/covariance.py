@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import (InvalidParameterError, NearBoundaryError,
                      UnstablePlatoonError)
-from .graph import LaplacianSpectrum, _vehicle_count, pair_difference_matrix
+from .graph import (LaplacianSpectrum, _real, _vehicle_count,
+                    pair_difference_matrix)
 from .stability import check_platoon, region_bound
 
 # Refuse f for a mode closer than this to the stability boundary: f grows
@@ -29,19 +30,22 @@ NEAR_BOUNDARY_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Diffusion magnitude g (length/s^1.5), delay tau (s), gain beta (1/s)."""
+    """Diffusion magnitude g (length/s^1.5), delay tau (s), gain beta
+    (1/s); each is stored as a float."""
 
     g: float
     tau: float
     beta: float
 
     def __post_init__(self):
-        if self.g == 0.0 or not math.isfinite(self.g):
-            raise InvalidParameterError(f"diffusion g={self.g!r} must be nonzero")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise InvalidParameterError(f"delay tau={self.tau!r} must be positive")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise InvalidParameterError(f"gain beta={self.beta!r} must be positive")
+        g = _real(self.g, "diffusion g")
+        if g == 0.0:
+            raise InvalidParameterError(f"diffusion g={g!r} must be nonzero")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "tau",
+                           _real(self.tau, "delay tau", positive=True))
+        object.__setattr__(self, "beta",
+                           _real(self.beta, "gain beta", positive=True))
 
 
 @dataclass(frozen=True)

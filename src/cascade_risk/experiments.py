@@ -21,9 +21,10 @@ from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, NumericalError, UnstablePlatoonError)
-from .graph import WeightedGraph, _integer, _laplacian, laplacian, spectrum
+from .graph import (WeightedGraph, _integer, _laplacian, _real, laplacian,
+                    spectrum)
 from .risk import (FailureScenario, _check_query, _condition_scenario,
-                   _condition_stack, _entry_error, _stack_risk, iota)
+                   _condition_stack, _entry_error, _stack_risk)
 from .simulate import EmpiricalCovariance
 from .stability import StabilityReport
 
@@ -60,26 +61,22 @@ def profile_rows(entries, baseline):
 def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,
                  d: float, c: float, epsilon: float):
     """Entry check of the sweeps: `count` failures, an integer in
-    1..dim-1, each observed at one finite state. Returns the count, the
-    state and iota(epsilon)."""
+    1..dim-1, each observed at one state, and the query. Returns the
+    count, the state, d, c and iota(epsilon)."""
     count = _integer(count, name, InvalidQueryError)
     if not 1 <= count <= sigma.dim - 1:
         raise InvalidQueryError(
             f"{name}={count} must lie in 1..{sigma.dim - 1}")
-    if isinstance(state_value, (bool, np.bool_)) or \
-            not math.isfinite(state_value):
-        raise InvalidQueryError(
-            f"observed state {state_value!r} must be a finite number")
-    _check_query(d, c)
-    return count, float(state_value), iota(epsilon)
+    state = _real(state_value, "observed state", InvalidQueryError)
+    return (count, state, *_check_query(d, c, epsilon))
 
 
 def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
                      epsilon: float, max_m: int, state_value: float):
     """Failures {1..m} at the head of the platoon for m = 0..max_m;
     m = 0 is the no-failure baseline."""
-    max_m, state, it = _check_sweep(sigma, "max_m", max_m, state_value,
-                                    d, c, epsilon)
+    max_m, state, d, c, it = _check_sweep(sigma, "max_m", max_m,
+                                          state_value, d, c, epsilon)
     rows = []
     for m in range(max_m + 1):
         cnd = _condition_stack(sigma.values, np.arange(m)[None],
@@ -140,7 +137,8 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
     in stacks of _STACK_CHUNK, which bounds memory and does not change
     the result.
     """
-    m, state, it = _check_sweep(sigma, "m", m, state_value, d, c, epsilon)
+    m, state, d, c, it = _check_sweep(sigma, "m", m, state_value,
+                                      d, c, epsilon)
     n_pairs = sigma.dim
     rows = []
     for s in range(0, n_pairs - m + 1):
@@ -204,8 +202,7 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
     destabilizing target gets an empty risk with stable = 0, a candidate
     on which the scenario cannot be conditioned an empty risk with
     stable = 1."""
-    _check_query(d, c)
-    it = iota(epsilon)
+    d, c, it = _check_query(d, c, epsilon)
     j = _integer(j, "pair index", InvalidQueryError)
     if not 1 <= j <= graph.n - 1:
         raise InvalidQueryError(f"pair index {j} outside 1..{graph.n - 1}")

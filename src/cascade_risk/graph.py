@@ -6,6 +6,7 @@ user-facing interface; internal arrays are 0-based.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -32,6 +33,24 @@ def _integer(value, name: str, error=InvalidParameterError) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise error(f"{name} {value!r} is not an integer")
+
+
+def _real(value, name: str, error=InvalidParameterError,
+          positive: bool = False) -> float:
+    """value as a float if it is a finite real number, not a bool, and
+    with `positive` above 0; otherwise `error`, naming the value as
+    `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:   # an int or a Fraction beyond the float range
+        x = math.inf
+    if positive and not 0.0 < x < math.inf:
+        raise error(f"{name}={value!r} must be positive")
+    if not math.isfinite(x):
+        raise error(f"{name} {value!r} is not finite")
+    return x
 
 
 def _vehicle_count(n, minimum: int = 2) -> int:
@@ -136,9 +155,7 @@ def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
         if pair in seen:
             raise InvalidParameterError(f"edge ({i},{j}) repeats {pair}")
         seen.add(pair)
-        if isinstance(wt, bool) or not isinstance(wt, numbers.Real):
-            raise InvalidParameterError(f"edge ({i},{j}) weight {wt!r} "
-                                        f"is not a number")
+        wt = _real(wt, f"edge ({i},{j}) weight")
         if wt < 0:
             raise InvalidParameterError(f"edge ({i},{j}) has negative weight")
         w[i - 1, j - 1] = wt

@@ -21,7 +21,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix
 from .errors import InvalidParameterError, InvalidQueryError, NumericalError
-from .graph import _integer
+from .graph import _integer, _real
 
 # Reject conditioning when the failed-block covariance has 2-norm
 # condition number above 1/RCOND_MIN.
@@ -34,14 +34,15 @@ _STD_NORMAL = NormalDist()
 _BRANCHES = ("zero", "finite", "infinite")
 
 
-def _check_query(d: float, c: float | None = None) -> None:
-    """Entry check of the public risk routines: target gap d > 0 and,
-    when given, offset c >= 1. Each routine checks epsilon by calling
-    iota before any other work."""
-    if d <= 0.0 or not math.isfinite(d):
-        raise InvalidParameterError(f"target gap d={d!r} must be positive")
-    if c is not None and not (math.isfinite(c) and c >= 1.0):
+def _check_query(d, c, epsilon):
+    """Entry check of the public risk routines, before any other work:
+    target gap d > 0, offset c >= 1 and epsilon in (0, 1). Returns d and
+    c as floats and iota(epsilon)."""
+    d = _real(d, "target gap d", positive=True)
+    c = _real(c, "offset c", InvalidQueryError)
+    if c < 1.0:
         raise InvalidQueryError(f"offset c={c!r} must be >= 1")
+    return d, c, iota(epsilon)
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,8 @@ class FailureScenario:
     def __post_init__(self):
         idx = tuple(_integer(i, "pair index", InvalidQueryError)
                     for i in self.indices)
-        if any(isinstance(s, (bool, np.bool_)) for s in self.states):
-            raise InvalidQueryError(
-                f"observed states must be numbers, not bools, got {self.states}")
-        st = tuple(float(s) for s in self.states)
+        st = tuple(_real(s, "observed state", InvalidQueryError)
+                   for s in self.states)
         if len(idx) != len(st):
             raise InvalidQueryError(
                 f"{len(idx)} failed pairs but {len(st)} observed states")
@@ -67,8 +66,6 @@ class FailureScenario:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise InvalidQueryError(
                 f"pair indices must be strictly increasing, got {idx}")
-        if not all(math.isfinite(s) for s in st):
-            raise InvalidQueryError(f"observed states must be finite, got {st}")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "states", st)
 
@@ -217,6 +214,7 @@ def iota(epsilon: float) -> float:
     """Inverse error function at 2*epsilon - 1, computed as the standard
     normal quantile of epsilon over sqrt(2): forming 2*epsilon - 1 would
     cancel for small epsilon and round to -1 (iota = -inf) near 1e-17."""
+    epsilon = _real(epsilon, "epsilon", InvalidQueryError)
     if not 0.0 < epsilon < 1.0:
         raise InvalidQueryError(
             f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
@@ -282,8 +280,7 @@ def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
     """Risk of every pair 1..n-1 under one scenario. Failed pairs get a
     zero entry; conditioning errors are recorded per pair and the rest
     of the profile still computes."""
-    _check_query(d, c)
-    it = iota(epsilon)
+    d, c, it = _check_query(d, c, epsilon)
     return _profile_entries(_condition_scenario(sigma, scenario, d), d, c, it)
 
 

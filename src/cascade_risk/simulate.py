@@ -23,8 +23,7 @@ import numpy as np
 
 from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError
-from .graph import WeightedGraph, _integer, laplacian, spectrum
-from .risk import _check_query
+from .graph import WeightedGraph, _integer, _real, laplacian, spectrum
 from .stability import check_platoon
 
 # noise values drawn per chunk, ~1 MB; two chunk buffers are in use
@@ -33,9 +32,10 @@ _NOISE_VALUES = 2 ** 17
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration controls. When left None, run derives burn_in and
-    sample_interval from the dynamics: burn_in max(10 tau,
-    20/(beta lambda_2)), sample_interval 20 tau."""
+    """Integration controls, the times stored as floats and the counts
+    as ints. When left None, run derives burn_in and sample_interval
+    from the dynamics: burn_in max(10 tau, 20/(beta lambda_2)),
+    sample_interval 20 tau."""
 
     dt: float = 1e-3
     burn_in: float | None = None
@@ -45,16 +45,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise InvalidParameterError(f"dt={self.dt!r} must be positive")
-        if self.burn_in is not None and not (
-                math.isfinite(self.burn_in) and self.burn_in > 0.0):
-            raise InvalidParameterError(
-                f"burn_in={self.burn_in!r} must be positive")
-        if self.sample_interval is not None and not (
-                math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
-            raise InvalidParameterError(
-                f"sample_interval={self.sample_interval!r} must be positive")
+        object.__setattr__(self, "dt", _real(self.dt, "dt", positive=True))
+        for name in ("burn_in", "sample_interval"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(getattr(self, name),
+                                                     name, positive=True))
         for name in ("samples_per_trial", "trials", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         # The standard errors need at least 2 trials and 2 samples each.
@@ -166,7 +161,7 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
     Returns EmpiricalCovariance, or (EmpiricalCovariance, samples) with
     samples shaped (samples_per_trial, trials, n-1) when requested.
     """
-    _check_query(d)
+    d = _real(d, "target gap d", positive=True)
     L = laplacian(graph)
     spec = spectrum(L)
     check_platoon(spec, noise.tau, noise.beta).require_stable()

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnstablePlatoonError
-from .graph import LaplacianSpectrum, _frozen_array
+from .errors import UnstablePlatoonError
+from .graph import LaplacianSpectrum, _frozen_array, _real
 
 # Halvings of (0, pi/2) that bring the bracket on a below 1e-13:
 # (pi/2) / 2^44 < 1e-13 < (pi/2) / 2^43.
@@ -75,10 +75,8 @@ def check_platoon(spec: LaplacianSpectrum, tau: float, beta: float) -> Stability
 
     Mode 1 (eigenvalue 0) carries the rigid translation and is excluded.
     """
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise InvalidParameterError(f"delay tau={tau!r} must be positive")
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise InvalidParameterError(f"gain beta={beta!r} must be positive")
+    tau = _real(tau, "delay tau", positive=True)
+    beta = _real(beta, "gain beta", positive=True)
     s2 = beta * tau
     eigenvalues = spec.eigenvalues[1:]
     with np.errstate(over="ignore"):    # s1 = inf lies outside the region

@@ -261,19 +261,21 @@ def test_complete_profile_rejects_bad_sigma_c():
 
 
 def test_complete_profile_checks_each_input_once(monkeypatch):
-    calls = {"_check_sigma_c": 0, "_check_query": 0}
+    # sigma_c is the one input closed_form puts through the real-number
+    # rule itself; the query goes through _check_query
+    calls = {"_real": 0, "_check_query": 0}
     for name in calls:
         check = getattr(closed_form, name)
 
-        def counting(*args, name=name, check=check):
-            calls[name] += 1
-            return check(*args)
+        def counting(*args, _name=name, _check=check, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
 
         monkeypatch.setattr(closed_form, name, counting)
     scenario = FailureScenario((4, 5, 9, 10, 11), (0.0, 0.1, 5.0, 2.0, 1.0))
     entries = complete_profile(50, scenario, 4.0, 3.0, 2.0, 0.1)
     assert len(entries) == 49
-    assert calls == {"_check_sigma_c": 1, "_check_query": 1}
+    assert calls == {"_real": 1, "_check_query": 1}
 
 
 def test_complete_profile_rejects_bad_platoon_when_all_failed():

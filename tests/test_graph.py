@@ -1,14 +1,24 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_risk import (InvalidParameterError, InvalidSizeError,
-                          WeightedGraph, build_complete, build_custom,
-                          build_path, build_pcycle, laplacian,
-                          pair_difference_matrix, spectrum)
+from cascade_risk import (ConfigError, FailureScenario, InvalidParameterError,
+                          InvalidQueryError, InvalidSizeError, NoiseParams,
+                          SimConfig, WeightedGraph, build_complete,
+                          build_custom, build_path, build_pcycle,
+                          check_platoon, complete_profile, iota, laplacian,
+                          pair_difference_matrix, risk_profile, run,
+                          spectrum, steady_state_covariance)
+from cascade_risk.config import (RawConfig, build_gap, build_graph,
+                                 build_noise, build_query, build_sim,
+                                 scenario_state_values)
+from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
+                                      sweep_sparsity_rows)
+from cascade_risk.graph import _real
 
 from oracles import add_pair_edges, path_eigenvalue, pcycle_eigenvalues
 
@@ -170,6 +180,133 @@ def test_vehicle_count_follows_integer_rule():
         WeightedGraph(3.5, build_path(3).weights)
     with pytest.raises(InvalidSizeError, match="at least 3"):
         build_pcycle(2.0, 1)
+
+
+def _section(name, **keys):
+    """A RawConfig of one section holding `keys`, from line 2 on."""
+    return RawConfig({name: {key: (value, line) for line, (key, value)
+                             in enumerate(keys.items(), start=2)}})
+
+
+def test_real_number_rule_refusals():
+    # every scalar real input goes through the real-number rule: a bool,
+    # a string, None, a complex, a non-finite value or an int beyond the
+    # float range is refused with the entry's own typed error, never
+    # taken as a number or let out as a bare TypeError or OverflowError
+    graph = build_path(4)
+    spec = spectrum(laplacian(graph))
+    noise = NoiseParams(0.1, 0.03, 2.0)
+    sigma = steady_state_covariance(spec, noise)
+    none = FailureScenario((), ())
+    sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
+    P, Q, C = InvalidParameterError, InvalidQueryError, ConfigError
+    queries = {
+        "risk_profile": lambda d, c, e: risk_profile(sigma, none, d, c, e),
+        "complete_profile": lambda d, c, e: complete_profile(
+            4, none, 1.0, d, c, e),
+        "sweep_scale_rows": lambda d, c, e: sweep_scale_rows(
+            sigma, d, c, e, 1, 0.0),
+        "sweep_sparsity_rows": lambda d, c, e: sweep_sparsity_rows(
+            sigma, d, c, e, 1, 0.0, 0),
+        "add_edge_rows": lambda d, c, e: add_edge_rows(
+            graph, d, noise, e, c, none, 1),
+    }
+    entries = {}
+    for name, query in queries.items():
+        entries[f"{name} d"] = (P, lambda v, q=query: q(v, 2.0, 0.1))
+        entries[f"{name} c"] = (Q, lambda v, q=query: q(3.0, v, 0.1))
+        entries[f"{name} epsilon"] = (Q, lambda v, q=query: q(3.0, 2.0, v))
+    entries.update({
+        "iota": (Q, iota),
+        "FailureScenario state": (Q, lambda v: FailureScenario((1,), (v,))),
+        "sweep_scale_rows state": (Q, lambda v: sweep_scale_rows(
+            sigma, 3.0, 2.0, 0.1, 1, v)),
+        "sweep_sparsity_rows state": (Q, lambda v: sweep_sparsity_rows(
+            sigma, 3.0, 2.0, 0.1, 1, v, 0)),
+        "complete_profile sigma_c": (P, lambda v: complete_profile(
+            4, none, v, 3.0, 2.0, 0.1)),
+        "NoiseParams g": (P, lambda v: NoiseParams(v, 0.03, 2.0)),
+        "NoiseParams tau": (P, lambda v: NoiseParams(0.1, v, 2.0)),
+        "NoiseParams beta": (P, lambda v: NoiseParams(0.1, 0.03, v)),
+        "SimConfig dt": (P, lambda v: SimConfig(dt=v)),
+        "SimConfig burn_in": (P, lambda v: SimConfig(burn_in=v)),
+        "SimConfig sample_interval": (P, lambda v: SimConfig(
+            sample_interval=v)),
+        "check_platoon tau": (P, lambda v: check_platoon(spec, v, 2.0)),
+        "check_platoon beta": (P, lambda v: check_platoon(spec, 0.03, v)),
+        "run d": (P, lambda v: run(graph, v, noise, sim)),
+        "build_custom weight": (P, lambda v: build_custom(
+            3, [(1, 2, v), (2, 3, 1.0)])),
+        "config d": (C, lambda v: build_gap(_section("platoon", d=v))),
+        "config g": (C, lambda v: build_noise(_section(
+            "noise", g=v, tau=0.03, beta=2.0))),
+        "config epsilon": (C, lambda v: build_query(_section(
+            "query", epsilon=v, c=2.0))),
+        "config dt": (C, lambda v: build_sim(_section("sim", dt=v))),
+        "config states": (C, lambda v: scenario_state_values(_section(
+            "scenario", states=v), 1)),
+        "config edge weight": (C, lambda v: build_graph(_section(
+            "graph", type="custom", n=3, edges=[[1, 2, v], [2, 3]]))),
+    })
+    wrong = []
+    for name, (error, call) in entries.items():
+        for value in (True, np.True_, "1", None, 1j, math.nan, math.inf,
+                      -math.inf, 10 ** 400):
+            if value is None and name in ("SimConfig burn_in",
+                                          "SimConfig sample_interval"):
+                continue    # None asks run to derive the value
+            try:
+                call(value)
+            except error:
+                continue
+            except Exception as exc:
+                wrong.append(f"{name} {value!r:.12}: {type(exc).__name__}")
+            else:
+                wrong.append(f"{name} {value!r:.12}: accepted")
+    assert not wrong
+
+
+@pytest.mark.parametrize("kind", [int, np.float64, np.float32, Fraction])
+def test_real_number_rule_takes_any_real(kind):
+    # a real of any type gives, to the bit, what the equal float gives,
+    # and NoiseParams and SimConfig hold floats; int stands in only where
+    # the value is integral, so NoiseParams(2, 0.03, 2) is the int case
+    def pair(x):
+        v = kind(x) if kind is not int or x.is_integer() else x
+        return v, float(v)
+
+    (d, fd), (c, fc), (e, fe), (sc, fsc) = map(pair, (3.0, 1.5, 0.1, 4.0))
+    (g, fg), (tau, ftau), (beta, fbeta) = map(pair, (2.0, 0.03, 2.0))
+    (s1, fs1), (s2, fs2) = map(pair, (0.0, 2.5))
+    scenario = FailureScenario((2, 3), (s1, s2))
+    assert scenario == FailureScenario((2, 3), (fs1, fs2))
+    noise = NoiseParams(g, tau, beta)
+    assert noise == NoiseParams(fg, ftau, fbeta)
+    assert all(type(x) is float for x in (noise.g, noise.tau, noise.beta))
+    sigma = steady_state_covariance(spectrum(laplacian(build_path(6))),
+                                    noise)
+    assert repr(risk_profile(sigma, scenario, d, c, e)) == \
+        repr(risk_profile(sigma, scenario, fd, fc, fe))
+    assert repr(complete_profile(6, scenario, sc, d, c, e)) == \
+        repr(complete_profile(6, scenario, fsc, fd, fc, fe))
+    (dt, fdt), (burn, fburn), (gap, fgap) = map(pair, (0.001, 1.0, 0.25))
+    sim = SimConfig(dt=dt, burn_in=burn, sample_interval=gap)
+    assert sim == SimConfig(dt=fdt, burn_in=fburn, sample_interval=fgap)
+    assert all(type(x) is float
+               for x in (sim.dt, sim.burn_in, sim.sample_interval))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_real_number_rule_property(x):
+    # every finite float comes back unchanged; the positive form refuses
+    # exactly x <= 0
+    assert _real(x, "x") == x and type(_real(x, "x")) is float
+    if x > 0.0:
+        assert _real(x, "x", positive=True) == x
+    else:
+        with pytest.raises(InvalidParameterError, match="must be positive"):
+            _real(x, "x", positive=True)
 
 
 def test_custom_graph_matches_path():
