@@ -20,12 +20,13 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .covariance import NoiseParams
-from .errors import ConfigError, InvalidParameterError, InvalidSizeError
-from .graph import (WeightedGraph, _real, build_complete, build_custom,
-                    build_path, build_pcycle)
-from .risk import FailureScenario
-from .simulate import SimConfig
+from .covariance import _NOISE_RULES, NoiseParams
+from .errors import (ConfigError, InvalidParameterError, InvalidQueryError,
+                     InvalidSizeError)
+from .graph import (WeightedGraph, _real, _seed, build_complete,
+                    build_custom, build_path, build_pcycle)
+from .risk import FailureScenario, _epsilon, _offset
+from .simulate import _SIM_RULES, SimConfig
 
 _SECTIONS = ("graph", "platoon", "noise", "query", "scenario", "sim",
              "experiment")
@@ -127,13 +128,20 @@ def _as_int(cfg: RawConfig, section: str, key: str, value, what=None):
     return value
 
 
+def _on_line(cfg: RawConfig, section: str, key: str, rule, value):
+    """rule(value), the library's check of the key's value, with a
+    refusal put on the key's line."""
+    try:
+        return rule(value)
+    except (InvalidParameterError, InvalidQueryError) as exc:
+        raise cfg.error(str(exc), section, key) from None
+
+
 def _as_number(cfg: RawConfig, section: str, key: str, value, what=None):
     """value as a float by the real-number rule of the library, refused
     on the key's line. `what` as in _as_int."""
-    try:
-        return _real(value, what or f"key {key!r} in [{section}]")
-    except InvalidParameterError as exc:
-        raise cfg.error(str(exc), section, key) from None
+    what = what or f"key {key!r} in [{section}]"
+    return _on_line(cfg, section, key, lambda v: _real(v, what), value)
 
 
 def build_graph(cfg: RawConfig) -> WeightedGraph:
@@ -183,24 +191,25 @@ def _edge_list(cfg: RawConfig) -> list:
 def build_gap(cfg: RawConfig) -> float:
     """The target gap d of [platoon], checked as the risk routines check
     it; a refusal names the `d` line."""
-    try:
-        return _real(cfg.require("platoon", "d"), "target gap d",
-                     positive=True)
-    except InvalidParameterError as exc:
-        raise cfg.error(str(exc), "platoon", "d") from None
+    return _on_line(cfg, "platoon", "d",
+                    lambda d: _real(d, "target gap d", positive=True),
+                    cfg.require("platoon", "d"))
 
 
 def build_noise(cfg: RawConfig) -> NoiseParams:
-    return NoiseParams(
-        g=_as_number(cfg, "noise", "g", cfg.require("noise", "g")),
-        tau=_as_number(cfg, "noise", "tau", cfg.require("noise", "tau")),
-        beta=_as_number(cfg, "noise", "beta", cfg.require("noise", "beta")))
+    """[noise] by NoiseParams' rules; a refusal names the refused key's
+    line."""
+    return NoiseParams(**{
+        key: _on_line(cfg, "noise", key, rule, cfg.require("noise", key))
+        for key, rule in _NOISE_RULES.items()})
 
 
 def build_query(cfg: RawConfig) -> tuple:
-    eps = _as_number(cfg, "query", "epsilon", cfg.require("query", "epsilon"))
-    c = _as_number(cfg, "query", "c", cfg.require("query", "c"))
-    return eps, c
+    """epsilon and c of [query] by the risk routines' rules; a refusal
+    names the refused key's line."""
+    return (_on_line(cfg, "query", "epsilon", _epsilon,
+                     cfg.require("query", "epsilon")),
+            _on_line(cfg, "query", "c", _offset, cfg.require("query", "c")))
 
 
 def build_scenario(cfg: RawConfig) -> FailureScenario:
@@ -247,20 +256,18 @@ def scenario_state_values(cfg: RawConfig, m: int | None) -> list:
 
 
 def build_sim(cfg: RawConfig, seed_override=None) -> SimConfig:
+    """[sim] by SimConfig's rules, the counts JSON integers; a refusal
+    names the refused key's line. Keys left out take SimConfig's
+    defaults."""
     sec = cfg.sections.get("sim", {})
     kwargs = {}
-    if "dt" in sec:
-        kwargs["dt"] = _as_number(cfg, "sim", "dt", sec["dt"][0])
-    if "burn_in" in sec:
-        kwargs["burn_in"] = _as_number(cfg, "sim", "burn_in", sec["burn_in"][0])
-    if "sample_interval" in sec:
-        kwargs["sample_interval"] = _as_number(
-            cfg, "sim", "sample_interval", sec["sample_interval"][0])
-    if "samples_per_trial" in sec:
-        kwargs["samples_per_trial"] = _as_int(
-            cfg, "sim", "samples_per_trial", sec["samples_per_trial"][0])
-    if "trials" in sec:
-        kwargs["trials"] = _as_int(cfg, "sim", "trials", sec["trials"][0])
+    for key in ("dt", "burn_in", "sample_interval", "samples_per_trial",
+                "trials"):
+        if key in sec:
+            value = sec[key][0]
+            if key in ("samples_per_trial", "trials"):
+                value = _as_int(cfg, "sim", key, value)
+            kwargs[key] = _on_line(cfg, "sim", key, _SIM_RULES[key], value)
     kwargs["seed"] = resolve_seed(cfg, seed_override)
     return SimConfig(**kwargs)
 
@@ -269,17 +276,11 @@ def resolve_seed(cfg: RawConfig, seed_override=None) -> int:
     """Seed for seeded runs: --seed flag wins, then [sim] seed, then 0.
     It must lie in 0 <= seed < 2**64, the range of numpy's SeedSequence."""
     if seed_override is not None:
-        seed = int(seed_override)
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"seed {seed} must be in 0 .. 2**64 - 1")
-    elif cfg.has("sim", "seed"):
-        seed = _as_int(cfg, "sim", "seed", cfg.get("sim", "seed"))
-        if not 0 <= seed < 2 ** 64:
-            raise cfg.error(f"seed {seed} must be in 0 .. 2**64 - 1",
-                            "sim", "seed")
-    else:
-        return 0
-    return seed
+        return _seed(seed_override, ConfigError)
+    if cfg.has("sim", "seed"):
+        return _on_line(cfg, "sim", "seed", _seed,
+                        _as_int(cfg, "sim", "seed", cfg.get("sim", "seed")))
+    return 0
 
 
 def experiment_option(cfg: RawConfig, key: str, default: int) -> int:

@@ -28,6 +28,22 @@ from .stability import check_platoon, region_bound
 NEAR_BOUNDARY_MARGIN = 1e-6
 
 
+def _diffusion(g) -> float:
+    """The diffusion magnitude g as a float, a nonzero real number."""
+    g = _real(g, "diffusion g")
+    if g == 0.0:
+        raise InvalidParameterError(f"diffusion g={g!r} must be nonzero")
+    return g
+
+
+# NoiseParams field -> the check of its value, which returns it as a float
+_NOISE_RULES = {
+    "g": _diffusion,
+    "tau": lambda tau: _real(tau, "delay tau", positive=True),
+    "beta": lambda beta: _real(beta, "gain beta", positive=True),
+}
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Diffusion magnitude g (length/s^1.5), delay tau (s), gain beta
@@ -38,14 +54,8 @@ class NoiseParams:
     beta: float
 
     def __post_init__(self):
-        g = _real(self.g, "diffusion g")
-        if g == 0.0:
-            raise InvalidParameterError(f"diffusion g={g!r} must be nonzero")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "tau",
-                           _real(self.tau, "delay tau", positive=True))
-        object.__setattr__(self, "beta",
-                           _real(self.beta, "gain beta", positive=True))
+        for name, rule in _NOISE_RULES.items():
+            object.__setattr__(self, name, rule(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Each function returns plain row tuples (ints, floats, None for empty
 cells, strings for tags) ready for CSV serialization, so the sweep
 policies (aggregation of infinities, pattern enumeration, sampling
 fallback) live here and are unit-testable without going through the
-command line. Every risk cell is read off the one conditioning core,
-`risk._condition_stack` and `risk._stack_risk`, directly or through a
+command line. Every risk cell is read off the conditioning core,
+`risk._condition_stack` (or `risk._condition_head` for the nested
+levels of sweep-scale) and `risk._stack_risk`, directly or through a
 profile; the no-failure baseline is the empty scenario. Rows come as a
 list, or as a lazy iterable where a table is large (`covariance_rows`,
 n^2 rows): iterate it once.
@@ -21,10 +22,11 @@ from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, NumericalError, UnstablePlatoonError)
-from .graph import (WeightedGraph, _integer, _laplacian, _real, laplacian,
-                    spectrum)
-from .risk import (FailureScenario, _check_query, _condition_scenario,
-                   _condition_stack, _entry_error, _stack_risk)
+from .graph import (WeightedGraph, _integer, _laplacian, _real, _seed,
+                    laplacian, spectrum)
+from .risk import (FailureScenario, _check_query, _condition_head,
+                   _condition_scenario, _condition_stack, _entry_error,
+                   _stack_risk)
 from .simulate import EmpiricalCovariance
 from .stability import StabilityReport
 
@@ -74,18 +76,16 @@ def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,
 def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
                      epsilon: float, max_m: int, state_value: float):
     """Failures {1..m} at the head of the platoon for m = 0..max_m;
-    m = 0 is the no-failure baseline."""
+    m = 0 is the no-failure baseline. Every level is read off one
+    factor of the max_m head block (risk._condition_head)."""
     max_m, state, d, c, it = _check_sweep(sigma, "max_m", max_m,
                                           state_value, d, c, epsilon)
-    rows = []
-    for m in range(max_m + 1):
-        cnd = _condition_stack(sigma.values, np.arange(m)[None],
-                               np.full((1, m), state), d)
-        value, branch = _stack_risk(cnd, d, c, it)
-        for j, (v, b) in enumerate(zip(value[0].tolist(),
-                                       branch[0].tolist()), start=1):
-            rows.append((m, j, v if b >= 0 else None))
-    return rows
+    value, branch = _stack_risk(
+        _condition_head(sigma.values, max_m, state, d), d, c, it)
+    return [(m, j, v if b >= 0 else None)
+            for m, (values, branches) in enumerate(zip(value.tolist(),
+                                                       branch.tolist()))
+            for j, v, b in zip(itertools.count(1), values, branches)]
 
 
 # Patterns conditioned together in one stack by sweep_sparsity_rows.
@@ -135,10 +135,17 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
     skipped and not counted. avg_risk averages the finite patterns; the
     infinite fraction is reported separately. Patterns are conditioned
     in stacks of _STACK_CHUNK, which bounds memory and does not change
-    the result.
+    the result. enum_cap and sample_count are integers >= 1, and seed
+    an integer in 0 .. 2**64 - 1.
     """
     m, state, d, c, it = _check_sweep(sigma, "m", m, state_value,
                                       d, c, epsilon)
+    seed = _seed(seed, InvalidQueryError)
+    enum_cap = _integer(enum_cap, "enum_cap", InvalidQueryError)
+    sample_count = _integer(sample_count, "sample_count", InvalidQueryError)
+    if enum_cap < 1 or sample_count < 1:
+        raise InvalidQueryError(f"enum_cap={enum_cap} and sample_count="
+                                f"{sample_count} must both be >= 1")
     n_pairs = sigma.dim
     rows = []
     for s in range(0, n_pairs - m + 1):
@@ -154,7 +161,7 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
             n_eval = total
         else:
             rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=int(seed), spawn_key=(s,)))
+                np.random.SeedSequence(entropy=seed, spawn_key=(s,)))
             cases = ((_sample_pattern(rng, m, s),
                       int(rng.integers(0, placements)))
                      for _ in range(sample_count))

@@ -53,6 +53,15 @@ def _real(value, name: str, error=InvalidParameterError,
     return x
 
 
+def _seed(value, error=InvalidParameterError) -> int:
+    """value as an int by the integer rule, in 0 <= seed < 2**64, the
+    range of numpy's SeedSequence; otherwise `error`."""
+    seed = _integer(value, "seed", error)
+    if not 0 <= seed < 2 ** 64:
+        raise error(f"seed {seed} must be in 0 .. 2**64 - 1")
+    return seed
+
+
 def _vehicle_count(n, minimum: int = 2) -> int:
     """n as an int by the integer rule, at least `minimum`; otherwise
     InvalidSizeError."""

@@ -6,9 +6,11 @@ conditions a stack of scenarios at once (`_condition_stack`), and one
 array routine turns the conditional moments into the three-branch
 value-at-risk of each pair (`_stack_risk`): zero risk when the pair is
 safe even unscaled, infinite risk when no finite scaling saves it, and
-otherwise an explicit formula in the conditional moments. Profiles, the
-sweeps and add-edge all read their risks off this core; the no-failure
-baseline is the profile of the empty scenario.
+otherwise an explicit formula in the conditional moments. Profiles,
+sweep-sparsity and add-edge all read their risks off this core; the
+no-failure baseline is the profile of the empty scenario. sweep-scale's
+nested scenarios, failures {1..m} for every m, are read off one factor
+of their largest failed block (`_condition_head`).
 """
 from __future__ import annotations
 
@@ -38,11 +40,24 @@ def _check_query(d, c, epsilon):
     """Entry check of the public risk routines, before any other work:
     target gap d > 0, offset c >= 1 and epsilon in (0, 1). Returns d and
     c as floats and iota(epsilon)."""
-    d = _real(d, "target gap d", positive=True)
+    return _real(d, "target gap d", positive=True), _offset(c), iota(epsilon)
+
+
+def _offset(c) -> float:
+    """The query offset c as a float, a real number >= 1."""
     c = _real(c, "offset c", InvalidQueryError)
     if c < 1.0:
         raise InvalidQueryError(f"offset c={c!r} must be >= 1")
-    return d, c, iota(epsilon)
+    return c
+
+
+def _epsilon(epsilon) -> float:
+    """The risk level epsilon as a float, a real number inside (0, 1)."""
+    epsilon = _real(epsilon, "epsilon", InvalidQueryError)
+    if not 0.0 < epsilon < 1.0:
+        raise InvalidQueryError(
+            f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
+    return epsilon
 
 
 @dataclass(frozen=True)
@@ -179,6 +194,49 @@ def _condition_stack(values: np.ndarray, idx: np.ndarray,
                         errors)
 
 
+def _condition_head(values: np.ndarray, max_m: int, state: float,
+                    d: float) -> _Conditioned:
+    """_condition_stack of the nested scenarios "pairs 1..m failed, each
+    observed at `state`" for m = 0..max_m, from one factor and one solve.
+
+    A leading block's Cholesky factor is the leading block of the whole
+    factor, and forward substitution nests the same way, so level m's
+    shift and reduction are the first m terms of _condition_stack's
+    sums, taken here by a running sum in the same order. Refusals nest
+    too: the leading blocks of a positive definite block are positive
+    definite, and their condition number does not decrease with m
+    (Cauchy interlacing). So when the whole head block is refused, a
+    bisection finds the first refused level, and it and every level
+    after it get its error; the levels before it use the factor of the
+    last accepted block.
+    """
+    dim = values.shape[0]
+    (chol,), (error,) = _factor_blocks(values[None, :max_m, :max_m])
+    good, bad = max_m, max_m + 1
+    if error is not None:
+        good, bad, chol = 0, max_m, chol[:0, :0]
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            (mid_chol,), (mid_error,) = _factor_blocks(
+                values[None, :mid, :mid])
+            if mid_error is None:
+                good, chol = mid, mid_chol
+            else:
+                bad, error = mid, mid_error
+    rhs = np.concatenate((values[:good], np.full((good, 1), state - d)),
+                         axis=1)
+    solved = np.linalg.solve(chol, rhs)
+    cross, dev = solved[:, :dim], solved[:, dim:]
+    shift = np.zeros((max_m + 1, dim))
+    reduction = np.zeros((max_m + 1, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(cross * dev, axis=0, out=shift[1:good + 1])
+        np.cumsum(cross * cross, axis=0, out=reduction[1:good + 1])
+    failed = np.arange(dim) < np.arange(max_m + 1)[:, None]
+    return _conditioned(d + shift, np.diagonal(values) - reduction, failed,
+                        [None] * bad + [error] * (max_m + 1 - bad))
+
+
 def _conditioned(mu: np.ndarray, var: np.ndarray, failed: np.ndarray,
                  errors: list) -> _Conditioned:
     """_Conditioned from the moments of a stack: marks the usable pairs
@@ -214,11 +272,7 @@ def iota(epsilon: float) -> float:
     """Inverse error function at 2*epsilon - 1, computed as the standard
     normal quantile of epsilon over sqrt(2): forming 2*epsilon - 1 would
     cancel for small epsilon and round to -1 (iota = -inf) near 1e-17."""
-    epsilon = _real(epsilon, "epsilon", InvalidQueryError)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidQueryError(
-            f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
-    return _STD_NORMAL.inv_cdf(epsilon) / _SQRT2
+    return _STD_NORMAL.inv_cdf(_epsilon(epsilon)) / _SQRT2
 
 
 def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,

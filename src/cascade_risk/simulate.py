@@ -23,11 +23,33 @@ import numpy as np
 
 from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError
-from .graph import WeightedGraph, _integer, _real, laplacian, spectrum
+from .graph import (WeightedGraph, _integer, _real, _seed, laplacian,
+                    spectrum)
 from .stability import check_platoon
 
 # noise values drawn per chunk, ~1 MB; two chunk buffers are in use
 _NOISE_VALUES = 2 ** 17
+
+
+def _sample_count(value, name: str) -> int:
+    """A count of trials or samples: an integer >= 2, which the standard
+    errors need."""
+    count = _integer(value, name)
+    if count < 2:
+        raise InvalidParameterError(f"{name}={count} must be >= 2")
+    return count
+
+
+# SimConfig field -> the check of its value, which returns it as a float
+# or an int; burn_in and sample_interval may also be None
+_SIM_RULES = {
+    "dt": lambda dt: _real(dt, "dt", positive=True),
+    "burn_in": lambda t: _real(t, "burn_in", positive=True),
+    "sample_interval": lambda t: _real(t, "sample_interval", positive=True),
+    "samples_per_trial": lambda n: _sample_count(n, "samples_per_trial"),
+    "trials": lambda n: _sample_count(n, "trials"),
+    "seed": _seed,
+}
 
 
 @dataclass(frozen=True)
@@ -45,22 +67,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", _real(self.dt, "dt", positive=True))
-        for name in ("burn_in", "sample_interval"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _real(getattr(self, name),
-                                                     name, positive=True))
-        for name in ("samples_per_trial", "trials", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        # The standard errors need at least 2 trials and 2 samples each.
-        if self.samples_per_trial < 2:
-            raise InvalidParameterError(
-                f"samples_per_trial={self.samples_per_trial} must be >= 2")
-        if self.trials < 2:
-            raise InvalidParameterError(f"trials={self.trials} must be >= 2")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidParameterError(
-                f"seed={self.seed!r} must be a 64-bit unsigned integer")
+        for name, rule in _SIM_RULES.items():
+            value = getattr(self, name)
+            if value is not None or name not in ("burn_in",
+                                                 "sample_interval"):
+                object.__setattr__(self, name, rule(value))
 
 
 def _delay_steps(tau: float, dt: float) -> int:

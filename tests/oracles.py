@@ -4,15 +4,19 @@ Everything here is built from math/numpy primitives only, on purpose:
 the package computes the covariance integral from a delay Lyapunov
 solve, not from the integrand, so these deliberately slower routes
 (adaptive Simpson panels over the integrand, plain bisection, explicit
-matrix inverses) give genuinely independent reference values. The one
-exception, `add_pair_edges`, returns a package graph, so that the
-augmented graph passes the full `WeightedGraph` validation.
+matrix inverses) give genuinely independent reference values. Two
+exceptions use the package: `add_pair_edges` returns a package graph,
+so that the augmented graph passes the full `WeightedGraph`
+validation, and `sweep_scale_rows_per_level` runs the package's
+conditioning core once per level, the route the nested one replaced.
 """
 import math
 
 import numpy as np
 
 from cascade_risk import WeightedGraph
+from cascade_risk.experiments import _check_sweep
+from cascade_risk.risk import _condition_stack, _stack_risk
 
 
 def add_pair_edges(g, j, target):
@@ -247,3 +251,21 @@ def format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.17g" % float(value)
+
+
+def sweep_scale_rows_per_level(sigma, d, c, epsilon, max_m, state_value):
+    """The rows of experiments.sweep_scale_rows, conditioned level by
+    level: failures {1..m} from scratch for each m = 0..max_m, through
+    the package's one-stack conditioning core. The reference for the
+    nested route, which reads every level off one factor."""
+    max_m, state, d, c, it = _check_sweep(sigma, "max_m", max_m,
+                                          state_value, d, c, epsilon)
+    rows = []
+    for m in range(max_m + 1):
+        cnd = _condition_stack(sigma.values, np.arange(m)[None],
+                               np.full((1, m), state), d)
+        value, branch = _stack_risk(cnd, d, c, it)
+        for j, (v, b) in enumerate(zip(value[0].tolist(),
+                                       branch[0].tolist()), start=1):
+            rows.append((m, j, v if b >= 0 else None))
+    return rows

@@ -345,6 +345,36 @@ def test_nonfinite_states_refused_at_config(tmp_path, capsys, argv):
         assert err.count(cfg) == 1
 
 
+@pytest.mark.parametrize("command, key, value, words", [
+    ("risk-profile", "g", "0", "must be nonzero"),
+    ("risk-profile", "tau", "-0.03", "must be positive"),
+    ("risk-profile", "beta", "0", "must be positive"),
+    ("risk-profile", "beta", "-2", "must be positive"),
+    ("risk-profile", "epsilon", "0", "strictly inside (0, 1)"),
+    ("risk-profile", "epsilon", "1", "strictly inside (0, 1)"),
+    ("risk-profile", "epsilon", "1.5", "strictly inside (0, 1)"),
+    ("risk-profile", "c", "0.5", "must be >= 1"),
+    ("simulate", "dt", "0", "must be positive"),
+    ("simulate", "dt", "-0.001", "must be positive"),
+    ("simulate", "burn_in", "0", "must be positive"),
+    ("simulate", "sample_interval", "-0.1", "must be positive"),
+    ("simulate", "trials", "1", "must be >= 2"),
+    ("simulate", "samples_per_trial", "1", "must be >= 2"),
+])
+def test_range_refusals_name_the_line(tmp_path, capsys, command, key, value,
+                                      words):
+    # the library's own rule refuses the value, on the line of its key
+    lines = (SIM_SMALL if command == "simulate" else PATH6).splitlines()
+    line = next(i for i, ln in enumerate(lines, start=1)
+                if ln.startswith(f"{key} = "))
+    lines[line - 1] = f"{key} = {value}"
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cascade-risk: line {line}: ")
+    assert words in err and err.count(cfg) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-scale", "--max-m", "2"], ["sweep-sparsity", "--m", "2"]])
 def test_sweep_takes_one_state(tmp_path, capsys, argv):

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
                           UnstablePlatoonError, build_custom, build_path,
-                          iota, laplacian, risk_profile, spectrum,
-                          steady_state_covariance)
-from cascade_risk import experiments
+                          build_pcycle, iota, laplacian, risk_profile,
+                          spectrum, steady_state_covariance)
+from cascade_risk import experiments, risk
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
                                       sweep_sparsity_rows)
 
 from oracles import (add_pair_edges, conditional_moments,
-                     region_bound_bisect, var_risk_scalar)
+                     region_bound_bisect, sweep_scale_rows_per_level,
+                     var_risk_scalar)
 
 D, C, EPSILON, STATE, M = 3.0, 1.5, 0.2, 1.0, 3
 
@@ -170,6 +171,156 @@ def test_sweep_counts_follow_integer_rule(path8):
             sweep_scale_rows(path8, D, C, EPSILON, bad, STATE)
         with pytest.raises(InvalidQueryError):
             sweep_sparsity_rows(path8, D, C, EPSILON, bad, STATE, seed=11)
+
+
+def _assert_scale_rows_match(rows, expected, c):
+    """Same (m, j) keys, the same empty and infinite cells, and finite
+    cells within 1e-9 (|risk| + c)."""
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    for (_, _, got), (_, _, want) in zip(rows, expected):
+        if want is None or math.isinf(want):
+            assert got == want
+        else:
+            assert got is not None and math.isfinite(got)
+            assert abs(got - want) <= 1e-9 * (abs(want) + c)
+
+
+def _random_graph(kind, n, rng):
+    if kind == "path":
+        return build_path(n)
+    if kind == "pcycle":
+        return build_pcycle(n, int(rng.integers(1, (n - 1) // 2 + 1)))
+    # a random spanning tree plus a few chords, with non-unit weights
+    edges = {(int(rng.integers(1, i)), i): float(rng.uniform(0.2, 2.0))
+             for i in range(2, n + 1)}
+    for _ in range(n // 3):
+        a, b = sorted(int(v) for v in rng.choice(n, 2, replace=False) + 1)
+        edges[a, b] = float(rng.uniform(0.2, 2.0))
+    return build_custom(n, [(a, b, w) for (a, b), w in edges.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["path", "pcycle", "custom"]),
+       n=st.integers(3, 30), seed=st.integers(0, 2 ** 32 - 1),
+       g=st.sampled_from([0.1, 1.0]), state=st.floats(-3.0, 9.0),
+       epsilon=st.floats(0.01, 0.49), c=st.floats(1.0, 3.0),
+       level=st.floats(0.0, 1.0))
+def test_sweep_scale_matches_per_level_oracle(kind, n, seed, g, state,
+                                              epsilon, c, level):
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(kind, n, rng)
+    sigma = steady_state_covariance(spectrum(laplacian(graph)),
+                                    NoiseParams(g=g, tau=0.01, beta=2.0))
+    max_m = 1 + int(level * (sigma.dim - 2))
+    rows = sweep_scale_rows(sigma, D, c, epsilon, max_m, state)
+    _assert_scale_rows_match(
+        rows, sweep_scale_rows_per_level(sigma, D, c, epsilon, max_m, state),
+        c)
+
+
+def _head_refused_at(first, kind):
+    """A 30-pair covariance whose head blocks are refused from `first`
+    failures on: pair `first` repeats pair first-1 exactly (its block is
+    not positive definite), or has a variance 1e-13 of the largest
+    eigenvalue before it (condition number above 1e12). The pairs
+    before are correlated as on a path; the pairs after are correlated
+    among themselves, too weakly to change the condition number."""
+    path = steady_state_covariance(spectrum(laplacian(build_path(31))),
+                                   NoiseParams(g=0.1, tau=0.03,
+                                               beta=2.0)).values
+    v = np.zeros((30, 30))
+    head = first - 2 if kind == "singular" else first - 1
+    v[:head, :head] = path[:head, :head]
+    if kind == "singular":
+        v[head:first, head:first] = 1.0
+    else:
+        v[head, head] = 1e-13 * np.linalg.eigvalsh(v[:head, :head])[-1]
+    v[first:, first:] = 0.25 * path[first:, first:]
+    return CovarianceMatrix(v)
+
+
+def _head_errors_per_level(sigma, max_m, state):
+    """Why each level of a sweep-scale is refused, or None, conditioned
+    level by level."""
+    return [risk._condition_stack(sigma.values, np.arange(m)[None],
+                                  np.full((1, m), state), D).errors[0]
+            for m in range(max_m + 1)]
+
+
+@pytest.mark.parametrize("kind, words", [
+    ("singular", "not positive definite"),
+    ("ill-conditioned", "condition number"),
+])
+def test_sweep_scale_refusals_nest(kind, words, monkeypatch):
+    first, max_m = 12, 27
+    sigma = _head_refused_at(first, kind)
+    expected_errors = _head_errors_per_level(sigma, max_m, STATE)
+    assert [e is not None for e in expected_errors] == \
+        [m >= first for m in range(max_m + 1)]
+    assert all(words in e for e in expected_errors[first:])
+    assert risk._condition_head(sigma.values, max_m, STATE, D).errors == \
+        expected_errors
+    calls = []
+
+    def counting(blocks):
+        calls.append(blocks.shape[1])
+        return factor(blocks)
+
+    factor = risk._factor_blocks
+    monkeypatch.setattr(risk, "_factor_blocks", counting)
+    rows = sweep_scale_rows(sigma, D, C, EPSILON, max_m, STATE)
+    monkeypatch.undo()
+    # the whole head block, then a bisection over 1..max_m
+    assert calls[0] == max_m
+    assert len(calls) <= 1 + math.ceil(math.log2(max_m)) < max_m
+    _assert_scale_rows_match(
+        rows, sweep_scale_rows_per_level(sigma, D, C, EPSILON, max_m, STATE),
+        C)
+    for m, j, value in rows:
+        if m >= first:
+            assert value == (0.0 if j <= m else None)
+
+
+def test_sweep_scale_factors_once(path8, monkeypatch):
+    calls = {"factor": 0, "solve": 0}
+    factor, solve = risk._factor_blocks, np.linalg.solve
+
+    def counting_factor(blocks):
+        calls["factor"] += 1
+        return factor(blocks)
+
+    def counting_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(risk, "_factor_blocks", counting_factor)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rows = sweep_scale_rows(path8, D, C, EPSILON, path8.dim - 1, STATE)
+    assert calls == {"factor": 1, "solve": 1}
+    assert len(rows) == path8.dim * path8.dim
+
+
+def test_sweep_sparsity_options_follow_integer_rule():
+    # enum_cap and sample_count are integers >= 1, the seed an integer
+    # in 0 .. 2**64 - 1; an integral float is taken as its integer
+    sigma = steady_state_covariance(spectrum(laplacian(build_path(6))),
+                                    NoiseParams(g=0.1, tau=0.03, beta=2.0))
+
+    def rows(**options):
+        return sweep_sparsity_rows(sigma, D, C, EPSILON, 2, STATE,
+                                   **{"seed": 11, **options})
+
+    sampled = rows(enum_cap=1, sample_count=5)
+    assert len(sampled) == 4
+    assert rows(enum_cap=1.0, sample_count=5.0, seed=11.0) == sampled
+    for options in ({"enum_cap": "x"}, {"enum_cap": True}, {"enum_cap": 2.5},
+                    {"sample_count": "5"}, {"sample_count": np.True_},
+                    {"sample_count": 2.5}, {"enum_cap": 0},
+                    {"sample_count": 0}, {"enum_cap": 0, "sample_count": 0},
+                    {"enum_cap": -3}, {"seed": -1}, {"seed": 2 ** 64},
+                    {"seed": True}, {"seed": "11"}, {"seed": 1.5}):
+        with pytest.raises(InvalidQueryError):
+            rows(**options)
 
 
 PATH6_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
