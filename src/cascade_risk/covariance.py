@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParameterError, NearBoundaryError,
-                     UnstablePlatoonError)
+                     NumericalError, UnstablePlatoonError)
 from .graph import (LaplacianSpectrum, _real, _vehicle_count,
                     pair_difference_matrix)
 from .stability import check_platoon, region_bound
@@ -26,6 +26,8 @@ from .stability import check_platoon, region_bound
 # Refuse f for a mode closer than this to the stability boundary: f grows
 # like 1/margin there, and its 1e-8 accuracy is tested down to this margin.
 NEAR_BOUNDARY_MARGIN = 1e-6
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def _diffusion(g) -> float:
@@ -60,7 +62,13 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Symmetric positive semi-definite (n-1)x(n-1) distance covariance."""
+    """Symmetric positive semi-definite (n-1)x(n-1) distance covariance.
+
+    A matrix built by hand gets the full check: square and non-empty,
+    finite, symmetric, positive semi-definite (an eigvalsh) and with a
+    positive diagonal. steady_state_covariance wraps its own result
+    through `_trusted`, which checks nothing: that result is PSD by
+    construction and is checked where it is built."""
 
     values: np.ndarray
 
@@ -82,9 +90,45 @@ class CovarianceMatrix:
         vv.setflags(write=False)
         object.__setattr__(self, "values", vv)
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> CovarianceMatrix:
+        """Wrap a package-built float array, symmetric by construction,
+        without the checks of __post_init__; the array becomes
+        read-only."""
+        self = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        return self
+
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+
+# The mode-free parts of _f_modes, built once at import.
+_A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+_ZERO = np.zeros((4, 4))
+
+
+def _kron_parts(a: np.ndarray):
+    """kron(I, a^T) and kron(a^T, I), the 4x4 maps vec X -> vec(X a) and
+    vec X -> vec(a^T X), and the 8x8 block [[0, right], [-left, 0]]."""
+    right, left = np.kron(np.eye(2), a.T), np.kron(a.T, np.eye(2))
+    return right, left, np.block([[_ZERO, right], [-left, _ZERO]])
+
+
+_A0_RIGHT, _A0_LEFT, _ = _kron_parts(_A0)
+_A0_BLOCK = np.block([[_A0_RIGHT, _ZERO], [_ZERO, -_A0_LEFT]])
+_A0_JUMP = _A0_RIGHT + _A0_LEFT
+# b = [[0, 0], [-s2, -1]] is B1 + s2 B2, and so is each of its parts.
+# Every entry is 0, -1 or -s2, never a sum, so B1 + s2 B2 gives it
+# exactly as a product built from b itself would.
+_B1_RIGHT, _B1_LEFT, _B1_BLOCK = _kron_parts(
+    np.array([[0.0, 0.0], [0.0, -1.0]]))
+_B2_RIGHT, _B2_LEFT, _B2_BLOCK = _kron_parts(
+    np.array([[0.0, 0.0], [-1.0, 0.0]]))
+_EYE8 = np.eye(8)
+_VEC_XT = np.eye(4)[[0, 2, 1, 3]]  # vec X -> vec X^T
 
 
 def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
@@ -100,28 +144,23 @@ def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
     U(0)[0, 1] = U(0)[1, 0], without which the system has rank 7.
     """
     s1 = s1[:, None, None]
-    a0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-    b = np.array([[0.0, 0.0], [-s2, -1.0]])
-    zero = np.zeros((4, 4))
-    # vec(X A) = kron(I, A^T) vec X and vec(A^T X) = kron(A^T, I) vec X
-    a0_right, a0_left = np.kron(np.eye(2), a0.T), np.kron(a0.T, np.eye(2))
-    b_right, b_left = np.kron(np.eye(2), b.T), np.kron(b.T, np.eye(2))
+    b_right = _B1_RIGHT + s2 * _B2_RIGHT
+    b_left = _B1_LEFT + s2 * _B2_LEFT
     # A row of M holds at most a 1 from A0 and entries of s1 b summing to
     # at most s1 max(1, s2) = s1 (s2 < a/tan(a) < 1): ||M||_inf < 1 + pi/2,
     # so ||M / 2^5||_inf < 0.081 and the Taylor remainder after degree 9
     # is below 0.081^10 / 10! < 4e-18.
-    h = (np.block([[a0_right, zero], [zero, -a0_left]])
-         + s1 * np.block([[zero, b_right], [-b_left, zero]])) / 32.0
-    e = np.eye(8) + h / 9.0
+    h = (_A0_BLOCK + s1 * (_B1_BLOCK + s2 * _B2_BLOCK)) / 32.0
+    e = _EYE8 + h / 9.0
     for k in range(8, 0, -1):
-        e = np.eye(8) + h @ e / k
+        e = _EYE8 + h @ e / k
     for _ in range(5):
         e = e @ e
     rows = np.empty_like(e)
     rows[:, :4] = e[:, 4:]
-    rows[:, :4, :4] -= np.eye(4)[[0, 2, 1, 3]]  # vec X^T
+    rows[:, :4, :4] -= _VEC_XT
     jump = s1 * b_left @ e[:, :4]
-    jump[:, :, :4] += a0_right + a0_left
+    jump[:, :, :4] += _A0_JUMP
     jump[:, :, 4:] += s1 * b_right
     rows[:, 4:7] = jump[:, [0, 1, 3]]
     rows[:, 7] = [0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -149,23 +188,62 @@ def f_integral(s1: float, s2: float) -> float:
     return float(_f_modes(np.array([s1]), s2)[0])
 
 
+def _scale(noise: NoiseParams) -> float:
+    """g^2 tau^3, inf where it overflows; float ** raises there."""
+    try:
+        return noise.g * noise.g * noise.tau ** 3
+    except OverflowError:
+        return math.inf
+
+
+def _refuse_out_of_range(values: np.ndarray, noise: NoiseParams) -> None:
+    """Refuse a covariance (or sigma_c) whose scale g^2 tau^3 took it out
+    of the float range: an entry overflowed, or a variance underflowed
+    to 0 or to a subnormal, which has lost its relative precision."""
+    if not np.all(np.isfinite(values)):
+        what = "overflows: the covariance is not finite"
+    elif not np.all(np.diagonal(np.atleast_2d(values)) >= _SMALLEST_NORMAL):
+        what = ("underflows: a variance is below the smallest normal "
+                "float")
+    else:
+        return
+    raise InvalidParameterError(
+        f"covariance scale g^2 tau^3 with g={noise.g!r}, "
+        f"tau={noise.tau!r} {what}")
+
+
 def steady_state_covariance(spec: LaplacianSpectrum,
                             noise: NoiseParams) -> CovarianceMatrix:
     """Distance covariance from the Laplacian spectrum (any connected
-    topology). One batched f evaluation over all modes."""
+    topology). One batched f evaluation over all modes.
+
+    Sigma = pref W diag(f) W^T with every f > 0 is positive semi-definite
+    by construction, and 0.5 (Sigma + Sigma^T) is exactly symmetric, so
+    the result skips the eigvalsh of a hand-built CovarianceMatrix. It
+    is checked only for finite entries and a positive diagonal, at or
+    above the smallest normal float; a scale g^2 tau^3 that breaks
+    either is an InvalidParameterError."""
     report = check_platoon(spec, noise.tau, noise.beta)
     report.require_stable()
     _refuse_near_boundary(report.margin.min())
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
     fvals = _f_modes(spec.eigenvalues[1:] * noise.tau, noise.beta * noise.tau)
-    pref = noise.g * noise.g * noise.tau ** 3 / (2.0 * math.pi)
-    sigma = pref * (W * fvals) @ W.T
-    return CovarianceMatrix(0.5 * (sigma + sigma.T))
+    if not np.all(np.isfinite(fvals) & (fvals > 0.0)):
+        raise NumericalError("f is not finite and positive on every mode")
+    pref = _scale(noise) / (2.0 * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = pref * (W * fvals) @ W.T
+        sigma = 0.5 * (sigma + sigma.T)
+    _refuse_out_of_range(sigma, noise)
+    return CovarianceMatrix._trusted(sigma)
 
 
 def complete_graph_sigma_c(n: int, noise: NoiseParams) -> float:
     """Marginal distance variance sigma_c on the unit-weight complete
-    graph (all nonzero Laplacian eigenvalues equal n)."""
+    graph (all nonzero Laplacian eigenvalues equal n); refused, as the
+    covariance is, when g^2 tau^3 takes it out of the float range."""
     n = _vehicle_count(n)
     f = f_integral(n * noise.tau, noise.beta * noise.tau)
-    return noise.g * noise.g * noise.tau ** 3 * f / math.pi
+    sigma_c = _scale(noise) * f / math.pi
+    _refuse_out_of_range(np.array(sigma_c), noise)
+    return sigma_c

@@ -9,6 +9,9 @@ exceptions use the package: `add_pair_edges` returns a package graph,
 so that the augmented graph passes the full `WeightedGraph`
 validation, and `sweep_scale_rows_per_level` runs the package's
 conditioning core once per level, the route the nested one replaced.
+`f_modes_reference` is not independent either: it is the package's
+route to f as it stood before its mode-free blocks were built once, the
+reference that f has stayed the same bit for bit.
 """
 import math
 
@@ -76,6 +79,38 @@ def f_simpson(s1, s2, rtol=1e-11):
         total += simpson_panel(g, r, r + math.pi, 1e-2 * rtol * total)
         r += math.pi
     return 2.0 * total
+
+
+def f_modes_reference(s1, s2):
+    """The covariance integral f for each mode s1 at the common s2, by
+    the same delay Lyapunov route as covariance._f_modes, with every
+    mode-free block built afresh by `kron` and `block` on each call: the
+    route production had before it built those blocks once, at import.
+    The reference for f bit for bit."""
+    s1 = s1[:, None, None]
+    a0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [-s2, -1.0]])
+    zero = np.zeros((4, 4))
+    a0_right, a0_left = np.kron(np.eye(2), a0.T), np.kron(a0.T, np.eye(2))
+    b_right, b_left = np.kron(np.eye(2), b.T), np.kron(b.T, np.eye(2))
+    h = (np.block([[a0_right, zero], [zero, -a0_left]])
+         + s1 * np.block([[zero, b_right], [-b_left, zero]])) / 32.0
+    e = np.eye(8) + h / 9.0
+    for k in range(8, 0, -1):
+        e = np.eye(8) + h @ e / k
+    for _ in range(5):
+        e = e @ e
+    rows = np.empty_like(e)
+    rows[:, :4] = e[:, 4:]
+    rows[:, :4, :4] -= np.eye(4)[[0, 2, 1, 3]]
+    jump = s1 * b_left @ e[:, :4]
+    jump[:, :, :4] += a0_right + a0_left
+    jump[:, :, 4:] += s1 * b_right
+    rows[:, 4:7] = jump[:, [0, 1, 3]]
+    rows[:, 7] = [0.0, 1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    rhs = np.zeros(rows.shape[:2] + (1,))
+    rhs[:, 4] = -1.0
+    return 2.0 * math.pi * np.linalg.solve(rows, rhs)[:, 3, 0]
 
 
 def solve_a_bisect(s1):

@@ -375,6 +375,30 @@ def test_range_refusals_name_the_line(tmp_path, capsys, command, key, value,
     assert words in err and err.count(cfg) == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g, words", [(1e160, "overflows"),
+                                      (1e-170, "underflows")])
+@pytest.mark.parametrize("text, argv", [
+    (PATH6, ["covariance"]),
+    (COMPLETE12, ["risk-profile", "--method", "generic"]),
+    (COMPLETE12, ["risk-profile", "--method", "closed-form"])],
+    ids=["covariance", "generic", "closed-form"])
+def test_covariance_scale_outside_float_range(tmp_path, capsys, text, argv,
+                                              g, words):
+    # a finite g whose g^2 tau^3 leaves the float range: one typed error
+    # naming g and tau, exit 1, and no RuntimeWarning on the way
+    lines = [f"g = {g!r}" if ln.startswith("g = ") else ln
+             for ln in text.splitlines()]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert main(argv + ["--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"cascade-risk: covariance scale g^2 tau^3 with g={g!r}, tau=0.03 "
+        f"{words}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-scale", "--max-m", "2"], ["sweep-sparsity", "--m", "2"]])
 def test_sweep_takes_one_state(tmp_path, capsys, argv):

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascade_risk import (CovarianceMatrix, InvalidParameterError,
-                          InvalidSizeError, NearBoundaryError, NoiseParams,
-                          UnstablePlatoonError,
-                          build_complete, build_path, build_pcycle,
-                          complete_graph_sigma_c, f_integral, laplacian,
-                          region_bound, spectrum, steady_state_covariance)
+from cascade_risk import (CovarianceMatrix, FailureScenario,
+                          InvalidParameterError, InvalidSizeError,
+                          NearBoundaryError, NoiseParams, NumericalError,
+                          UnstablePlatoonError, build_complete, build_custom,
+                          build_path, build_pcycle, complete_graph_sigma_c,
+                          f_integral, laplacian, region_bound, spectrum,
+                          steady_state_covariance)
 from cascade_risk import covariance, stability
+from cascade_risk.covariance import NEAR_BOUNDARY_MARGIN
+from cascade_risk.experiments import add_edge_rows
 
-from oracles import f_simpson, integrand, tridiag_matrix
+from oracles import f_modes_reference, f_simpson, integrand, tridiag_matrix
 
 COMPLETE_NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
@@ -271,3 +274,150 @@ def test_f_integral_positive_and_oracle_backed(s1, frac):
     value = f_integral(s1, s2)
     assert math.isfinite(value) and value > 0.0
     assert abs(value - f_simpson(s1, s2, rtol=1e-9)) < 1e-8 * value
+
+
+# f from the delay Lyapunov route at a few points, one batch of three
+# modes among them. Pinned at 1e-14 relative: a BLAS build may move the
+# last bits, a change of route moves more.
+F_PINS = [
+    ([0.0012], 0.06, [38683395.63695993]),
+    ([0.5], 0.3, [69.20672408245896]),
+    ([1.0], 0.5, [92.17480418210002]),
+    ([1.5], 1.5e-4, [9333.81417551672]),
+    ([1.5707], 0.00014128905372503439, [263653.7808346955]),
+    ([0.0012, 0.5, 1.0], 0.06,
+     [38683395.63695993, 228.0466161727947, 60.83770135591173]),
+]
+
+
+@pytest.mark.parametrize("s1,s2,ref", F_PINS)
+def test_f_modes_pinned(s1, s2, ref):
+    f = covariance._f_modes(np.array(s1), s2)
+    assert np.allclose(f, ref, rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def _region_points(draw):
+    """Modes s1 in (0, pi/2) and an s2 inside the region of every one:
+    a fraction of the smallest bound, or the bound less a margin down to
+    NEAR_BOUNDARY_MARGIN. The fraction stays above 1e-9: f grows like
+    1/s2, and at s2 = 5e-324 the solve is singular on either route."""
+    s1 = np.array(draw(st.lists(
+        st.floats(1e-8, math.pi / 2, exclude_max=True),
+        min_size=1, max_size=12)))
+    bound = float(region_bound(s1).min())
+    margin = NEAR_BOUNDARY_MARGIN * 10.0 ** draw(st.floats(0.0, 6.0))
+    if draw(st.booleans()) and margin < bound:
+        return s1, bound - margin
+    return s1, bound * draw(st.floats(1e-9, 1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=_region_points())
+def test_f_modes_bitwise_equal_to_reference(point):
+    # the mode-free blocks built once give f bit for bit as the route
+    # that builds them on every call
+    s1, s2 = point
+    f = covariance._f_modes(s1, s2)
+    assert np.array_equal(f.view(np.int64),
+                          f_modes_reference(s1, s2).view(np.int64))
+
+
+@st.composite
+def _stable_platoons(draw):
+    """A random connected weighted graph on up to 8 vehicles (a p-cycle,
+    or a spanning tree plus extra links) with noise inside the stability
+    region."""
+    n = draw(st.integers(2, 8))
+    if n >= 5 and draw(st.booleans()):
+        graph = build_pcycle(n, draw(st.integers(1, (n - 1) // 2)))
+    else:
+        weight = st.floats(0.1, 3.0)
+        edges = {(draw(st.integers(1, i - 1)), i): draw(weight)
+                 for i in range(2, n + 1)}
+        for a, b in draw(st.lists(st.tuples(st.integers(1, n),
+                                            st.integers(1, n)),
+                                  max_size=n)):
+            if a != b:
+                edges[min(a, b), max(a, b)] = draw(weight)
+        graph = build_custom(n, [(a, b, w) for (a, b), w in edges.items()])
+    spec = spectrum(laplacian(graph))
+    tau = draw(st.floats(0.05, 0.9)) * (math.pi / 2) / spec.eigenvalues[-1]
+    bound = region_bound(spec.eigenvalues[1:] * tau).min()
+    beta = draw(st.floats(0.05, 0.9)) * bound / tau
+    return spec, NoiseParams(10.0 ** draw(st.floats(-3.0, 3.0)), tau, beta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(platoon=_stable_platoons())
+def test_package_covariance_passes_the_full_check(platoon):
+    # the checks the package route skips could not have fired: a
+    # hand-built copy of every package-built covariance is accepted,
+    # bit for bit
+    sigma = steady_state_covariance(*platoon)
+    copy = CovarianceMatrix(sigma.values)
+    assert np.array_equal(copy.values.view(np.int64),
+                          sigma.values.view(np.int64))
+    assert not sigma.values.flags.writeable
+
+
+def test_package_route_runs_no_eigvalsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    steady_state_covariance(spectrum(laplacian(build_pcycle(20, 3))),
+                            PATH_NOISE)
+    rows = add_edge_rows(build_path(12), 3.0, PATH_NOISE, 0.1, 2.0,
+                         FailureScenario((6,), (0.0,)), 4)
+    assert len(rows) == 11
+    # a hand-built matrix still gets the PSD check
+    with pytest.raises(AssertionError, match="eigvalsh ran"):
+        CovarianceMatrix(np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf, math.nan])
+def test_package_covariance_needs_every_f_positive(monkeypatch, bad):
+    # W diag(f) W^T is PSD by construction only while every f > 0, so a
+    # mode's f outside (0, inf) is refused rather than wrapped unchecked
+    f_modes = covariance._f_modes
+
+    def one_bad_mode(s1, s2):
+        f = f_modes(s1, s2)
+        f[3] = bad
+        return f
+
+    monkeypatch.setattr(covariance, "_f_modes", one_bad_mode)
+    with pytest.raises(NumericalError, match="f is not finite and positive"):
+        steady_state_covariance(spectrum(laplacian(build_path(8))),
+                                PATH_NOISE)
+
+
+@pytest.mark.parametrize("g, words", [
+    (1e160, "overflows"),
+    (1e-170, "underflows"),
+    (1e-156, "underflows"),     # subnormal variances, not yet 0
+])
+def test_covariance_scale_outside_float_range(g, words):
+    # one typed error naming g and tau; pytest turns any RuntimeWarning
+    # into a failure
+    noise = NoiseParams(g, 0.03, 2.0)
+    for compute in (
+            lambda: steady_state_covariance(
+                spectrum(laplacian(build_path(20))), noise),
+            lambda: complete_graph_sigma_c(
+                50, NoiseParams(g, 0.03, 0.005))):
+        with pytest.raises(InvalidParameterError) as exc_info:
+            compute()
+        message = str(exc_info.value)
+        assert f"g={g!r}" in message and "tau=0.03" in message
+        assert words in message
+
+
+def test_covariance_tau_cubed_outside_float_range():
+    # links weak enough to leave a delay of 1e105 stable: tau^3 overflows
+    # the float range, which float ** reports with OverflowError
+    graph = build_custom(3, [(1, 2, 1e-110), (2, 3, 1e-110)])
+    with pytest.raises(InvalidParameterError, match=r"tau=1e\+105 overflows"):
+        steady_state_covariance(spectrum(laplacian(graph)),
+                                NoiseParams(0.1, 1e105, 1e-106))
