@@ -51,21 +51,27 @@ _SCHEMAS = {
 
 
 def render_csv(schema: str, rows, trailers=()) -> str:
-    """Versioned CSV text: schema line, header, one line per row tuple of
-    `rows` (any iterable, read once), then `# trailer` lines."""
+    """Versioned CSV text: schema line, header, the body, then
+    `# trailer` lines. `rows` is either an iterable of row tuples, read
+    once and rendered one line each, or a body already rendered as text
+    of newline-terminated lines (`covariance_rows`)."""
     header, template = _SCHEMAS[schema]
-    lines = [f"# schema={schema}/v1", ",".join(header)]
-    for row in rows:
-        try:
-            lines.append(template % row)
-        except TypeError:
-            if None not in row:
-                raise
-            lines.append(",".join(
-                "" if cell is None else spec % cell
-                for spec, cell in zip(template.split(","), row, strict=True)))
-    lines.extend(f"# {trailer}" for trailer in trailers)
-    return "\n".join(lines) + "\n"
+    if not isinstance(rows, str):
+        lines = []
+        for row in rows:
+            try:
+                lines.append(template % row)
+            except TypeError:
+                if None not in row:
+                    raise
+                lines.append(",".join(
+                    "" if cell is None else spec % cell
+                    for spec, cell in zip(template.split(","), row,
+                                          strict=True)))
+        lines.append("")  # ends the last row with a newline
+        rows = "\n".join(lines)
+    return (f"# schema={schema}/v1\n" + ",".join(header) + "\n" + rows
+            + "".join(f"# {trailer}\n" for trailer in trailers))
 
 
 def _emit(text: str, out: str | None) -> None:

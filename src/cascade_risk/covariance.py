@@ -169,6 +169,21 @@ def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
     return 2.0 * math.pi * np.linalg.solve(rows, rhs)[:, 3, 0]
 
 
+def _f_checked(s1: np.ndarray, s2: float) -> np.ndarray:
+    """_f_modes, refused with a NumericalError unless every f is finite
+    and positive. f grows like pi / (s1^2 s2) as s2 -> 0: it overflows
+    for a tiny gain, and at a subnormal s2 the system is singular or its
+    solution not a number."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = _f_modes(s1, s2)
+    except np.linalg.LinAlgError:
+        f = np.array([math.nan])
+    if not np.all(np.isfinite(f) & (f > 0.0)):
+        raise NumericalError("f is not finite and positive on every mode")
+    return f
+
+
 def _refuse_near_boundary(margin: float) -> None:
     if margin < NEAR_BOUNDARY_MARGIN:
         raise NearBoundaryError(
@@ -185,7 +200,7 @@ def f_integral(s1: float, s2: float) -> float:
         raise UnstablePlatoonError(
             f"(s1, s2) = ({s1:.6g}, {s2:.6g}) is outside the stability region")
     _refuse_near_boundary(bound - s2)
-    return float(_f_modes(np.array([s1]), s2)[0])
+    return float(_f_checked(np.array([s1]), s2)[0])
 
 
 def _scale(noise: NoiseParams) -> float:
@@ -227,9 +242,8 @@ def steady_state_covariance(spec: LaplacianSpectrum,
     report.require_stable()
     _refuse_near_boundary(report.margin.min())
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
-    fvals = _f_modes(spec.eigenvalues[1:] * noise.tau, noise.beta * noise.tau)
-    if not np.all(np.isfinite(fvals) & (fvals > 0.0)):
-        raise NumericalError("f is not finite and positive on every mode")
+    fvals = _f_checked(spec.eigenvalues[1:] * noise.tau,
+                       noise.beta * noise.tau)
     pref = _scale(noise) / (2.0 * math.pi)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = pref * (W * fvals) @ W.T

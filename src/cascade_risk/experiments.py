@@ -8,13 +8,15 @@ command line. Every risk cell is read off the conditioning core,
 `risk._condition_stack` (or `risk._condition_head` for the nested
 levels of sweep-scale) and `risk._stack_risk`, directly or through a
 profile; the no-failure baseline is the empty scenario. Rows come as a
-list, or as a lazy iterable where a table is large (`covariance_rows`,
-n^2 rows): iterate it once.
+list, except where a table is large: `covariance_rows` returns its
+(n-1)^2 lines already rendered, as the CSV body text that
+`cli.render_csv` takes in place of row tuples.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -40,10 +42,33 @@ def stability_rows(report: StabilityReport):
     return rows, [f"stable={1 if report.stable else 0}"]
 
 
-def covariance_rows(sigma: CovarianceMatrix):
-    """(i, j, sigma_ij) for every entry, row by row, produced lazily."""
-    for i, row in enumerate(sigma.values.tolist(), start=1):
-        yield from zip(itertools.repeat(i), itertools.count(1), row)
+def covariance_rows(sigma: CovarianceMatrix) -> str:
+    """The covariance CSV body: one `i,j,sigma_ij` line per entry, row by
+    row, each ending in a newline, with sigma_ij as `%.17g`.
+
+    Sigma is symmetric, so each upper-triangle entry is formatted once
+    and row i reads its lower cells from the rows above it. A lower
+    entry whose bits differ from its mirror's (a hand-built matrix is
+    symmetric only to 1e-12, and may hold -0.0 against 0.0) is formatted
+    from its own value."""
+    fmt = "%.17g".__mod__
+    values = sigma.values
+    upper = [list(map(fmt, row[i:].tolist())) for i, row in enumerate(values)]
+    lower = [[upper[j][i - j] for j in range(i)] for i in range(sigma.dim)]
+    bits = values.view(np.int64)
+    for i, j in np.argwhere(np.tril(bits != bits.T, -1)).tolist():
+        lower[i][j] = fmt(values[i, j].item())
+    columns = [f",{j}," for j in range(1, sigma.dim + 1)]
+    chunks = []
+    for i, cells in enumerate(map(operator.add, lower, upper), start=1):
+        # "i" + ",j," + cell per line: the row number opens the chunk and
+        # follows each newline inside it
+        label = str(i)
+        chunks.append(label + ("\n" + label).join(
+            map(operator.add, columns, cells)) + "\n")
+    # free the cells before the join copies every chunk once more
+    del upper, lower
+    return "".join(chunks)
 
 
 def profile_rows(entries, baseline):

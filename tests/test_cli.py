@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_risk
-from cascade_risk import (NoiseParams, build_path, iota, laplacian,
+from cascade_risk import (CovarianceMatrix, NoiseParams, build_custom,
+                          build_path, build_pcycle, iota, laplacian,
                           region_bound, spectrum, steady_state_covariance)
 from cascade_risk.cli import _SCHEMAS, build_parser, main, render_csv
+from cascade_risk.experiments import covariance_rows
 
 from oracles import add_pair_edges, format_cell, var_risk_scalar
 
@@ -83,6 +85,9 @@ samples_per_trial = 10
 trials = 4
 seed = 3
 """
+
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -202,6 +207,31 @@ beta = 0.005
 """)
     assert main(["covariance", "--config", cfg]) == 1
     assert "stability region" in capsys.readouterr().err
+
+
+_CLOSED_FORM = ["risk-profile", "--method", "closed-form"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("demo, argv, beta, code", [
+    ("path20", ["covariance"], "1e-322", 2),    # subnormal s2: singular
+    ("path20", ["covariance"], "1e-300", 2),    # f overflows, slowest mode
+    ("complete50", _CLOSED_FORM, "1e-322", 2),
+    ("complete50", _CLOSED_FORM, "1e-300", 0),  # f = 4.7e301 at s1 = 1.5
+], ids=["covariance-1e-322", "covariance-1e-300", "closed-form-1e-322",
+        "closed-form-1e-300"])
+def test_tiny_gain_is_one_typed_error(tmp_path, capsys, demo, argv, beta,
+                                      code):
+    # f grows like pi / (s1^2 s2) as s2 = beta tau -> 0; where it leaves
+    # the float range the run ends in one numerical error, with no
+    # warning and no traceback
+    text = (DEMO_CONFIGS / f"{demo}.cfg").read_text()
+    cfg = write_cfg(tmp_path, re.sub(r"(?m)^beta = .*$", f"beta = {beta}",
+                                     text))
+    assert main(argv + ["--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else "cascade-risk: numerical error: "
+                   "f is not finite and positive on every mode\n")
 
 
 def test_out_flag_writes_deterministic_file(tmp_path, capsys):
@@ -707,3 +737,91 @@ def test_render_csv_layout():
                     "0,1,inf\n"
                     "0,2,\n"
                     "# note=x\n")
+
+
+@st.composite
+def _package_covariances(draw):
+    """steady_state_covariance on a random connected weighted graph of
+    up to 12 vehicles, with tau and beta inside the stability region."""
+    n = draw(st.integers(2, 12))
+    weight = st.floats(0.1, 3.0)
+    edges = {(draw(st.integers(1, i - 1)), i): draw(weight)
+             for i in range(2, n + 1)}
+    for a, b in draw(st.lists(st.tuples(st.integers(1, n),
+                                        st.integers(1, n)), max_size=n)):
+        if a != b:
+            edges[min(a, b), max(a, b)] = draw(weight)
+    spec = spectrum(laplacian(build_custom(
+        n, [(a, b, w) for (a, b), w in edges.items()])))
+    tau = draw(st.floats(0.05, 0.9)) * (math.pi / 2) / spec.eigenvalues[-1]
+    beta = (draw(st.floats(0.05, 0.9))
+            * region_bound(spec.eigenvalues[1:] * tau).min() / tau)
+    return steady_state_covariance(spec, NoiseParams(0.1, tau, beta))
+
+
+@st.composite
+def _one_by_one(draw):
+    return CovarianceMatrix(np.array([[draw(st.floats(5e-324, 1e300))]]))
+
+
+@st.composite
+def _nextafter_lower(draw):
+    """A hand-built matrix whose drawn lower entries are one ulp off
+    their mirror, inside the 1e-12 symmetry tolerance."""
+    n = draw(st.integers(2, 6))
+    a = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    v = a @ a.T + n * np.eye(n)
+    v = 0.5 * (v + v.T)
+    lower = st.integers(1, n - 1).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(0, i - 1)))
+    for i, j in draw(st.lists(lower, min_size=1)):
+        v[i, j] = np.nextafter(v[j, i], draw(st.sampled_from((-1.0, 1.0)))
+                               * math.inf)
+    return CovarianceMatrix(v)
+
+
+@st.composite
+def _signed_zeros(draw):
+    """A diagonal matrix whose off-diagonal zeros are 0.0 or -0.0,
+    drawn independently on either side."""
+    n = draw(st.integers(2, 6))
+    v = np.diag(draw(st.lists(st.floats(1e-3, 1e3), min_size=n,
+                              max_size=n)))
+    signs = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    off = ~np.eye(n, dtype=bool) & np.array(signs).reshape(n, n)
+    v[off] = -0.0
+    return CovarianceMatrix(v)
+
+
+def _cell_rows(sigma):
+    return [(i, j, value)
+            for i, row in enumerate(sigma.values.tolist(), start=1)
+            for j, value in enumerate(row, start=1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma=st.one_of(_package_covariances(), _one_by_one(),
+                       _nextafter_lower(), _signed_zeros()))
+def test_covariance_csv_matches_cell_oracle(sigma):
+    # the body formats each entry of the symmetric matrix once; every
+    # cell still reads as `%.17g` of its own value, bit for bit
+    assert (render_csv("covariance", covariance_rows(sigma))
+            == _oracle_csv("covariance", _cell_rows(sigma), ()))
+
+
+def test_covariance_bytes_deterministic_and_match_cell_oracle(tmp_path,
+                                                              capsys):
+    cfg = write_cfg(tmp_path, PATH6.replace("type = path\nn = 6",
+                                            "type = pcycle\nn = 200\np = 3"))
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert main(["covariance", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert main(["covariance", "--config", cfg]) == 0
+    outputs.append(capsys.readouterr().out.encode("utf-8"))
+    sigma = steady_state_covariance(spectrum(laplacian(build_pcycle(200, 3))),
+                                    NoiseParams(0.1, 0.03, 2.0))
+    expected = _oracle_csv("covariance", _cell_rows(sigma), ()).encode("utf-8")
+    assert outputs == [expected] * 3

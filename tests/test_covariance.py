@@ -111,6 +111,22 @@ def test_f_integral_near_boundary_refused():
     assert f_integral(s1, region_bound(s1) - 1e-5) > 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s1, s2", [
+    (1.5, 5e-324),       # singular solve
+    (0.3, 1e-310),       # not a number
+    (7.4e-4, 3e-302),    # f = pi / (s1^2 s2) overflows
+])
+def test_f_out_of_float_range_is_numerical_error(s1, s2):
+    # f grows like pi / (s1^2 s2) as s2 -> 0 inside the region; where it
+    # leaves the float range it is refused, without a warning
+    with pytest.raises(NumericalError, match="not finite and positive"):
+        f_integral(s1, s2)
+    # at s2 = 1e-300 f is still a float, on its asymptote
+    assert (f_integral(s1, 1e-300) * s1 * s1 * 1e-300 / math.pi
+            == pytest.approx(1.0, rel=1e-13))
+
+
 # (s1, s2, f) at stability margins 1.0001e-6 and 1e-5: s2 is the bound
 # a/tan(a) minus the margin, rounded to a double, and f the integral at
 # exactly that (s1, s2) by mpmath quadrature at 30 digits, split at the
