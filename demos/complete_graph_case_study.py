@@ -39,21 +39,21 @@ def main():
           f"(std {sigma_j:.4f} m) and couples only with its neighbours")
 
     scenario = FailureScenario(tuple(range(23, 28)), (0.0,) * 5)
-    entries = complete_profile(N, scenario, sigma_c, D, C, EPSILON)
+    profile = complete_profile(N, scenario, sigma_c, D, C, EPSILON)
     # no failures: every pair keeps its marginal law N(D, sigma_j)
     naive = complete_profile(N, FailureScenario((), ()), sigma_c, D, C,
-                             EPSILON)[0].risk
+                             EPSILON).risk[0].item()
     print(f"\nfailed pairs: {scenario.indices}, observed at 0 m")
-    print(f"naive (unconditional) risk of any pair: {naive.value}")
+    print(f"naive (unconditional) risk of any pair: {naive}")
     print("\n  pair   risk        conditional mean/std")
-    for e in entries:
-        if e.failed:
-            continue
-        if 21 <= e.j <= 29:
-            print(f"  {e.j:4d}   {e.risk.value!s:9s}   "
-                  f"mu = {e.mu_tilde:7.3f}, sigma = {e.sigma_tilde:.4f}")
-    far = [e for e in entries if not e.failed and not 22 <= e.j <= 28]
-    same = all(e.risk.value == naive.value for e in far)
+    survivors = profile[~profile.failed]
+    for j, risk, mu, sig in zip(*(survivors[name].tolist() for name in
+                                  ("j", "risk", "mu_tilde", "sigma_tilde"))):
+        if 21 <= j <= 29:
+            print(f"  {j:4d}   {risk!s:9s}   "
+                  f"mu = {mu:7.3f}, sigma = {sig:.4f}")
+    far = survivors[(survivors.j < 22) | (survivors.j > 28)]
+    same = bool((far.risk == naive).all())
     print(f"\nall {len(far)} pairs away from the block keep the naive "
           f"risk: {same}")
     print("the adjacent pairs 22 and 28 are pinned by five zero-distance "
@@ -64,10 +64,8 @@ def main():
 
     sigma = steady_state_covariance(spec, NOISE)
     generic = risk_profile(sigma, scenario, D, C, EPSILON)
-    agree = all(
-        a.risk.value == b.risk.value or
-        abs(a.risk.value - b.risk.value) < 1e-9
-        for a, b in zip(entries, generic))
+    agree = bool(np.isclose(profile.risk, generic.risk, rtol=0.0,
+                            atol=1e-9).all())
     print(f"\nclosed form matches the generic conditioning route: {agree}")
 
     rows = sweep_scale_rows(sigma, D, C, EPSILON, 20, 0.0)

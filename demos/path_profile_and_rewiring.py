@@ -28,18 +28,17 @@ def profile_part():
     n = 50
     sigma = steady_state_covariance(spectrum(laplacian(build_path(n))), NOISE)
     scenario = FailureScenario(tuple(range(32, 37)), (0.0,) * 5)
-    entries = risk_profile(sigma, scenario, D, C, EPSILON)
+    profile = risk_profile(sigma, scenario, D, C, EPSILON)
+    survivors = profile[~profile.failed]
     print(f"path graph, n = {n}, failures at pairs {scenario.indices}")
     print("  pair   risk")
-    for e in entries:
-        if e.failed or not 29 <= e.j <= 39:
-            continue
-        tag = f"{e.risk.value:.4f}" if math.isfinite(e.risk.value) \
-            else str(e.risk.value)
-        print(f"  {e.j:4d}   {tag}")
-    exposed = [e.j for e in entries if not e.failed and e.risk.value > 0.0]
+    for j, risk in zip(survivors.j.tolist(), survivors.risk.tolist()):
+        if 29 <= j <= 39:
+            tag = f"{risk:.4f}" if math.isfinite(risk) else str(risk)
+            print(f"  {j:4d}   {tag}")
+    exposed = survivors.j[survivors.risk > 0.0].tolist()
     print(f"  pairs at any risk: {exposed[0]}..{exposed[-1]} "
-          f"({len(exposed)} of {len(entries) - scenario.m})")
+          f"({len(exposed)} of {len(survivors)})")
     print("  the hazard peaks at the flanking pairs, decays with hop "
           "distance, and")
     print("  vanishes outside the band; the rest of the chain is "

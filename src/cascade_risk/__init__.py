@@ -21,8 +21,7 @@ from .errors import (CascadeRiskError, ConfigError, DivergenceError,
 from .graph import (LaplacianSpectrum, WeightedGraph, build_complete,
                     build_custom, build_path, build_pcycle, laplacian,
                     pair_difference_matrix, spectrum)
-from .risk import (FailureScenario, ProfileEntry, RiskResult, iota,
-                   risk_profile)
+from .risk import FailureScenario, iota, risk_profile
 from .simulate import EmpiricalCovariance, SimConfig, run
 from .stability import StabilityReport, check_platoon, region_bound
 
@@ -31,11 +30,11 @@ __all__ = [
     "DivergenceError", "EmpiricalCovariance", "FailureScenario",
     "IllConditionedScenarioError", "InvalidParameterError",
     "InvalidQueryError", "InvalidSizeError", "LaplacianSpectrum",
-    "NearBoundaryError", "NoiseParams", "NumericalError", "ProfileEntry",
-    "RiskResult", "SimConfig", "StabilityReport", "UnstablePlatoonError",
-    "WeightedGraph", "build_complete", "build_custom", "build_path",
-    "build_pcycle", "check_platoon", "complete_graph_sigma_c",
-    "complete_profile", "f_integral", "iota", "laplacian",
-    "pair_difference_matrix", "region_bound", "risk_profile", "run",
-    "spectrum", "steady_state_covariance",
+    "NearBoundaryError", "NoiseParams", "NumericalError", "SimConfig",
+    "StabilityReport", "UnstablePlatoonError", "WeightedGraph",
+    "build_complete", "build_custom", "build_path", "build_pcycle",
+    "check_platoon", "complete_graph_sigma_c", "complete_profile",
+    "f_integral", "iota", "laplacian", "pair_difference_matrix",
+    "region_bound", "risk_profile", "run", "spectrum",
+    "steady_state_covariance",
 ]

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import InvalidQueryError
 from .graph import _real, _vehicle_count
-from .risk import (FailureScenario, _check_query, _conditioned,
-                   _profile_entries)
+from .risk import FailureScenario, _check_query, _conditioned, _profile
 
 
 def _run_weights(m: int) -> np.ndarray:
@@ -32,9 +31,9 @@ def _run_weights(m: int) -> np.ndarray:
 
 
 def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
-                     d: float, c: float, epsilon: float) -> list:
-    """Whole-platoon risk profile on the complete graph; mirrors
-    risk.risk_profile entry for entry. Each reduction stays below
+                     d: float, c: float, epsilon: float) -> np.recarray:
+    """Whole-platoon risk profile on the complete graph, the record
+    array of risk.risk_profile. Each reduction stays below
     sigma_c/2, so every conditional variance is positive."""
     d, c, it = _check_query(d, c, epsilon)
     sigma_c = _real(sigma_c, "sigma_c", positive=True)
@@ -61,4 +60,4 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     cnd = _conditioned((d + shift)[None, 1:n],
                        (sigma_c - reduction)[None, 1:n], failed[None, 1:n],
                        [None])
-    return _profile_entries(cnd, d, c, it)
+    return _profile(cnd, d, c, it)

@@ -71,18 +71,19 @@ def covariance_rows(sigma: CovarianceMatrix) -> str:
     return "".join(chunks)
 
 
-def profile_rows(entries, baseline):
-    """Profile entries plus the no-failure column: the risks of
-    `baseline`, the profile of the empty scenario by the same route."""
-    rows = []
-    for entry, naive in zip(entries, (e.risk.value for e in baseline)):
-        if entry.error is not None:
-            rows.append((entry.j, None, "error", None, None, 0, naive))
-            continue
-        rows.append((entry.j, entry.risk.value, entry.risk.branch,
-                     entry.mu_tilde, entry.sigma_tilde,
-                     1 if entry.failed else 0, naive))
-    return rows
+def _cells(column: np.ndarray) -> list:
+    """A float column as CSV cells: nan, an empty cell, as None."""
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
+def profile_rows(profile: np.recarray, baseline: np.recarray):
+    """The rows of a risk profile plus the no-failure column: the risks
+    of `baseline`, the profile of the empty scenario by the same route."""
+    return list(zip(profile.j.tolist(), _cells(profile.risk),
+                    profile.branch.tolist(), _cells(profile.mu_tilde),
+                    _cells(profile.sigma_tilde),
+                    profile.failed.astype(int).tolist(),
+                    _cells(baseline.risk)))
 
 
 def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,

@@ -32,8 +32,9 @@ RCOND_MIN = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
-# Branch tags by the codes _var_risk_array returns.
-_BRANCHES = ("zero", "finite", "infinite")
+# Branch tags by code: 0..2 as _var_risk_array returns them, and -1,
+# the last, for a pair without a conditional law (_stack_risk).
+_BRANCHES = ("zero", "finite", "infinite", "error")
 
 
 def _check_query(d, c, epsilon):
@@ -90,27 +91,6 @@ class FailureScenario:
 
     def __contains__(self, j: int) -> bool:
         return j in self.indices
-
-
-@dataclass(frozen=True)
-class RiskResult:
-    """Extended-real risk value with its branch tag."""
-
-    value: float
-    branch: str
-
-    def __post_init__(self):
-        if self.branch == "zero":
-            ok = self.value == 0.0
-        elif self.branch == "infinite":
-            ok = math.isinf(self.value) and self.value > 0.0
-        elif self.branch == "finite":
-            ok = math.isfinite(self.value) and self.value > 0.0
-        else:
-            raise InvalidParameterError(f"unknown branch tag {self.branch!r}")
-        if not ok:
-            raise InvalidParameterError(
-                f"risk value {self.value!r} inconsistent with branch {self.branch!r}")
 
 
 class _Conditioned(NamedTuple):
@@ -315,46 +295,34 @@ def _stack_risk(cnd: _Conditioned, d: float, c: float, it: float):
     return value, branch
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    """Risk of one pair within a whole-platoon profile. `failed` marks
-    pairs already in the scenario; `error` carries a conditioning
-    failure message (risk and moments are None in that case)."""
-
-    j: int
-    failed: bool
-    risk: RiskResult | None
-    mu_tilde: float | None
-    sigma_tilde: float | None
-    error: str | None = None
-
-
 def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
-                 d: float, c: float, epsilon: float) -> list:
-    """Risk of every pair 1..n-1 under one scenario. Failed pairs get a
-    zero entry; conditioning errors are recorded per pair and the rest
-    of the profile still computes."""
+                 d: float, c: float, epsilon: float) -> np.recarray:
+    """Risk of every pair 1..n-1 under one scenario (see _profile). A
+    pair that cannot be conditioned gets branch "error" and its reason,
+    and the rest of the profile still computes."""
     d, c, it = _check_query(d, c, epsilon)
-    return _profile_entries(_condition_scenario(sigma, scenario, d), d, c, it)
+    return _profile(_condition_scenario(sigma, scenario, d), d, c, it)
 
 
-def _profile_entries(cnd: _Conditioned, d: float, c: float,
-                     it: float) -> list:
-    """ProfileEntry of every pair of a one-scenario stack, on checked
-    inputs with it = iota(epsilon)."""
-    value, branch = _stack_risk(cnd, d, c, it)
-    mus, variances = cnd.mu[0].tolist(), cnd.var[0].tolist()
-    entries = []
-    for j, (v, b) in enumerate(zip(value[0].tolist(), branch[0].tolist()),
-                               start=1):
-        if cnd.failed[0, j - 1]:
-            entries.append(ProfileEntry(j, True, RiskResult(0.0, "zero"),
-                                        None, None))
-        elif b < 0:
-            entries.append(ProfileEntry(j, False, None, None, None,
-                                        _entry_error(cnd, j)))
-        else:
-            entries.append(ProfileEntry(j, False, RiskResult(v, _BRANCHES[b]),
-                                        mus[j - 1],
-                                        math.sqrt(variances[j - 1])))
-    return entries
+def _profile(cnd: _Conditioned, d: float, c: float,
+             it: float) -> np.recarray:
+    """The profile of a one-scenario stack, on checked inputs with
+    it = iota(epsilon): one read-only record per pair with fields j,
+    risk, branch, mu_tilde, sigma_tilde, failed and error. A cell
+    without a value is nan: the moments of failed pairs, and risk and
+    moments of a pair without a conditional law, whose branch is
+    "error" and whose error holds why; error is None elsewhere."""
+    value, code = _stack_risk(cnd, d, c, it)
+    usable = cnd.usable[0]
+    mu = np.where(usable, cnd.mu[0], math.nan)
+    sig = np.sqrt(np.where(usable, cnd.var[0], math.nan))
+    error = np.full(len(usable), None, dtype=object)
+    for j in np.flatnonzero(code[0] < 0).tolist():
+        error[j] = _entry_error(cnd, j + 1)
+    profile = np.rec.fromarrays(
+        (np.arange(1, len(usable) + 1), value[0],
+         np.array(_BRANCHES)[code[0]], mu, sig, cnd.failed[0], error),
+        names=("j", "risk", "branch", "mu_tilde", "sigma_tilde", "failed",
+               "error"))
+    profile.setflags(write=False)
+    return profile

@@ -258,9 +258,8 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
             hv, vs = vs, hv
     assert s_idx == n_samples
 
-    # On marginal EM instability the samples can be finite yet huge;
-    # squaring then overflows and the finiteness check in
-    # EmpiricalCovariance rejects the estimate without warning spam.
+    # Finite but huge samples (marginal EM instability) overflow when
+    # squared: silently here, and refused below as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         flat = samples.reshape(n_samples * trials, n - 1)
         mean = flat.mean(axis=0)
@@ -280,6 +279,9 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
         se_cov = 0.5 * (se_cov + se_cov.transpose())
         se_mean = trial_means.std(axis=0, ddof=1) / math.sqrt(trials)
 
+    if not all(np.isfinite(a).all() for a in (mean, cov, se_cov, se_mean)):
+        raise DivergenceError("pooled estimate is not finite: samples too "
+                              "large to pool; reduce dt or check margins")
     result = EmpiricalCovariance(mean, cov, se_cov,
                                  n_samples * trials, se_mean)
     if return_samples:

@@ -11,7 +11,8 @@ validation, and `sweep_scale_rows_per_level` runs the package's
 conditioning core once per level, the route the nested one replaced.
 `f_modes_reference` is not independent either: it is the package's
 route to f as it stood before its mode-free blocks were built once, the
-reference that f has stayed the same bit for bit.
+reference that f has stayed the same bit for bit. `same_profile` is a
+comparison, not an oracle: bitwise equality of two risk profiles.
 """
 import math
 
@@ -205,6 +206,16 @@ def tridiag_matrix(m, sigma_c):
     t[idx, idx + 1] = -0.5 * sigma_c
     t[idx + 1, idx] = -0.5 * sigma_c
     return t
+
+
+def same_profile(a, b):
+    """Two risk profiles are equal bit for bit: the same fields, every
+    numeric column the same bytes (nan and -0.0 included) and the same
+    error column."""
+    return a.dtype == b.dtype and all(
+        a[name].tolist() == b[name].tolist() if a.dtype[name] == object
+        else a[name].tobytes() == b[name].tobytes()
+        for name in a.dtype.names)
 
 
 def conditional_moments(sigma, d, j, indices, states):

@@ -130,26 +130,26 @@ def test_06_complete_graph_profile_reproduction(budget):
     sigma = steady_state_covariance(
         spectrum(laplacian(build_complete(n))), COMPLETE_NOISE)
     scenario = FailureScenario(tuple(range(23, 28)), (0.0,) * 5)
-    entries = {e.j: e for e in risk_profile(sigma, scenario, d, c, epsilon)}
-    for j in range(1, n):
-        if j in scenario:
+    profile = risk_profile(sigma, scenario, d, c, epsilon)
+    assert all(e is None for e in profile.error)
+    for j, risk, branch in zip(profile.j.tolist(), profile.risk.tolist(),
+                               profile.branch.tolist()):
+        if j in scenario or 22 <= j <= 28:
             continue
-        entry = entries[j]
-        assert entry.error is None
-        if not 22 <= j <= 28:
-            naive, branch = var_risk_scalar(
-                d, math.sqrt(sigma.values[j - 1, j - 1]), d, c, iota(epsilon))
-            assert entry.risk.branch == branch
-            if math.isfinite(naive):
-                assert abs(entry.risk.value - naive) <= 1e-12
-            else:
-                assert entry.risk.value == naive
-    front, back = entries[22].risk, entries[28].risk
+        naive, naive_branch = var_risk_scalar(
+            d, math.sqrt(sigma.values[j - 1, j - 1]), d, c, iota(epsilon))
+        assert branch == naive_branch
+        if math.isfinite(naive):
+            assert abs(risk - naive) <= 1e-12
+        else:
+            assert risk == naive
+    front, back = profile[21], profile[27]
+    assert (front.j, back.j) == (22, 28)
     assert front.branch == back.branch
-    if math.isfinite(front.value):
-        assert abs(front.value - back.value) <= 1e-12
+    if math.isfinite(front.risk):
+        assert abs(front.risk - back.risk) <= 1e-12
     else:
-        assert front.value == back.value
+        assert front.risk == back.risk
     assert budget(5.0)
 
 

@@ -586,6 +586,34 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert reported == max(abs(float(r[5])) for r in rows)
 
 
+def test_simulate_divergence_exit_code(tmp_path, capsys):
+    # stable, but the chain at dt = tau grows to samples too large to
+    # pool: a numerical failure, exit 2, not a validation error
+    cfg = write_cfg(tmp_path, """\
+[graph]
+type = complete
+n = 10
+
+[platoon]
+d = 3
+
+[noise]
+g = 0.1
+tau = 0.1
+beta = 5
+
+[sim]
+dt = 0.1
+burn_in = 128
+sample_interval = 0.1
+samples_per_trial = 2
+trials = 2
+""")
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "numerical error: pooled estimate is not finite" in err
+
+
 def test_simulate_seed_flag_changes_output(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM_SMALL)
     assert main(["simulate", "--config", cfg]) == 0

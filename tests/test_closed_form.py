@@ -15,7 +15,7 @@ from cascade_risk import (CovarianceMatrix, FailureScenario,
                           spectrum, steady_state_covariance)
 from cascade_risk.closed_form import _run_weights
 
-from oracles import conditional_moments, tridiag_matrix
+from oracles import conditional_moments, same_profile, tridiag_matrix
 
 NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 
@@ -131,7 +131,7 @@ def test_classify_rejects():
     # a failed pair gets a zero entry; failed pairs go to n-1
     scenario = FailureScenario((3,), (0.0,))
     entry = complete_profile(10, scenario, 4.0, 3.0, 2.0, 0.1)[2]
-    assert entry.j == 3 and entry.failed and entry.risk.branch == "zero"
+    assert entry.j == 3 and entry.failed and entry.branch == "zero"
     with pytest.raises(InvalidQueryError):
         FailureScenario((0,), (0.0,))
     for pair in (10, 12):
@@ -210,12 +210,11 @@ def test_complete_profile_matches_generic():
     scenario = FailureScenario((4, 5, 9), (0.0, 0.1, 5.0))
     fast = complete_profile(n, scenario, sc, d, c, eps)
     ref = risk_profile(sigma, scenario, d, c, eps)
-    assert [e.j for e in fast] == [e.j for e in ref]
-    for a, b in zip(fast, ref):
-        assert a.failed == b.failed
-        assert a.risk.branch == b.risk.branch
-        if a.risk.branch == "finite":
-            assert abs(a.risk.value - b.risk.value) < 1e-9
+    assert fast.j.tolist() == ref.j.tolist()
+    assert fast.failed.tolist() == ref.failed.tolist()
+    assert fast.branch.tolist() == ref.branch.tolist()
+    finite = fast.branch == "finite"
+    assert (np.abs(fast.risk[finite] - ref.risk[finite]) < 1e-9).all()
 
 
 def test_complete_profile_overflowed_moment_raises():
@@ -246,8 +245,8 @@ def test_complete_profile_rejects_bad_query_when_all_failed():
 def test_complete_profile_count_rule():
     # the vehicle count is an integer or an integral float, not a bool
     scenario = FailureScenario((2,), (0.0,))
-    assert complete_profile(5.0, scenario, 4.0, 3.0, 2.0, 0.1) == \
-        complete_profile(5, scenario, 4.0, 3.0, 2.0, 0.1)
+    assert same_profile(complete_profile(5.0, scenario, 4.0, 3.0, 2.0, 0.1),
+                        complete_profile(5, scenario, 4.0, 3.0, 2.0, 0.1))
     for bad in (5.5, True, math.inf):
         with pytest.raises(InvalidSizeError):
             complete_profile(bad, scenario, 4.0, 3.0, 2.0, 0.1)
@@ -306,7 +305,7 @@ def test_long_run_on_weak_noise_matches_generic():
     assert fast.mu_tilde == 17.5
     assert abs(fast.mu_tilde - ref.mu_tilde) <= 1e-12 * ref.mu_tilde
     assert abs(fast.sigma_tilde - ref.sigma_tilde) <= 1e-12 * ref.sigma_tilde
-    assert fast.risk == ref.risk
+    assert (fast.risk, fast.branch) == (ref.risk, ref.branch)
 
 
 @st.composite
@@ -344,10 +343,10 @@ def test_complete_profile_matches_generic_property(case, epsilon):
         spectrum(laplacian(build_complete(n))), noise), scenario, d, 1.5,
         epsilon)
     scale = d + unit * sum(map(abs, z))
-    for a, b in zip(fast, ref, strict=True):
-        assert a.j == b.j and a.failed == b.failed
-        assert a.risk.branch == b.risk.branch
-        if a.failed:
-            continue
-        assert abs(a.mu_tilde - b.mu_tilde) <= 1e-12 * scale
-        assert abs(a.sigma_tilde - b.sigma_tilde) <= 1e-12 * b.sigma_tilde
+    assert fast.j.tolist() == ref.j.tolist()
+    assert fast.failed.tolist() == ref.failed.tolist()
+    assert fast.branch.tolist() == ref.branch.tolist()
+    live = ~fast.failed
+    assert (np.abs(fast.mu_tilde - ref.mu_tilde)[live] <= 1e-12 * scale).all()
+    assert (np.abs(fast.sigma_tilde - ref.sigma_tilde)[live]
+            <= 1e-12 * ref.sigma_tilde[live]).all()

@@ -368,8 +368,8 @@ def _oracle_add_edge_row(graph, target, j, noise, scenario):
         return (target, None, 0)
     except NumericalError:
         return (target, None, 1)
-    entry = risk_profile(sigma, scenario, D, C, EPSILON)[j - 1]
-    return (target, None if entry.error else entry.risk.value, 1)
+    row = risk_profile(sigma, scenario, D, C, EPSILON)[j - 1]
+    return (target, None if row.error else row.risk.item(), 1)
 
 
 def _critical_tau(lam, beta):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
-                          RiskResult, build_path, iota, laplacian,
-                          risk_profile, spectrum, steady_state_covariance)
+                          build_custom, build_path, iota, laplacian,
+                          region_bound, risk_profile, spectrum,
+                          steady_state_covariance)
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import add_edge_rows
 from cascade_risk.risk import _BRANCHES, _condition_scenario, _var_risk_array
@@ -60,15 +61,50 @@ def test_failure_scenario_rejects_bool_states():
     assert s.states == (1.0, 0.5)
 
 
-def test_risk_result_validation():
-    RiskResult(0.0, "zero")
-    RiskResult(math.inf, "infinite")
-    RiskResult(1.5, "finite")
-    for value, branch in ((1.0, "zero"), (2.0, "infinite"),
-                          (math.inf, "finite"), (0.0, "finite"),
-                          (-1.0, "finite"), (1.0, "bogus")):
-        with pytest.raises(InvalidParameterError):
-            RiskResult(value, branch)
+def _assert_branches_agree_with_values(profile):
+    """Each row's branch tag agrees with its risk: 0 for zero, +inf for
+    infinite, finite and > 0 for finite, nan for error."""
+    risk, branch = profile.risk, profile.branch
+    assert set(branch.tolist()) <= {"zero", "finite", "infinite", "error"}
+    assert (risk[branch == "zero"] == 0.0).all()
+    assert (risk[branch == "infinite"] == math.inf).all()
+    finite = risk[branch == "finite"]
+    assert (np.isfinite(finite) & (finite > 0.0)).all()
+    assert (np.isnan(risk) == (branch == "error")).all()
+
+
+def test_profile_branch_agrees_with_value(path6_sigma):
+    # every branch, the error one included, keeps its value
+    seen = set()
+    for scenario, c, eps in (
+            (FailureScenario((), ()), 2.0, 0.1),
+            (FailureScenario((3,), (0.3,)), 2.0, 0.02),
+            (FailureScenario((3,), (0.3,)), 2.0, 0.98),
+            (FailureScenario((3,), (-3.0,)), 2.0, 0.1),
+            (FailureScenario((2, 3), (0.0, 0.0)), 2.0, 0.1)):
+        profile = risk_profile(path6_sigma, scenario, 3.0, c, eps)
+        _assert_branches_agree_with_values(profile)
+        seen.update(profile.branch.tolist())
+    profile = risk_profile(_singular_block_sigma(),
+                           FailureScenario((1, 2), (0.5, 0.5)), 1.0, 1.0, 0.1)
+    _assert_branches_agree_with_values(profile)
+    seen.update(profile.branch.tolist())
+    assert seen == {"zero", "finite", "infinite", "error"}
+
+
+def test_risk_profile_is_read_only_record_per_pair(path6_sigma):
+    scenario = FailureScenario((2, 3), (0.0, 0.0))
+    profile = risk_profile(path6_sigma, scenario, 3.0, 2.0, 0.1)
+    assert len(profile) == path6_sigma.dim == 5
+    assert profile.dtype.names == ("j", "risk", "branch", "mu_tilde",
+                                   "sigma_tilde", "failed", "error")
+    assert [row.error for row in profile] == [None] * 5
+    assert [row.j for row in profile] == [1, 2, 3, 4, 5]
+    for column in profile.dtype.names:
+        with pytest.raises(ValueError, match="read-only"):
+            profile[column][0] = profile[column][1]
+    with pytest.raises(ValueError, match="read-only"):
+        profile.risk[:] = 0.0
 
 
 def _entry(sigma, d, j, scenario):
@@ -122,7 +158,9 @@ def test_condition_rejects_singular_block():
                   [0.1, 0.1, 1.0]])
     sigma = CovarianceMatrix(v)
     entry = _entry(sigma, 1.0, 3, FailureScenario((1, 2), (0.5, 0.5)))
-    assert entry.risk is None and entry.mu_tilde is None and entry.error
+    assert entry.branch == "error" and entry.error
+    assert math.isnan(entry.risk) and math.isnan(entry.mu_tilde)
+    assert math.isnan(entry.sigma_tilde)
 
 
 def test_condition_rejects_bad_gap(path6_sigma):
@@ -170,36 +208,36 @@ def test_iota_exact_over_whole_range():
 
 
 def _var_risk(mu, sig, d, c, eps):
-    """_var_risk_array at one (mu, sig) as a RiskResult."""
+    """_var_risk_array at one (mu, sig) as (value, branch tag)."""
     value, branch = _var_risk_array(np.array([mu]), np.array([sig]), d, c,
                                     iota(eps))
-    return RiskResult(value.item(), _BRANCHES[branch.item()])
+    return value.item(), _BRANCHES[branch.item()]
 
 
 def test_naive_risk_branch_stable_for_tiny_epsilon():
     # iota must stay finite below 1e-16, where 2 eps - 1 rounds to -1;
     # an iota of -inf would flip this query to `infinite`
     for eps in (1e-16, 1e-17, 1e-20):
-        assert _var_risk(3.0, 0.1, 3.0, 2.0, eps).branch == "zero"
+        assert _var_risk(3.0, 0.1, 3.0, 2.0, eps)[1] == "zero"
 
 
 def test_var_risk_zero_branch_boundary():
-    res = _var_risk(3.0, 1.0, 3.0, 1.0, 0.5)
-    assert res.branch == "zero" and res.value == 0.0
+    value, branch = _var_risk(3.0, 1.0, 3.0, 1.0, 0.5)
+    assert branch == "zero" and value == 0.0
 
 
 def test_var_risk_infinite_branch():
-    res = _var_risk(0.0, 1.0, 3.0, 1.0, 0.3)
-    assert res.branch == "infinite" and res.value == math.inf
+    value, branch = _var_risk(0.0, 1.0, 3.0, 1.0, 0.3)
+    assert branch == "infinite" and value == math.inf
 
 
 def test_var_risk_finite_against_bisection():
-    res = _var_risk(2.5, 0.8, 3.0, 1.0, 0.2)
-    assert res.branch == "finite"
+    value, branch = _var_risk(2.5, 0.8, 3.0, 1.0, 0.2)
+    assert branch == "finite"
     ref = var_bisect(2.5, 0.8, 3.0, 1.0, 0.2)
-    assert abs(res.value - ref) < 1e-6
+    assert abs(value - ref) < 1e-6
     # the defining probability identity holds at the returned value
-    p = normal_cdf((3.0 / (res.value + 1.0) - 2.5) / 0.8)
+    p = normal_cdf((3.0 / (value + 1.0) - 2.5) / 0.8)
     assert abs(p - 0.2) < 1e-9
 
 
@@ -212,12 +250,12 @@ def test_var_risk_branch_conditions_match_probabilities():
         d = float(rng.uniform(0.5, 6.0))
         c = float(rng.uniform(1.0, 3.0))
         eps = float(rng.uniform(0.01, 0.99))
-        res = _var_risk(mu, sig, d, c, eps)
+        _, branch = _var_risk(mu, sig, d, c, eps)
         p_at_zero = normal_cdf((d / c - mu) / sig)
         p_in_c = normal_cdf((0.0 - mu) / sig)
-        if res.branch == "zero":
+        if branch == "zero":
             assert p_at_zero <= eps + 1e-12
-        elif res.branch == "infinite":
+        elif branch == "infinite":
             assert p_in_c >= eps - 1e-12
         else:
             assert p_at_zero > eps - 1e-12
@@ -228,44 +266,46 @@ def test_naive_risk_equals_empty_conditioning(path6_sigma):
     # the no-failure column of profiles and sweeps: the marginal law
     # N(d, sigma_jj) of each pair, to the bit
     d, c, eps = 3.0, 1.5, 0.23
-    entries = risk_profile(path6_sigma, FailureScenario((), ()), d, c, eps)
-    for e in entries:
-        std = math.sqrt(path6_sigma.values[e.j - 1, e.j - 1])
-        assert (e.mu_tilde, e.sigma_tilde) == (d, std)
-        value, branch = var_risk_scalar(d, std, d, c, iota(eps))
-        assert e.risk == RiskResult(value, branch)
-    entries = risk_profile(CovarianceMatrix(np.array([[1.0]])),
+    profile = risk_profile(path6_sigma, FailureScenario((), ()), d, c, eps)
+    stds = [math.sqrt(v) for v in np.diagonal(path6_sigma.values).tolist()]
+    assert profile.mu_tilde.tolist() == [d] * 5
+    assert profile.sigma_tilde.tolist() == stds
+    refs = [var_risk_scalar(d, std, d, c, iota(eps)) for std in stds]
+    assert profile.risk.tolist() == [value for value, _ in refs]
+    assert profile.branch.tolist() == [branch for _, branch in refs]
+    profile = risk_profile(CovarianceMatrix(np.array([[1.0]])),
                            FailureScenario((), ()), 3.0, 1.0, 0.5)
-    assert [e.risk.value for e in entries] == [0.0]
+    assert profile.risk.tolist() == [0.0]
 
 
 def test_risk_profile_structure(path6_sigma):
     scenario = FailureScenario((2, 3), (0.0, 0.0))
-    entries = risk_profile(path6_sigma, scenario, 3.0, 2.0, 0.1)
-    assert [e.j for e in entries] == [1, 2, 3, 4, 5]
-    for e in entries:
-        if e.j in (2, 3):
-            assert e.failed and e.risk.branch == "zero"
-            assert e.mu_tilde is None
-        else:
-            assert not e.failed
-            mu, sig = conditional_moments(path6_sigma.values, 3.0, e.j,
-                                          scenario.indices, scenario.states)
-            assert abs(e.mu_tilde - mu) < 1e-12
-            assert abs(e.sigma_tilde - sig) < 1e-12
-            value, branch = var_risk_scalar(e.mu_tilde, e.sigma_tilde, 3.0,
-                                            2.0, iota(0.1))
-            assert e.risk == RiskResult(value, branch)
+    profile = risk_profile(path6_sigma, scenario, 3.0, 2.0, 0.1)
+    assert profile.j.tolist() == [1, 2, 3, 4, 5]
+    failed = np.isin(profile.j, (2, 3))
+    assert (profile.failed == failed).all()
+    assert profile.branch[failed].tolist() == ["zero", "zero"]
+    assert profile.risk[failed].tolist() == [0.0, 0.0]
+    assert np.isnan(profile.mu_tilde[failed]).all()
+    assert np.isnan(profile.sigma_tilde[failed]).all()
+    for j, mu_t, sig_t, risk, branch in zip(
+            *(profile[name][~failed].tolist()
+              for name in ("j", "mu_tilde", "sigma_tilde", "risk",
+                           "branch"))):
+        mu, sig = conditional_moments(path6_sigma.values, 3.0, j,
+                                      scenario.indices, scenario.states)
+        assert abs(mu_t - mu) < 1e-12
+        assert abs(sig_t - sig) < 1e-12
+        assert (risk, branch) == var_risk_scalar(mu_t, sig_t, 3.0, 2.0,
+                                                 iota(0.1))
 
 
 def test_risk_profile_empty_scenario_is_naive(path6_sigma):
-    entries = risk_profile(path6_sigma, FailureScenario((), ()),
+    profile = risk_profile(path6_sigma, FailureScenario((), ()),
                            3.0, 2.0, 0.1)
-    for e in entries:
-        ref, _ = var_risk_scalar(
-            3.0, math.sqrt(path6_sigma.values[e.j - 1, e.j - 1]), 3.0, 2.0,
-            iota(0.1))
-        assert e.risk.value == ref
+    assert profile.risk.tolist() == [
+        var_risk_scalar(3.0, math.sqrt(v), 3.0, 2.0, iota(0.1))[0]
+        for v in np.diagonal(path6_sigma.values).tolist()]
 
 
 def _singular_block_sigma():
@@ -279,14 +319,15 @@ def _singular_block_sigma():
 
 def test_risk_profile_singular_block_marks_entries():
     sigma = _singular_block_sigma()
-    entries = risk_profile(sigma, FailureScenario((1, 2), (0.5, 0.5)),
+    profile = risk_profile(sigma, FailureScenario((1, 2), (0.5, 0.5)),
                            1.0, 1.0, 0.1)
-    assert len(entries) == 4
-    for e in entries:
-        if e.failed:
-            assert e.risk.branch == "zero"
-        else:
-            assert e.risk is None and e.error is not None
+    assert len(profile) == 4
+    assert profile.failed.tolist() == [True, True, False, False]
+    assert profile.branch.tolist() == ["zero", "zero", "error", "error"]
+    assert profile.risk[:2].tolist() == [0.0, 0.0]
+    assert np.isnan(profile.risk[2:]).all()
+    assert [row.error is not None for row in profile] == [False, False,
+                                                          True, True]
 
 
 def test_risk_profile_rejects_bad_query_on_singular_block():
@@ -304,12 +345,11 @@ def test_risk_profile_rejects_bad_query_on_singular_block():
 def test_risk_profile_epsilon_monotone(path6_sigma):
     scenario = FailureScenario((3,), (0.3,))
     grid = np.linspace(0.02, 0.98, 49)
-    prev = [math.inf] * 5
+    prev = np.full(5, math.inf)
     for eps in grid:
-        entries = risk_profile(path6_sigma, scenario, 3.0, 2.0, float(eps))
-        for k, e in enumerate(entries):
-            assert e.risk.value <= prev[k] + 1e-12
-            prev[k] = e.risk.value
+        risk = risk_profile(path6_sigma, scenario, 3.0, 2.0, float(eps)).risk
+        assert (risk <= prev + 1e-12).all()
+        prev = risk
 
 
 def test_risk_profile_overflowed_moment_raises():
@@ -373,23 +413,84 @@ def test_risk_profile_matches_matrix_inverse_oracle(seed, dim, kind):
         idx = tuple(j for j in range(1, dim + 1) if j != keep)
     states = tuple(rng.uniform(0.0, 6.0, size=len(idx)).tolist())
     d, c, eps = 3.0, 1.5, float(rng.uniform(0.01, 0.99))
-    entries = risk_profile(sigma, FailureScenario(idx, states), d, c, eps)
-    assert [e.j for e in entries] == list(range(1, dim + 1))
-    for e in entries:
-        if e.j in idx:
-            assert e.failed and e.risk == RiskResult(0.0, "zero")
-            continue
-        assert e.error is None
-        mu, sig = conditional_moments(sigma.values, d, e.j, idx, states)
-        scale = abs(mu) + math.sqrt(sigma.values[e.j - 1, e.j - 1])
-        assert abs(e.mu_tilde - mu) <= 1e-10 * scale
-        assert abs(e.sigma_tilde - sig) <= 1e-10 * sig
-        assert e.risk.branch == var_risk_scalar(mu, sig, d, c, iota(eps))[1]
+    profile = risk_profile(sigma, FailureScenario(idx, states), d, c, eps)
+    assert profile.j.tolist() == list(range(1, dim + 1))
+    failed = np.isin(profile.j, idx)
+    assert (profile.failed == failed).all()
+    assert profile.risk[failed].tolist() == [0.0] * len(idx)
+    assert profile.branch[failed].tolist() == ["zero"] * len(idx)
+    assert all(e is None for e in profile.error)
+    for j, mu_t, sig_t, branch in zip(
+            *(profile[name][~failed].tolist()
+              for name in ("j", "mu_tilde", "sigma_tilde", "branch"))):
+        mu, sig = conditional_moments(sigma.values, d, j, idx, states)
+        scale = abs(mu) + math.sqrt(sigma.values[j - 1, j - 1])
+        assert abs(mu_t - mu) <= 1e-10 * scale
+        assert abs(sig_t - sig) <= 1e-10 * sig
+        assert branch == var_risk_scalar(mu, sig, d, c, iota(eps))[1]
 
 
 def test_var_risk_exactly_on_infinite_edge():
     # mu = -sqrt(2) iota sigma puts P{X < 0} at epsilon: the risk is
     # infinite, not a division by a zero denominator
     it = iota(0.75)
-    res = _var_risk(-it * math.sqrt(2.0) * 4.5, 4.5, 1.0, 1.0, 0.75)
-    assert res.branch == "infinite" and res.value == math.inf
+    value, branch = _var_risk(-it * math.sqrt(2.0) * 4.5, 4.5, 1.0, 1.0, 0.75)
+    assert branch == "infinite" and value == math.inf
+
+
+@st.composite
+def _profile_cases(draw):
+    """A random connected weighted graph on 2..10 vehicles (a spanning
+    tree plus extra links) with noise inside the stability region, and
+    a random scenario on its pairs, all of them failed included."""
+    n = draw(st.integers(2, 10))
+    weight = st.floats(0.1, 3.0)
+    edges = {(draw(st.integers(1, i - 1)), i): draw(weight)
+             for i in range(2, n + 1)}
+    for a, b in draw(st.lists(st.tuples(st.integers(1, n),
+                                        st.integers(1, n)), max_size=n)):
+        if a != b:
+            edges[min(a, b), max(a, b)] = draw(weight)
+    graph = build_custom(n, [(a, b, w) for (a, b), w in edges.items()])
+    lam = spectrum(laplacian(graph)).eigenvalues
+    tau = draw(st.floats(0.05, 0.9)) * (math.pi / 2) / lam[-1]
+    beta = draw(st.floats(0.05, 0.9)) * region_bound(lam[1:] * tau).min() / tau
+    failed = tuple(sorted(draw(st.sets(st.integers(1, n - 1)))))
+    states = tuple(draw(st.lists(st.floats(0.0, 6.0), min_size=len(failed),
+                                 max_size=len(failed))))
+    return (graph, NoiseParams(g=0.1, tau=tau, beta=beta),
+            FailureScenario(failed, states))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_profile_cases(), d=st.floats(0.5, 6.0), c=st.floats(1.0, 3.0),
+       eps=st.floats(0.01, 0.99))
+def test_risk_profile_columns_match_oracles(case, d, c, eps):
+    # the moment columns against textbook conditioning, the risk and
+    # branch columns bit for bit against the scalar three-branch rule at
+    # those moments; failed rows are zero risk with nan moments
+    graph, noise, scenario = case
+    sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
+    profile = risk_profile(sigma, scenario, d, c, eps)
+    assert profile.j.tolist() == list(range(1, graph.n))
+    assert all(e is None for e in profile.error)
+    failed = np.isin(profile.j, scenario.indices)
+    assert (profile.failed == failed).all()
+    assert (profile.risk[failed] == 0.0).all()
+    assert (profile.branch[failed] == "zero").all()
+    assert np.isnan(profile.mu_tilde[failed]).all()
+    assert np.isnan(profile.sigma_tilde[failed]).all()
+    live = profile[~failed]
+    moments = [conditional_moments(sigma.values, d, j, scenario.indices,
+                                   scenario.states) for j in live.j.tolist()]
+    mu, sig = np.array(moments).reshape(-1, 2).T
+    # a conditional variance is the marginal one less a reduction, so it
+    # is exact to the marginal's scale, not to its own
+    marginal = np.diagonal(sigma.values)[~failed]
+    assert (np.abs(live.mu_tilde - mu)
+            <= 1e-10 * (np.abs(mu) + np.sqrt(marginal))).all()
+    assert (np.abs(live.sigma_tilde ** 2 - sig ** 2) <= 1e-10 * marginal).all()
+    refs = [var_risk_scalar(m, s, d, c, iota(eps)) for m, s in
+            zip(live.mu_tilde.tolist(), live.sigma_tilde.tolist())]
+    assert live.risk.tolist() == [value for value, _ in refs]
+    assert live.branch.tolist() == [branch for _, branch in refs]

@@ -7,7 +7,8 @@ import pytest
 
 from cascade_risk import (DivergenceError, EmpiricalCovariance,
                           InvalidParameterError, NoiseParams, SimConfig,
-                          UnstablePlatoonError, build_path, build_pcycle,
+                          UnstablePlatoonError, build_complete, build_path,
+                          build_pcycle, check_platoon,
                           laplacian, run, simulate, spectrum,
                           steady_state_covariance)
 from cascade_risk.simulate import _delay_steps, _drift
@@ -416,6 +417,22 @@ def test_run_divergence_reports_trial_and_step():
         run(build_path(2), 3.0, noise, sim)
     assert exc.value.step is not None and exc.value.step > 0
     assert "trial" in str(exc.value)
+
+
+def test_run_refuses_finite_samples_too_large_to_pool():
+    # a stable platoon whose Euler-Maruyama chain at dt = tau grows to
+    # finite samples that overflow when squared: a divergence of the
+    # simulation, not an invalid parameter
+    noise = NoiseParams(g=0.1, tau=0.1, beta=5.0)
+    graph = build_complete(10)
+    assert check_platoon(spectrum(laplacian(graph)), noise.tau,
+                         noise.beta).stable
+    sim = SimConfig(dt=0.1, burn_in=128.0, sample_interval=0.1,
+                    samples_per_trial=2, trials=2)
+    with pytest.raises(DivergenceError, match="pooled estimate is not "
+                                              "finite") as exc:
+        run(graph, 3.0, noise, sim)
+    assert exc.value.step is None
 
 
 def test_empirical_covariance_validation():
