@@ -15,10 +15,9 @@ import numpy as np
 
 from . import __version__
 from .closed_form import complete_profile
-from .config import (RawConfig, build_gap, build_graph, build_noise,
-                     build_query, build_scenario, build_sim,
-                     experiment_option, load_config, resolve_seed,
-                     scenario_state_values)
+from .config import (RawConfig, build_experiment, build_gap, build_graph,
+                     build_noise, build_query, build_scenario, build_sim,
+                     load_config, resolve_seed, scenario_state_values)
 from .covariance import (complete_graph_sigma_c, steady_state_covariance)
 from .errors import CascadeRiskError, InvalidQueryError, NumericalError
 from .experiments import (add_edge_rows, covariance_rows, profile_rows,
@@ -159,9 +158,7 @@ def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:
     sigma = steady_state_covariance(spec, noise)
     rows = sweep_sparsity_rows(
         sigma, d, c, epsilon, args.m, state,
-        seed=resolve_seed(cfg, args.seed),
-        enum_cap=experiment_option(cfg, "enum_cap", 100_000),
-        sample_count=experiment_option(cfg, "sample_count", 10_000))
+        seed=resolve_seed(cfg, args.seed), **build_experiment(cfg))
     return render_csv("sweep_sparsity", rows)
 
 

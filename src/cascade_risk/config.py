@@ -12,7 +12,8 @@ Format, one `key = value` per line under `[section]` headers:
 
 Values are parsed as JSON where possible (numbers, arrays), otherwise
 kept as bare strings. Full-line comments start with `#`; inline
-comments are not supported. Errors carry the offending line number.
+comments are not supported. Each section takes the keys of `_KEYS`
+and no other. Errors carry the offending line number.
 """
 from __future__ import annotations
 
@@ -23,15 +24,23 @@ from dataclasses import dataclass, field
 from .covariance import _NOISE_RULES, NoiseParams
 from .errors import (ConfigError, InvalidParameterError, InvalidQueryError,
                      InvalidSizeError)
+from .experiments import _SWEEP_RULES
 from .graph import (WeightedGraph, _real, _seed, build_complete,
                     build_custom, build_path, build_pcycle)
 from .risk import FailureScenario, _epsilon, _offset
 from .simulate import _SIM_RULES, SimConfig
 
-_SECTIONS = ("graph", "platoon", "noise", "query", "scenario", "sim",
-             "experiment")
+# section -> the keys it takes; any other section or key is refused
+_KEYS = {
+    "graph": ("type", "n", "p", "edges"),
+    "platoon": ("d",),
+    "noise": tuple(_NOISE_RULES),
+    "query": ("epsilon", "c"),
+    "scenario": ("indices", "states"),
+    "sim": tuple(_SIM_RULES),
+    "experiment": tuple(_SWEEP_RULES),
+}
 _HEADER_RE = re.compile(r"^\[([a-z_]+)\]$")
-_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
 @dataclass
@@ -77,10 +86,10 @@ def parse_config(text: str, path: str = "<config>") -> RawConfig:
         header = _HEADER_RE.match(line)
         if header:
             name = header.group(1)
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise ConfigError(
                     f"unknown section [{name}]; expected one of "
-                    f"{', '.join(_SECTIONS)}", lineno, path)
+                    f"{', '.join(_KEYS)}", lineno, path)
             current = sections.setdefault(name, {})
             continue
         if current is None:
@@ -91,8 +100,10 @@ def parse_config(text: str, path: str = "<config>") -> RawConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not _KEY_RE.match(key):
-            raise ConfigError(f"invalid key name {key!r}", lineno, path)
+        if key not in _KEYS[name]:
+            raise ConfigError(
+                f"unknown key {key!r} in [{name}]; expected one of "
+                f"{', '.join(_KEYS[name])}", lineno, path)
         if key in current:
             raise ConfigError(f"duplicate key {key!r}", lineno, path)
         if not value:
@@ -118,16 +129,6 @@ def load_config(path: str) -> RawConfig:
     return parse_config(text, path)
 
 
-def _as_int(cfg: RawConfig, section: str, key: str, value, what=None):
-    """value, which must be a JSON integer; `what` names it in the error
-    (default: the key)."""
-    what = what or f"key {key!r} in [{section}]"
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise cfg.error(f"{what} must be an integer, got {value!r}",
-                        section, key)
-    return value
-
-
 def _on_line(cfg: RawConfig, section: str, key: str, rule, value):
     """rule(value), the library's check of the key's value, with a
     refusal put on the key's line."""
@@ -137,27 +138,19 @@ def _on_line(cfg: RawConfig, section: str, key: str, rule, value):
         raise cfg.error(str(exc), section, key) from None
 
 
-def _as_number(cfg: RawConfig, section: str, key: str, value, what=None):
-    """value as a float by the real-number rule of the library, refused
-    on the key's line. `what` as in _as_int."""
-    what = what or f"key {key!r} in [{section}]"
-    return _on_line(cfg, section, key, lambda v: _real(v, what), value)
-
-
 def build_graph(cfg: RawConfig) -> WeightedGraph:
-    """The [graph] section's graph. A refusal of the vehicle count names
-    the `n` line, any other refusal of the builder the `p` or `edges`
-    line."""
+    """The [graph] section's graph, n, p and the edges as they stand in
+    the file. A refusal of the vehicle count names the `n` line, any
+    other refusal of the builder the `p` or `edges` line."""
     kind = cfg.require("graph", "type")
-    n = _as_int(cfg, "graph", "n", cfg.require("graph", "n"))
+    n = cfg.require("graph", "n")
     try:
         if kind == "complete":
             return build_complete(n)
         if kind == "path":
             return build_path(n)
         if kind == "pcycle":
-            return build_pcycle(
-                n, _as_int(cfg, "graph", "p", cfg.require("graph", "p")))
+            return build_pcycle(n, cfg.require("graph", "p"))
         if kind == "custom":
             return build_custom(n, _edge_list(cfg))
     except InvalidSizeError as exc:
@@ -170,22 +163,17 @@ def build_graph(cfg: RawConfig) -> WeightedGraph:
 
 
 def _edge_list(cfg: RawConfig) -> list:
-    """[graph] edges as (i, j, weight) triples; an omitted weight is 1."""
+    """[graph] edges as [i, j, weight] entries, an omitted weight padded
+    to 1.0; build_custom checks the endpoints and weights."""
     edges = cfg.require("graph", "edges")
     if not isinstance(edges, list):
         raise cfg.error("key 'edges' must be a JSON array of "
                         "[i, j] or [i, j, weight] triples",
                         "graph", "edges")
-    triples = []
     for e in edges:
         if not isinstance(e, list) or len(e) not in (2, 3):
             raise cfg.error(f"bad edge entry {e!r}", "graph", "edges")
-        i, j = (_as_int(cfg, "graph", "edges", v,
-                        f"endpoint of edge {e!r}") for v in e[:2])
-        w = 1.0 if len(e) == 2 else _as_number(
-            cfg, "graph", "edges", e[2], f"weight of edge {e!r}")
-        triples.append((i, j, w))
-    return triples
+    return [e if len(e) == 3 else [*e, 1.0] for e in edges]
 
 
 def build_gap(cfg: RawConfig) -> float:
@@ -214,23 +202,20 @@ def build_query(cfg: RawConfig) -> tuple:
 
 def build_scenario(cfg: RawConfig) -> FailureScenario:
     """Scenario from [scenario]; missing section means no failures.
-    A scalar `states` value is broadcast to every failed pair."""
-    if "scenario" not in cfg.sections or not cfg.has("scenario", "indices"):
+    A scalar `indices` or `states` value stands for an array of one, and
+    a scalar `states` value is broadcast to every failed pair. A refusal
+    of the indices by FailureScenario names the `indices` line."""
+    if not cfg.has("scenario", "indices"):
         return FailureScenario((), ())
     indices = cfg.get("scenario", "indices")
-    if isinstance(indices, int):
+    if not isinstance(indices, list):
         indices = [indices]
-    if not isinstance(indices, list) or \
-            not all(isinstance(i, int) and not isinstance(i, bool)
-                    for i in indices):
-        raise cfg.error("key 'indices' must be an integer or an array "
-                        "of integers", "scenario", "indices")
-    states = cfg.get("scenario", "states")
-    if states is None:
+    if cfg.get("scenario", "states") is None:
         raise cfg.error("scenario with indices needs a 'states' value",
                         "scenario", "indices")
     states = scenario_state_values(cfg, len(indices))
-    return FailureScenario(tuple(indices), tuple(states))
+    return _on_line(cfg, "scenario", "indices",
+                    lambda i: FailureScenario(i, states), indices)
 
 
 def scenario_state_values(cfg: RawConfig, m: int | None) -> list:
@@ -241,7 +226,9 @@ def scenario_state_values(cfg: RawConfig, m: int | None) -> list:
     states = cfg.require("scenario", "states")
     if not isinstance(states, list):
         states = [states]
-    values = [_as_number(cfg, "scenario", "states", s) for s in states]
+    values = _on_line(
+        cfg, "scenario", "states",
+        lambda v: [_real(s, "key 'states' in [scenario]") for s in v], states)
     if len(values) == 1:
         return values * (m or 1)
     if m is None:
@@ -255,19 +242,19 @@ def scenario_state_values(cfg: RawConfig, m: int | None) -> list:
     return values
 
 
+def _present(cfg: RawConfig, section: str, rules: dict) -> dict:
+    """The keys of `rules` that the section sets, each value checked by
+    its rule; a refusal names the refused key's line."""
+    return {key: _on_line(cfg, section, key, rule, cfg.get(section, key))
+            for key, rule in rules.items() if cfg.has(section, key)}
+
+
 def build_sim(cfg: RawConfig, seed_override=None) -> SimConfig:
-    """[sim] by SimConfig's rules, the counts JSON integers; a refusal
-    names the refused key's line. Keys left out take SimConfig's
-    defaults."""
-    sec = cfg.sections.get("sim", {})
-    kwargs = {}
-    for key in ("dt", "burn_in", "sample_interval", "samples_per_trial",
-                "trials"):
-        if key in sec:
-            value = sec[key][0]
-            if key in ("samples_per_trial", "trials"):
-                value = _as_int(cfg, "sim", key, value)
-            kwargs[key] = _on_line(cfg, "sim", key, _SIM_RULES[key], value)
+    """[sim] by SimConfig's rules; a refusal names the refused key's
+    line. Keys left out take SimConfig's defaults."""
+    # the seed is resolve_seed's: a --seed flag wins over the file's
+    kwargs = _present(cfg, "sim", {key: rule for key, rule in
+                                   _SIM_RULES.items() if key != "seed"})
     kwargs["seed"] = resolve_seed(cfg, seed_override)
     return SimConfig(**kwargs)
 
@@ -278,16 +265,12 @@ def resolve_seed(cfg: RawConfig, seed_override=None) -> int:
     if seed_override is not None:
         return _seed(seed_override, ConfigError)
     if cfg.has("sim", "seed"):
-        return _on_line(cfg, "sim", "seed", _seed,
-                        _as_int(cfg, "sim", "seed", cfg.get("sim", "seed")))
+        return _on_line(cfg, "sim", "seed", _seed, cfg.get("sim", "seed"))
     return 0
 
 
-def experiment_option(cfg: RawConfig, key: str, default: int) -> int:
-    if not cfg.has("experiment", key):
-        return default
-    value = _as_int(cfg, "experiment", key, cfg.get("experiment", key))
-    if value < 1:
-        raise cfg.error(f"key {key!r} in [experiment] must be >= 1",
-                        "experiment", key)
-    return value
+def build_experiment(cfg: RawConfig) -> dict:
+    """The [experiment] keys the file sets, as sweep_sparsity_rows
+    keywords checked by its rules; a refusal names the refused key's
+    line. Keys left out take sweep_sparsity_rows' defaults."""
+    return _present(cfg, "experiment", _SWEEP_RULES)

@@ -24,8 +24,8 @@ from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
 from .errors import (IllConditionedScenarioError, InvalidParameterError,
                      InvalidQueryError, NumericalError, UnstablePlatoonError)
-from .graph import (WeightedGraph, _integer, _laplacian, _real, _seed,
-                    laplacian, spectrum)
+from .graph import (WeightedGraph, _count, _integer, _laplacian, _real,
+                    _seed, laplacian, spectrum)
 from .risk import (FailureScenario, _check_query, _condition_head,
                    _condition_scenario, _condition_stack, _entry_error,
                    _stack_risk)
@@ -117,6 +117,13 @@ def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
 # Patterns conditioned together in one stack by sweep_sparsity_rows.
 _STACK_CHUNK = 256
 
+# sweep_sparsity_rows option -> the check of its value
+_SWEEP_RULES = {
+    "enum_cap": lambda n: _count(n, "enum_cap", 1, InvalidQueryError),
+    "sample_count": lambda n: _count(n, "sample_count", 1,
+                                     InvalidQueryError),
+}
+
 
 def _pattern_count(m: int, s: int) -> int:
     """Patterns of m failures with s interior gaps: both span ends are
@@ -167,11 +174,8 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
     m, state, d, c, it = _check_sweep(sigma, "m", m, state_value,
                                       d, c, epsilon)
     seed = _seed(seed, InvalidQueryError)
-    enum_cap = _integer(enum_cap, "enum_cap", InvalidQueryError)
-    sample_count = _integer(sample_count, "sample_count", InvalidQueryError)
-    if enum_cap < 1 or sample_count < 1:
-        raise InvalidQueryError(f"enum_cap={enum_cap} and sample_count="
-                                f"{sample_count} must both be >= 1")
+    enum_cap = _SWEEP_RULES["enum_cap"](enum_cap)
+    sample_count = _SWEEP_RULES["sample_count"](sample_count)
     n_pairs = sigma.dim
     rows = []
     for s in range(0, n_pairs - m + 1):

@@ -35,6 +35,16 @@ def _integer(value, name: str, error=InvalidParameterError) -> int:
     raise error(f"{name} {value!r} is not an integer")
 
 
+def _count(value, name: str, minimum: int,
+           error=InvalidParameterError) -> int:
+    """value as an int by the integer rule, at least `minimum`;
+    otherwise `error`, naming the value as `name`."""
+    count = _integer(value, name, error)
+    if count < minimum:
+        raise error(f"{name}={count} must be >= {minimum}")
+    return count
+
+
 def _real(value, name: str, error=InvalidParameterError,
           positive: bool = False) -> float:
     """value as a float if it is a finite real number, not a bool, and

@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError
-from .graph import (WeightedGraph, _integer, _real, _seed, laplacian,
+from .graph import (WeightedGraph, _count, _real, _seed, laplacian,
                     spectrum)
 from .stability import check_platoon
 
@@ -31,23 +31,15 @@ from .stability import check_platoon
 _NOISE_VALUES = 2 ** 17
 
 
-def _sample_count(value, name: str) -> int:
-    """A count of trials or samples: an integer >= 2, which the standard
-    errors need."""
-    count = _integer(value, name)
-    if count < 2:
-        raise InvalidParameterError(f"{name}={count} must be >= 2")
-    return count
-
-
 # SimConfig field -> the check of its value, which returns it as a float
-# or an int; burn_in and sample_interval may also be None
+# or an int; burn_in and sample_interval may also be None, and the counts
+# are at least 2, which the standard errors need
 _SIM_RULES = {
     "dt": lambda dt: _real(dt, "dt", positive=True),
     "burn_in": lambda t: _real(t, "burn_in", positive=True),
     "sample_interval": lambda t: _real(t, "sample_interval", positive=True),
-    "samples_per_trial": lambda n: _sample_count(n, "samples_per_trial"),
-    "trials": lambda n: _sample_count(n, "trials"),
+    "samples_per_trial": lambda n: _count(n, "samples_per_trial", 2),
+    "trials": lambda n: _count(n, "trials", 2),
     "seed": _seed,
 }
 

@@ -129,6 +129,12 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err and "orbit" in err
     assert err.count(cfg) == 1
+    # a misspelled key is refused, not read as a scenario without
+    # failures
+    cfg = write_cfg(tmp_path, PATH6.replace("indices", "index"))
+    assert main(["risk-profile", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cascade-risk: line 18: unknown key 'index'")
     # errors found while building from the parsed file name it too
     for section in ('[graph]\ntype = star\nn = 4\n',
                     '[graph]\ntype = complete\n',
@@ -403,6 +409,50 @@ def test_range_refusals_name_the_line(tmp_path, capsys, command, key, value,
     err = capsys.readouterr().err
     assert err.startswith(f"cascade-risk: line {line}: ")
     assert words in err and err.count(cfg) == 1
+
+
+# key -> a config whose "@" stands for the key's value, 3 a valid one,
+# and the subcommand that reads it
+INTEGER_KEYS = {
+    "n": (PATH6.replace("n = 6", "n = @"), ["stability"]),
+    "p": (PATH6.replace("type = path\nn = 6",
+                        "type = pcycle\nn = 7\np = @"), ["stability"]),
+    "endpoint": (PATH6.replace("type = path\nn = 6", "type = custom\nn = 3\n"
+                               "edges = [[1, 2], [2, @]]"), ["stability"]),
+    "indices": (PATH6.replace("indices = [3]", "indices = [@]"),
+                ["risk-profile"]),
+    "trials": (SIM_SMALL.replace("trials = 4", "trials = @"), ["simulate"]),
+    "samples_per_trial": (SIM_SMALL.replace("samples_per_trial = 10",
+                                            "samples_per_trial = @"),
+                          ["simulate"]),
+    "seed": (SIM_SMALL.replace("seed = 3", "seed = @"), ["simulate"]),
+    "enum_cap": (PATH6 + "\n[experiment]\nenum_cap = @\nsample_count = 5\n",
+                 ["sweep-sparsity", "--m", "2"]),
+    "sample_count": (PATH6 + "\n[experiment]\nenum_cap = 1\n"
+                     "sample_count = @\n", ["sweep-sparsity", "--m", "2"]),
+}
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+def test_integer_keys_follow_the_library_rule(tmp_path, capsys, key):
+    # one integer rule for every integer key: an integer or an integral
+    # float, never a bool or a string, refused on the key's line
+    text, argv = INTEGER_KEYS[key]
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                if "@" in ln)
+    outputs = []
+    for value in ("3", "3.0"):
+        out = tmp_path / f"{value}.csv"
+        cfg = write_cfg(tmp_path, text.replace("@", value))
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    for value in ("2.5", "true", '"x"'):
+        cfg = write_cfg(tmp_path, text.replace("@", value))
+        assert main(argv + ["--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cascade-risk: line {line}: ")
+        assert "is not an integer" in err
 
 
 @pytest.mark.filterwarnings("error")

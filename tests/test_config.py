@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cascade_risk import ConfigError, build_path
-from cascade_risk.config import (build_gap, build_graph, build_noise,
-                                 build_query, build_scenario, build_sim,
-                                 experiment_option, load_config, parse_config,
+from cascade_risk.config import (build_experiment, build_gap, build_graph,
+                                 build_noise, build_query, build_scenario,
+                                 build_sim, load_config, parse_config,
                                  resolve_seed, scenario_state_values)
 
 FULL = """\
@@ -36,7 +36,7 @@ samples_per_trial = 20
 seed = 7
 
 [experiment]
-max_m = 20
+enum_cap = 20
 """
 
 
@@ -69,6 +69,12 @@ def test_parse_error_lines():
     with pytest.raises(ConfigError) as exc:
         parse_config("[graph]\n2type = complete\n")
     assert exc.value.line == 2
+
+    # a key no code reads is refused, not silently ignored
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[scenario]\nindex = [9, 10]\nstates = 0\n")
+    assert exc.value.line == 2
+    assert "unknown key 'index' in [scenario]" in str(exc.value)
 
     with pytest.raises(ConfigError) as exc:
         parse_config("[graph]\nn = 5\nn = 6\n")
@@ -115,7 +121,7 @@ def test_build_graph_errors():
 @pytest.mark.parametrize("edges, words", [
     ('[[1, 2, "x"], [2, 3]]', "weight"),
     ('[["a", 2], [2, 3]]', "endpoint"),
-    ("[[1.0, 2], [2, 3]]", "endpoint"),
+    ("[[1.5, 2], [2, 3]]", "endpoint"),
     ("[[1, 2, true], [2, 3]]", "weight"),
     ("[[1, 2, NaN], [2, 3]]", "finite"),
     ("[[1, 2], [2, 3], [1, 2, 5]]", "repeats"),
@@ -205,6 +211,12 @@ def test_build_scenario_errors():
     with pytest.raises(ConfigError):
         build_scenario(parse_config(
             "[scenario]\nindices = [1.5]\nstates = 0\n"))
+    # FailureScenario's own refusals land on the indices line too
+    for indices in ("[0, 1]", "[2, 1]", "[2, 2]"):
+        with pytest.raises(ConfigError) as exc:
+            build_scenario(parse_config(
+                f"[scenario]\nindices = {indices}\nstates = 0\n"))
+        assert exc.value.line == 2 and "pair indices" in str(exc.value)
     with pytest.raises(ConfigError):
         build_scenario(parse_config(
             "[scenario]\nindices = [1]\nstates = \"zero\"\n"))
@@ -256,10 +268,13 @@ def test_resolve_seed_precedence():
             build_sim(cfg, seed_override=bad)
 
 
-def test_experiment_option():
-    cfg = parse_config(FULL)
-    assert experiment_option(cfg, "max_m", 5) == 20
-    assert experiment_option(cfg, "enum_cap", 17) == 17
-    with pytest.raises(ConfigError):
-        experiment_option(parse_config("[experiment]\nmax_m = 0\n"),
-                          "max_m", 5)
+def test_build_experiment():
+    # only the keys the file sets, by sweep_sparsity_rows' rules; the
+    # keys left out take its defaults
+    assert build_experiment(parse_config(FULL)) == {"enum_cap": 20}
+    assert build_experiment(parse_config("[graph]\ntype = path\nn = 3\n")) \
+        == {}
+    with pytest.raises(ConfigError) as exc:
+        build_experiment(parse_config("[experiment]\n\nsample_count = 0\n"))
+    assert exc.value.line == 3 and "sample_count=0 must be >= 1" in str(
+        exc.value)

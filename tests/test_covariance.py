@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cascade_risk import (CovarianceMatrix, FailureScenario,
@@ -160,6 +160,8 @@ REFUSED_POINTS = [
     (1.56, 0.016703367695847415),
     (1.57, 0.0012484532614496669),
     (1.5707, 0.0001502891537250344),
+    # 2.2e-16 under the bound, where the solve itself is singular
+    (1e-6, 0.9999996666665887),
 ]
 
 
@@ -314,18 +316,23 @@ def test_f_modes_pinned(s1, s2, ref):
 
 @st.composite
 def _region_points(draw):
-    """Modes s1 in (0, pi/2) and an s2 inside the region of every one:
-    a fraction of the smallest bound, or the bound less a margin down to
-    NEAR_BOUNDARY_MARGIN. The fraction stays above 1e-9: f grows like
-    1/s2, and at s2 = 5e-324 the solve is singular on either route."""
+    """Modes s1 in (0, pi/2) and an s2 inside the region of every one
+    with at least the NEAR_BOUNDARY_MARGIN the package asks for: a
+    fraction of the smallest bound, or the bound less a margin. The
+    fraction stays above 1e-9: f grows like 1/s2, and at s2 = 5e-324 the
+    solve is singular on either route. It stays below
+    1 - NEAR_BOUNDARY_MARGIN / bound: 2.2e-16 under the bound the solve
+    is singular too (s1 = [1e-6], s2 = 0.9999996666665887)."""
     s1 = np.array(draw(st.lists(
         st.floats(1e-8, math.pi / 2, exclude_max=True),
         min_size=1, max_size=12)))
     bound = float(region_bound(s1).min())
+    top = 1.0 - NEAR_BOUNDARY_MARGIN / bound
+    assume(top > 1e-9)
     margin = NEAR_BOUNDARY_MARGIN * 10.0 ** draw(st.floats(0.0, 6.0))
     if draw(st.booleans()) and margin < bound:
         return s1, bound - margin
-    return s1, bound * draw(st.floats(1e-9, 1.0, exclude_max=True))
+    return s1, bound * draw(st.floats(1e-9, top, exclude_max=True))
 
 
 @settings(max_examples=200, deadline=None)

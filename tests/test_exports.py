@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import cascade_risk
-from cascade_risk.config import (build_gap, build_graph, build_noise,
+from cascade_risk.config import (_KEYS, build_gap, build_graph, build_noise,
                                  build_query, build_scenario, build_sim,
                                  parse_config)
 
@@ -49,3 +49,12 @@ def test_readme_config_example_loads():
     assert scenario.indices == (4, 5) and scenario.states == (0.0, 0.0)
     sim = build_sim(cfg)
     assert (sim.dt, sim.trials, sim.seed) == (0.001, 64, 0)
+
+
+def test_readme_lists_every_config_key():
+    # one "- `[section]`: `key`, ..." line per section, in the order
+    # config._KEYS holds them
+    lines = re.finditer(r"^- `\[(\w+)\]`: (.*)$", README.read_text(),
+                        flags=re.M)
+    listed = {m[1]: tuple(re.findall(r"`(\w+)`", m[2])) for m in lines}
+    assert listed == _KEYS
