@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NearBoundaryError,
-                     NumericalError, UnstablePlatoonError)
+from .errors import InvalidParameterError, NearBoundaryError, NumericalError
 from .graph import (LaplacianSpectrum, _real, _vehicle_count,
                     pair_difference_matrix)
-from .stability import check_platoon, region_bound
+from .stability import StabilityReport, _report, check_platoon
 
 # Refuse f for a mode closer than this to the stability boundary: f grows
 # like 1/margin there, and its 1e-8 accuracy is tested down to this margin.
@@ -132,7 +131,9 @@ _VEC_XT = np.eye(4)[[0, 2, 1, 3]]  # vec X -> vec X^T
 
 
 def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
-    """f for each mode s1 at the common s2, all inside the region.
+    """f for each mode s1 at the common s2. Its domain is the stability
+    region less a margin of NEAR_BOUNDARY_MARGIN: its one caller,
+    _mode_f, refuses every other point first.
 
     In x = (y, y') a mode is x'(t) = A0 x(t) + A1 x(t - 1) with
     A0 = [[0, 1], [0, 0]], A1 = s1 b, b = [[0, 0], [-s2, -1]], and
@@ -169,14 +170,21 @@ def _f_modes(s1: np.ndarray, s2: float) -> np.ndarray:
     return 2.0 * math.pi * np.linalg.solve(rows, rhs)[:, 3, 0]
 
 
-def _f_checked(s1: np.ndarray, s2: float) -> np.ndarray:
-    """_f_modes, refused with a NumericalError unless every f is finite
-    and positive. f grows like pi / (s1^2 s2) as s2 -> 0: it overflows
-    for a tiny gain, and at a subnormal s2 the system is singular or its
-    solution not a number."""
+def _mode_f(report: StabilityReport) -> np.ndarray:
+    """f of every mode of the report, the one gate in front of _f_modes:
+    the report's refusal unless the platoon forms, NearBoundaryError
+    below NEAR_BOUNDARY_MARGIN, and NumericalError unless every f is
+    finite and positive (f ~ pi / (s1^2 s2) overflows for a tiny gain,
+    and at a subnormal s2 the system is singular)."""
+    report.require_stable()
+    margin = report.margin.min()
+    if margin < NEAR_BOUNDARY_MARGIN:
+        raise NearBoundaryError(
+            f"stability margin {margin:.3g} below {NEAR_BOUNDARY_MARGIN:g}; "
+            f"refusing to compute f this close to the boundary")
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            f = _f_modes(s1, s2)
+            f = _f_modes(report.s1, report.s2)
     except np.linalg.LinAlgError:
         f = np.array([math.nan])
     if not np.all(np.isfinite(f) & (f > 0.0)):
@@ -184,23 +192,11 @@ def _f_checked(s1: np.ndarray, s2: float) -> np.ndarray:
     return f
 
 
-def _refuse_near_boundary(margin: float) -> None:
-    if margin < NEAR_BOUNDARY_MARGIN:
-        raise NearBoundaryError(
-            f"stability margin {margin:.3g} below {NEAR_BOUNDARY_MARGIN:g}; "
-            f"refusing to compute f this close to the boundary")
-
-
 def f_integral(s1: float, s2: float) -> float:
-    """The covariance integral; requires (s1, s2) inside the stability
-    region with margin, returns a positive value with relative accuracy
-    better than 1e-8."""
-    bound = region_bound(s1)
-    if not 0.0 < s2 < bound:
-        raise UnstablePlatoonError(
-            f"(s1, s2) = ({s1:.6g}, {s2:.6g}) is outside the stability region")
-    _refuse_near_boundary(bound - s2)
-    return float(_f_checked(np.array([s1]), s2)[0])
+    """The covariance integral at (s1, s2), gated as every f is: by the
+    report of eigenvalue s1 at tau = 1 and beta = s2. Positive, with
+    relative accuracy better than 1e-8."""
+    return float(_mode_f(_report(np.array([s1], dtype=float), 1.0, s2))[0])
 
 
 def _scale(noise: NoiseParams) -> float:
@@ -238,12 +234,8 @@ def steady_state_covariance(spec: LaplacianSpectrum,
     is checked only for finite entries and a positive diagonal, at or
     above the smallest normal float; a scale g^2 tau^3 that breaks
     either is an InvalidParameterError."""
-    report = check_platoon(spec, noise.tau, noise.beta)
-    report.require_stable()
-    _refuse_near_boundary(report.margin.min())
+    fvals = _mode_f(check_platoon(spec, noise.tau, noise.beta))
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
-    fvals = _f_checked(spec.eigenvalues[1:] * noise.tau,
-                       noise.beta * noise.tau)
     pref = _scale(noise) / (2.0 * math.pi)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = pref * (W * fvals) @ W.T
@@ -257,7 +249,8 @@ def complete_graph_sigma_c(n: int, noise: NoiseParams) -> float:
     graph (all nonzero Laplacian eigenvalues equal n); refused, as the
     covariance is, when g^2 tau^3 takes it out of the float range."""
     n = _vehicle_count(n)
-    f = f_integral(n * noise.tau, noise.beta * noise.tau)
+    report = _report(np.array([n], dtype=float), noise.tau, noise.beta)
+    f = float(_mode_f(report)[0])
     sigma_c = _scale(noise) * f / math.pi
     _refuse_out_of_range(np.array(sigma_c), noise)
     return sigma_c

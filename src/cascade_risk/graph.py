@@ -121,17 +121,30 @@ def _require_connected(weights: np.ndarray) -> None:
         raise InvalidParameterError("graph is not connected")
 
 
+def _weights(n: int) -> np.ndarray:
+    """A zero n x n weight matrix for a builder; InvalidSizeError where
+    numpy cannot allocate it."""
+    try:
+        return np.zeros((n, n))
+    except (MemoryError, ValueError):   # ValueError: beyond numpy's shapes
+        raise InvalidSizeError(
+            f"n={n:.6g} vehicles: the n x n weight matrix does not fit in "
+            f"memory") from None
+
+
 def build_complete(n: int) -> WeightedGraph:
     """Unit-weight clique on n nodes."""
     n = _vehicle_count(n)
-    w = np.ones((n, n)) - np.eye(n)
+    w = _weights(n)
+    w += 1.0
+    np.fill_diagonal(w, 0.0)
     return WeightedGraph(n, w)
 
 
 def build_path(n: int) -> WeightedGraph:
     """Unit-weight chain: node i linked to i+1."""
     n = _vehicle_count(n)
-    w = np.zeros((n, n))
+    w = _weights(n)
     idx = np.arange(n - 1)
     w[idx, idx + 1] = 1.0
     w[idx + 1, idx] = 1.0
@@ -145,7 +158,7 @@ def build_pcycle(n: int, p: int) -> WeightedGraph:
     if not 1 <= p <= (n - 1) // 2:
         raise InvalidParameterError(
             f"neighbor radius p={p} outside 1..{(n - 1) // 2} for n={n}")
-    w = np.zeros((n, n))
+    w = _weights(n)
     for q in range(1, p + 1):
         i = np.arange(n)
         j = (i + q) % n
@@ -157,7 +170,7 @@ def build_pcycle(n: int, p: int) -> WeightedGraph:
 def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
     """Graph from an explicit edge list of (i, j, weight), 1-based nodes."""
     n = _vehicle_count(n)
-    w = np.zeros((n, n))
+    w = _weights(n)
     seen = set()
     for e in edges:
         try:

@@ -152,7 +152,7 @@ class EmpiricalCovariance:
 
 
 def run(graph: WeightedGraph, d: float, noise: NoiseParams,
-        sim: SimConfig, return_samples: bool = False):
+        sim: SimConfig) -> EmpiricalCovariance:
     """Simulate `trials` independent trajectories about the targets
     d, 2d, ..., nd, thin each after burn-in, and pool the inter-vehicle
     distances.
@@ -161,9 +161,13 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
     given trial's trajectory does not depend on how many trials run.
     The noise is drawn one chunk ahead on a one-worker thread pool, which
     is shut down, its worker joined, before run returns or raises.
-    Returns EmpiricalCovariance, or (EmpiricalCovariance, samples) with
-    samples shaped (samples_per_trial, trials, n-1) when requested.
     """
+    return _pool(_samples(graph, d, noise, sim))
+
+
+def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
+             sim: SimConfig) -> np.ndarray:
+    """The distances run pools, shaped (samples_per_trial, trials, n-1)."""
     d = _real(d, "target gap d", positive=True)
     L = laplacian(graph)
     spec = spectrum(L)
@@ -249,18 +253,23 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
             hx, xs = xs, hx
             hv, vs = vs, hv
     assert s_idx == n_samples
+    return samples
 
+
+def _pool(samples: np.ndarray) -> EmpiricalCovariance:
+    """The pooled estimate of run from its (samples, trials, pairs) array."""
+    n_samples, trials, pairs = samples.shape
     # Finite but huge samples (marginal EM instability) overflow when
     # squared: silently here, and refused below as a divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        flat = samples.reshape(n_samples * trials, n - 1)
+        flat = samples.reshape(n_samples * trials, pairs)
         mean = flat.mean(axis=0)
         dev = flat - mean
         cov = dev.T @ dev / (flat.shape[0] - 1)
         cov = 0.5 * (cov + cov.T)
 
-        trial_means = np.empty((trials, n - 1))
-        trial_covs = np.empty((trials, n - 1, n - 1))
+        trial_means = np.empty((trials, pairs))
+        trial_covs = np.empty((trials, pairs, pairs))
         for b in range(trials):
             xb = samples[:, b, :]
             mb = xb.mean(axis=0)
@@ -274,8 +283,5 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
     if not all(np.isfinite(a).all() for a in (mean, cov, se_cov, se_mean)):
         raise DivergenceError("pooled estimate is not finite: samples too "
                               "large to pool; reduce dt or check margins")
-    result = EmpiricalCovariance(mean, cov, se_cov,
-                                 n_samples * trials, se_mean)
-    if return_samples:
-        return result, samples
-    return result
+    return EmpiricalCovariance(mean, cov, se_cov, n_samples * trials,
+                               se_mean)

@@ -77,8 +77,14 @@ def check_platoon(spec: LaplacianSpectrum, tau: float, beta: float) -> Stability
     """
     tau = _real(tau, "delay tau", positive=True)
     beta = _real(beta, "gain beta", positive=True)
+    return _report(spec.eigenvalues[1:], tau, beta)
+
+
+def _report(eigenvalues: np.ndarray, tau: float,
+            beta: float) -> StabilityReport:
+    """The report of the given oscillatory modes, with tau and beta
+    taken as they are: the one region test of the package."""
     s2 = beta * tau
-    eigenvalues = spec.eigenvalues[1:]
     with np.errstate(over="ignore"):    # s1 = inf lies outside the region
         s1 = eigenvalues * tau
     bound = region_bound(s1)

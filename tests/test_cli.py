@@ -215,6 +215,25 @@ beta = 0.005
     assert "stability region" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise, code", [
+    ("tau = 0.05", 1),                                     # unstable
+    (f"beta = {(region_bound(1.5) - 5e-7) / 0.03!r}", 2),  # margin 5e-7
+], ids=["unstable", "near-boundary"])
+def test_methods_refuse_alike(tmp_path, capsys, noise, code):
+    # both methods put f through the one gate of the stability report,
+    # so they refuse a complete platoon with the same line and exit code
+    key = noise.split(" = ")[0]
+    text = (DEMO_CONFIGS / "complete50.cfg").read_text()
+    cfg = write_cfg(tmp_path, re.sub(rf"(?m)^{key} = .*$", noise, text))
+    refusals = []
+    for method in ("closed-form", "generic"):
+        refusals.append((main(["risk-profile", "--config", cfg,
+                               "--method", method]),
+                         capsys.readouterr().err))
+    assert refusals[0] == refusals[1]
+    assert refusals[0][0] == code
+
+
 _CLOSED_FORM = ["risk-profile", "--method", "closed-form"]
 
 

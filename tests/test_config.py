@@ -148,8 +148,11 @@ def test_build_graph_custom_edge_errors(edges, words):
      "not connected"),
     ("[graph]\ntype = custom\nn = 1\nedges = []\n", 3,
      "at least 2 vehicles"),
+    ("[graph]\ntype = path\nn = 10000000\n", 3, "does not fit in memory"),
+    ("[graph]\ntype = complete\nn = 1e300\n", 3, "does not fit in memory"),
 ], ids=["path-n", "pcycle-n", "pcycle-p", "custom-range",
-        "custom-disconnected", "custom-n"])
+        "custom-disconnected", "custom-n", "path-n-memory",
+        "complete-n-memory"])
 def test_build_graph_refusals_name_the_line(text, line, words):
     # the builders' own refusals come back as config errors on the line
     # of n, or of p or edges

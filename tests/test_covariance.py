@@ -96,7 +96,6 @@ def test_one_region_root_per_mode(monkeypatch, warm):
     if warm:
         steady_state_covariance(spec, PATH_NOISE)
     monkeypatch.setattr(stability, "region_bound", counting_region_bound)
-    monkeypatch.setattr(covariance, "region_bound", counting_region_bound)
     monkeypatch.setattr(covariance, "_f_modes", counting_f_modes)
     steady_state_covariance(spec, PATH_NOISE)
     assert bound_calls == [(19,)]
@@ -276,6 +275,54 @@ def test_complete_graph_sigma_c_count_rule():
     for bad in (2.5, True, math.nan, "50"):
         with pytest.raises(InvalidSizeError):
             complete_graph_sigma_c(bad, COMPLETE_NOISE)
+
+
+@st.composite
+def _complete_platoons(draw):
+    """n in [2, 30] and noise whose one complete-graph mode (n tau,
+    beta tau) lies inside the region, near its edge, or outside it,
+    each draw more than 1e-9 from the region edge and from the
+    NEAR_BOUNDARY_MARGIN refusal: eigh rounds the eigenvalue n by far
+    less, so it cannot flip a verdict."""
+    n = draw(st.integers(2, 30))
+    tau = draw(st.floats(0.01, 2.5)) / n
+    s1 = n * tau
+    assume(abs(s1 - math.pi / 2) > 1e-9)
+    bound = region_bound(s1)
+    if math.isnan(bound):
+        s2 = draw(st.floats(0.01, 1.0))
+    elif draw(st.booleans()):
+        s2 = bound - 10.0 ** draw(st.floats(-8.0, -5.0))
+    else:
+        s2 = bound * draw(st.floats(0.05, 1.3))
+    noise = NoiseParams(0.1, tau, s2 / tau)
+    s2 = noise.beta * noise.tau
+    assume(math.isnan(bound) or
+           min(abs(bound - s2), abs(bound - s2 - NEAR_BOUNDARY_MARGIN))
+           > 1e-9)
+    return n, noise
+
+
+def _outcome(compute):
+    """None if compute() returns, else the class and message it
+    raised."""
+    try:
+        compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(platoon=_complete_platoons())
+def test_closed_form_and_generic_refuse_alike(platoon):
+    # sigma_c and the generic covariance put their f through one gate:
+    # the same refusal, word for word, or none on either route
+    n, noise = platoon
+    closed = _outcome(lambda: complete_graph_sigma_c(n, noise))
+    generic = _outcome(lambda: steady_state_covariance(
+        spectrum(laplacian(build_complete(n))), noise))
+    assert closed == generic
 
 
 def test_complete_graph_matches_generic_small():

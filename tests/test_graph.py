@@ -143,6 +143,20 @@ def test_builders_reject_small_n(build, args):
         build(*args)
 
 
+@pytest.mark.parametrize("n", [10 ** 7, 10 ** 22, 1e300])
+@pytest.mark.parametrize("build,args", [
+    (build_complete, ()),
+    (build_path, ()),
+    (build_pcycle, (1,)),
+    (build_custom, ([(1, 2, 1.0)],)),
+])
+def test_builders_refuse_a_weight_matrix_beyond_memory(build, args, n):
+    # each of these n x n matrices fails to allocate at once (728 TiB and
+    # more, or beyond numpy's largest shape), without touching memory
+    with pytest.raises(InvalidSizeError, match="does not fit in memory"):
+        build(n, *args)
+
+
 def test_pcycle_rejects_bad_p():
     with pytest.raises(InvalidParameterError):
         build_pcycle(6, 0)

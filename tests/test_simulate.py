@@ -27,8 +27,8 @@ def targets(n, d=3.0):
 def reference_run():
     sim = SimConfig(dt=1e-3, burn_in=6.0, sample_interval=0.6,
                     samples_per_trial=100, trials=24, seed=5)
-    return run(build_path(5), 3.0, PATH5_NOISE, sim,
-               return_samples=True)
+    samples = simulate._samples(build_path(5), 3.0, PATH5_NOISE, sim)
+    return simulate._pool(samples), samples
 
 
 def test_sim_config_validation():
@@ -233,8 +233,7 @@ def test_concurrent_runs_match_oracle(monkeypatch):
     def one(seed):
         sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
                         samples_per_trial=4, trials=2, seed=seed)
-        results[seed] = run(build_path(3), 3.0, noise, sim,
-                            return_samples=True)[1]
+        results[seed] = simulate._samples(build_path(3), 3.0, noise, sim)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -281,8 +280,7 @@ def _run_against_oracle(monkeypatch, tau, dt, burn_in, interval,
     sim = SimConfig(dt=dt, burn_in=burn_in, sample_interval=interval,
                     samples_per_trial=n_samples, trials=trials, seed=seed)
     threads = threading.active_count()
-    _, samples = run(build_path(5), 3.0, noise, sim,
-                     return_samples=True)
+    samples = simulate._samples(build_path(5), 3.0, noise, sim)
     # a run that ends normally leaves no noise worker behind either
     assert threading.active_count() == threads
     assert np.array_equal(samples, expected)
@@ -335,10 +333,8 @@ def test_run_per_trial_streams_stable():
               samples_per_trial=5, seed=9)
     graph = build_path(3)
     noise = NoiseParams(g=0.1, tau=0.03, beta=2.0)
-    _, two = run(graph, 3.0, noise, SimConfig(trials=2, **kw),
-                 return_samples=True)
-    _, three = run(graph, 3.0, noise, SimConfig(trials=3, **kw),
-                   return_samples=True)
+    two = simulate._samples(graph, 3.0, noise, SimConfig(trials=2, **kw))
+    three = simulate._samples(graph, 3.0, noise, SimConfig(trials=3, **kw))
     assert np.array_equal(two, three[:, :2, :])
 
 
@@ -397,8 +393,7 @@ def test_samples_decorrelate_at_widened_interval():
     # meets the 0.2 target is 1.5 s; 0.6 s measures ~0.7.
     sim = SimConfig(dt=1e-3, burn_in=6.0, sample_interval=1.5,
                     samples_per_trial=120, trials=8, seed=4)
-    _, samples = run(build_path(5), 3.0, PATH5_NOISE, sim,
-                     return_samples=True)
+    samples = simulate._samples(build_path(5), 3.0, PATH5_NOISE, sim)
     acs = []
     for b in range(samples.shape[1]):
         s = samples[:, b, 0]
