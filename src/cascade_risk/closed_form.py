@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidQueryError
-from .graph import _real, _vehicle_count
+from .graph import _real, _vehicle_count, _zeros
 from .risk import FailureScenario, _check_query, _conditioned, _profile
 
 
@@ -45,10 +45,9 @@ def complete_profile(n: int, scenario: FailureScenario, sigma_c: float,
     # platoon's ends and are dropped at the end.
     idx = np.array(scenario.indices, dtype=int)
     dev = np.array(scenario.states) - d
-    failed = np.zeros(n + 1, dtype=bool)
+    failed = _zeros(n, n + 1, "a pair array", bool)
     failed[idx] = True
-    shift = np.zeros(n + 1)
-    reduction = np.zeros(n + 1)
+    shift, reduction = _zeros(n, (2, n + 1), "a pair array")
     starts = np.flatnonzero(np.diff(idx, prepend=-1) != 1)
     # Overflow is caught by the finiteness check of _conditioned.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -7,8 +7,9 @@ fallback) live here and are unit-testable without going through the
 command line. Every risk cell is read off the conditioning core,
 `risk._condition_stack` (or `risk._condition_head` for the nested
 levels of sweep-scale) and `risk._stack_risk`, directly or through a
-profile; the no-failure baseline is the empty scenario. Rows come as a
-list, except where a table is large: `covariance_rows` returns its
+profile; the no-failure baseline is the empty scenario. They read the
+risk values alone: inf is infinite risk, nan an empty cell. Rows come
+as a list, except where a table is large: `covariance_rows` returns its
 (n-1)^2 lines already rendered, as the CSV body text that
 `cli.render_csv` takes in place of row tuples.
 """
@@ -106,12 +107,10 @@ def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
     factor of the max_m head block (risk._condition_head)."""
     max_m, state, d, c, it = _check_sweep(sigma, "max_m", max_m,
                                           state_value, d, c, epsilon)
-    value, branch = _stack_risk(
-        _condition_head(sigma.values, max_m, state, d), d, c, it)
-    return [(m, j, v if b >= 0 else None)
-            for m, (values, branches) in enumerate(zip(value.tolist(),
-                                                       branch.tolist()))
-            for j, v, b in zip(itertools.count(1), values, branches)]
+    value = _stack_risk(_condition_head(sigma.values, max_m, state, d),
+                        d, c, it)
+    return [(m, j, v) for m, level in enumerate(value)
+            for j, v in enumerate(_cells(level), start=1)]
 
 
 # Patterns conditioned together in one stack by sweep_sparsity_rows.
@@ -205,22 +204,20 @@ def sweep_sparsity_rows(sigma: CovarianceMatrix, d: float, c: float,
                             for pattern, offset in chunk])
             cnd = _condition_stack(sigma.values, idx,
                                    np.full(idx.shape, state), d)
-            value, branch = _stack_risk(cnd, d, c, it)
-            # Summed pair by pair in order, as a pattern's own loop would.
+            value = _stack_risk(cnd, d, c, it)
+            used = cnd.usable.sum(axis=1)
+            infinite = np.isinf(value).any(axis=1)
+            finite = (used > 0) & ~infinite
+            skipped += int((used == 0).sum())
+            inf_count += int(infinite.sum())
+            finite_count += int(finite.sum())
+            # Summed pair by pair in order, as a pattern's own loop
+            # would, then pattern by pattern.
             pattern_sum = np.zeros(len(chunk))
             for column in np.where(cnd.usable, value, 0.0).T:
                 pattern_sum += column
-            for used, infinite, total_risk in zip(
-                    cnd.usable.sum(axis=1).tolist(),
-                    (branch == 2).any(axis=1).tolist(),
-                    pattern_sum.tolist()):
-                if used == 0:
-                    skipped += 1
-                elif infinite:
-                    inf_count += 1
-                else:
-                    finite_sum += total_risk / used
-                    finite_count += 1
+            for mean in (pattern_sum[finite] / used[finite]).tolist():
+                finite_sum += mean
         counted = n_eval - skipped
         if counted == 0:
             continue
@@ -248,10 +245,10 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
 
     def pair_risk(sigma: CovarianceMatrix) -> float:
         cnd = _condition_scenario(sigma, scenario, d)
-        value, branch = _stack_risk(cnd, d, c, it)
-        if branch[0, j - 1] < 0:
+        value = _stack_risk(cnd, d, c, it)[0, j - 1].item()
+        if math.isnan(value):
             raise IllConditionedScenarioError(_entry_error(cnd, j))
-        return value[0, j - 1].item()
+        return value
 
     base = steady_state_covariance(spectrum(laplacian(graph)), noise)
     rows = [(0, pair_risk(base), 1)]

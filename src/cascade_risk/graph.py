@@ -73,11 +73,13 @@ def _seed(value, error=InvalidParameterError) -> int:
 
 
 def _vehicle_count(n, minimum: int = 2) -> int:
-    """n as an int by the integer rule, at least `minimum`; otherwise
-    InvalidSizeError."""
+    """n as an int by the integer rule, at least `minimum` and inside the
+    float range, as the eigenvalues and sizes computed from it are;
+    otherwise InvalidSizeError."""
     n = _integer(n, "vehicle count", InvalidSizeError)
     if n < minimum:
         raise InvalidSizeError(f"need at least {minimum} vehicles, got n={n}")
+    _real(n, "vehicle count", InvalidSizeError)
     return n
 
 
@@ -121,21 +123,20 @@ def _require_connected(weights: np.ndarray) -> None:
         raise InvalidParameterError("graph is not connected")
 
 
-def _weights(n: int) -> np.ndarray:
-    """A zero n x n weight matrix for a builder; InvalidSizeError where
-    numpy cannot allocate it."""
+def _zeros(n: int, shape, what: str, dtype=float) -> np.ndarray:
+    """A zero array of `shape`, `what` of an n-vehicle platoon;
+    InvalidSizeError, naming `what`, where numpy cannot allocate it."""
     try:
-        return np.zeros((n, n))
+        return np.zeros(shape, dtype)
     except (MemoryError, ValueError):   # ValueError: beyond numpy's shapes
         raise InvalidSizeError(
-            f"n={n:.6g} vehicles: the n x n weight matrix does not fit in "
-            f"memory") from None
+            f"n={n:.6g} vehicles: {what} does not fit in memory") from None
 
 
 def build_complete(n: int) -> WeightedGraph:
     """Unit-weight clique on n nodes."""
     n = _vehicle_count(n)
-    w = _weights(n)
+    w = _zeros(n, (n, n), "the n x n weight matrix")
     w += 1.0
     np.fill_diagonal(w, 0.0)
     return WeightedGraph(n, w)
@@ -144,7 +145,7 @@ def build_complete(n: int) -> WeightedGraph:
 def build_path(n: int) -> WeightedGraph:
     """Unit-weight chain: node i linked to i+1."""
     n = _vehicle_count(n)
-    w = _weights(n)
+    w = _zeros(n, (n, n), "the n x n weight matrix")
     idx = np.arange(n - 1)
     w[idx, idx + 1] = 1.0
     w[idx + 1, idx] = 1.0
@@ -158,7 +159,7 @@ def build_pcycle(n: int, p: int) -> WeightedGraph:
     if not 1 <= p <= (n - 1) // 2:
         raise InvalidParameterError(
             f"neighbor radius p={p} outside 1..{(n - 1) // 2} for n={n}")
-    w = _weights(n)
+    w = _zeros(n, (n, n), "the n x n weight matrix")
     for q in range(1, p + 1):
         i = np.arange(n)
         j = (i + q) % n
@@ -170,7 +171,7 @@ def build_pcycle(n: int, p: int) -> WeightedGraph:
 def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
     """Graph from an explicit edge list of (i, j, weight), 1-based nodes."""
     n = _vehicle_count(n)
-    w = _weights(n)
+    w = _zeros(n, (n, n), "the n x n weight matrix")
     seen = set()
     for e in edges:
         try:
@@ -213,10 +214,6 @@ class LaplacianSpectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def spectrum(L: np.ndarray) -> LaplacianSpectrum:

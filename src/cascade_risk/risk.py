@@ -32,10 +32,6 @@ RCOND_MIN = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
-# Branch tags by code: 0..2 as _var_risk_array returns them, and -1,
-# the last, for a pair without a conditional law (_stack_risk).
-_BRANCHES = ("zero", "finite", "infinite", "error")
-
 
 def _check_query(d, c, epsilon):
     """Entry check of the public risk routines, before any other work:
@@ -256,11 +252,11 @@ def iota(epsilon: float) -> float:
 
 
 def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
-                    it: float):
+                    it: float) -> np.ndarray:
     """Three-branch value-at-risk over arrays of conditional moments mu
     and standard deviations sig, with it = iota(epsilon), on checked
-    inputs. Returns the values and the branch codes (indices into
-    _BRANCHES).
+    inputs. The value names its branch: 0.0 is zero, inf infinite, and
+    a finite-branch value lies strictly between (overflow raises).
 
     The branch tests are read off the same two numbers the finite value
     is made of, so a point within rounding of a branch edge cannot land
@@ -272,27 +268,24 @@ def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         risk = d / den - c
     infinite = den <= 0.0
-    zero = ~infinite & (risk <= 0.0)
-    branch = np.where(infinite, 2, np.where(zero, 0, 1))
-    value = np.where(infinite, math.inf, np.where(zero, 0.0, risk))
-    overflowed = (branch == 1) & ~np.isfinite(value)
+    value = np.where(infinite, math.inf, np.where(risk <= 0.0, 0.0, risk))
+    overflowed = ~infinite & ~np.isfinite(value)
     if overflowed.any():
         raise InvalidParameterError(
             f"risk value {value[overflowed][0]!r} inconsistent with branch "
             f"'finite'")
-    return value, branch
+    return value
 
 
-def _stack_risk(cnd: _Conditioned, d: float, c: float, it: float):
-    """Risk of every pair of a conditioned stack: values and branch
-    codes, both (P, dim). Failed pairs are zero risk; a pair without a
-    conditional law has code -1 and value nan."""
-    usable = cnd.usable
+def _stack_risk(cnd: _Conditioned, d: float, c: float,
+                it: float) -> np.ndarray:
+    """Risk of every pair of a conditioned stack, (P, dim), each value
+    naming its branch as in _var_risk_array. Failed pairs are zero
+    risk; a pair without a conditional law is nan."""
     value = np.where(cnd.failed, 0.0, math.nan)
-    branch = np.where(cnd.failed, 0, -1)
-    value[usable], branch[usable] = _var_risk_array(
-        cnd.mu[usable], np.sqrt(cnd.var[usable]), d, c, it)
-    return value, branch
+    value[cnd.usable] = _var_risk_array(
+        cnd.mu[cnd.usable], np.sqrt(cnd.var[cnd.usable]), d, c, it)
+    return value
 
 
 def risk_profile(sigma: CovarianceMatrix, scenario: FailureScenario,
@@ -312,16 +305,22 @@ def _profile(cnd: _Conditioned, d: float, c: float,
     without a value is nan: the moments of failed pairs, and risk and
     moments of a pair without a conditional law, whose branch is
     "error" and whose error holds why; error is None elsewhere."""
-    value, code = _stack_risk(cnd, d, c, it)
+    value = _stack_risk(cnd, d, c, it)[0]
     usable = cnd.usable[0]
     mu = np.where(usable, cnd.mu[0], math.nan)
     sig = np.sqrt(np.where(usable, cnd.var[0], math.nan))
+    # the tag each value names: nan is a pair without a conditional law
+    branch = np.full(len(usable), "zero", dtype="<U8")
+    branch[value > 0.0] = "finite"
+    branch[np.isinf(value)] = "infinite"
+    missing = np.isnan(value)
+    branch[missing] = "error"
     error = np.full(len(usable), None, dtype=object)
-    for j in np.flatnonzero(code[0] < 0).tolist():
+    for j in np.flatnonzero(missing).tolist():
         error[j] = _entry_error(cnd, j + 1)
     profile = np.rec.fromarrays(
-        (np.arange(1, len(usable) + 1), value[0],
-         np.array(_BRANCHES)[code[0]], mu, sig, cnd.failed[0], error),
+        (np.arange(1, len(usable) + 1), value, branch, mu, sig,
+         cnd.failed[0], error),
         names=("j", "risk", "branch", "mu_tilde", "sigma_tilde", "failed",
                "error"))
     profile.setflags(write=False)

@@ -11,8 +11,9 @@ validation, and `sweep_scale_rows_per_level` runs the package's
 conditioning core once per level, the route the nested one replaced.
 `f_modes_reference` is not independent either: it is the package's
 route to f as it stood before its mode-free blocks were built once, the
-reference that f has stayed the same bit for bit. `same_profile` is a
-comparison, not an oracle: bitwise equality of two risk profiles.
+reference that f has stayed the same bit for bit. `same_profile` and
+`branch_of` are not oracles: the one is bitwise equality of two risk
+profiles, the other the branch tag a risk value names.
 """
 import math
 
@@ -182,6 +183,16 @@ def var_risk_scalar(mu, sigma, d, c, it):
     return risk, "finite"
 
 
+def branch_of(value):
+    """The branch tag a risk value names: nan (no conditional law) is
+    "error", inf "infinite", a value above 0 "finite", and 0 "zero"."""
+    if math.isnan(value):
+        return "error"
+    if value == math.inf:
+        return "infinite"
+    return "finite" if value > 0.0 else "zero"
+
+
 def path_eigenvalue(n, k):
     """k-th (1-based, ascending) Laplacian eigenvalue of the n-node
     unit-weight path."""
@@ -310,8 +321,7 @@ def sweep_scale_rows_per_level(sigma, d, c, epsilon, max_m, state_value):
     for m in range(max_m + 1):
         cnd = _condition_stack(sigma.values, np.arange(m)[None],
                                np.full((1, m), state), d)
-        value, branch = _stack_risk(cnd, d, c, it)
-        for j, (v, b) in enumerate(zip(value[0].tolist(),
-                                       branch[0].tolist()), start=1):
-            rows.append((m, j, v if b >= 0 else None))
+        value = _stack_risk(cnd, d, c, it)
+        for j, v in enumerate(value[0].tolist(), start=1):
+            rows.append((m, j, None if math.isnan(v) else v))
     return rows

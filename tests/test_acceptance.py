@@ -15,9 +15,10 @@ from cascade_risk import (CovarianceMatrix, FailureScenario, NoiseParams,
                           steady_state_covariance)
 from cascade_risk.cli import main
 from cascade_risk.closed_form import _run_weights
-from cascade_risk.risk import _BRANCHES, _var_risk_array
+from cascade_risk.risk import _var_risk_array
 
-from oracles import normal_cdf, tridiag_matrix, var_bisect, var_risk_scalar
+from oracles import (branch_of, normal_cdf, tridiag_matrix, var_bisect,
+                     var_risk_scalar)
 
 COMPLETE_NOISE = NoiseParams(g=10.0, tau=0.03, beta=0.005)
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
@@ -92,9 +93,9 @@ def test_04_risk_against_bisection_oracle(budget):
         d = float(rng.uniform(0.5, 10.0))
         c = float(rng.uniform(1.0, 5.0))
         epsilon = float(rng.uniform(0.01, 0.99))
-        value, code = _var_risk_array(np.array([mu]), np.array([sigma]), d,
-                                      c, iota(epsilon))
-        value, branch = value.item(), _BRANCHES[code.item()]
+        value = _var_risk_array(np.array([mu]), np.array([sigma]), d, c,
+                                iota(epsilon)).item()
+        branch = branch_of(value)
         if branch == "finite":
             oracle = var_bisect(mu, sigma, d, c, epsilon,
                                 hi=2.0 * value + 10.0)
@@ -180,11 +181,11 @@ def test_07_risk_monotone_in_epsilon(budget):
             math.sqrt(sigma.values[j - 1, j - 1]) + 1e-12
         results = [_var_risk_array(np.array([entry.mu_tilde]),
                                    np.array([entry.sigma_tilde]), d, c,
-                                   iota(float(eps))) for eps in eps_grid]
-        for (prev, prev_code), (cur, cur_code) in zip(results, results[1:]):
-            assert cur.item() <= prev.item() * (1.0 + 1e-12) + 1e-12
-            assert order[_BRANCHES[cur_code.item()]] >= \
-                order[_BRANCHES[prev_code.item()]]
+                                   iota(float(eps))).item()
+                   for eps in eps_grid]
+        for prev, cur in zip(results, results[1:]):
+            assert cur <= prev * (1.0 + 1e-12) + 1e-12
+            assert order[branch_of(cur)] >= order[branch_of(prev)]
     assert budget(30.0)
 
 

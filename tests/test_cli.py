@@ -152,6 +152,15 @@ def test_bad_custom_edge_exit_code(tmp_path, capsys):
     assert err.startswith("cascade-risk: line 3:") and "endpoint" in err
 
 
+def test_vehicle_count_beyond_float_range_exit_code(tmp_path, capsys):
+    # refused by the count rule, not a traceback from formatting n
+    cfg = write_cfg(tmp_path, PATH6.replace("n = 6", "n = 1" + "0" * 400))
+    assert main(["stability", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cascade-risk: line 3: vehicle count 1000")
+    assert "not finite" in err
+
+
 def test_negative_seed_exit_code(tmp_path, capsys):
     # refused at entry, whether the sweep samples its patterns (at most
     # one enumerated) or enumerates them all and draws nothing

@@ -243,13 +243,22 @@ def test_complete_profile_rejects_bad_query_when_all_failed():
 
 
 def test_complete_profile_count_rule():
-    # the vehicle count is an integer or an integral float, not a bool
+    # the vehicle count is an integer or an integral float, not a bool,
+    # and inside the float range
     scenario = FailureScenario((2,), (0.0,))
     assert same_profile(complete_profile(5.0, scenario, 4.0, 3.0, 2.0, 0.1),
                         complete_profile(5, scenario, 4.0, 3.0, 2.0, 0.1))
-    for bad in (5.5, True, math.inf):
+    for bad in (5.5, True, math.inf, 10 ** 400):
         with pytest.raises(InvalidSizeError):
             complete_profile(bad, scenario, 4.0, 3.0, 2.0, 0.1)
+
+
+@pytest.mark.parametrize("n", [10 ** 22, 1e300])
+def test_complete_profile_refuses_pair_arrays_beyond_memory(n):
+    # the n + 1 pair arrays fail to allocate at once, beyond numpy's
+    # largest shape, without touching memory
+    with pytest.raises(InvalidSizeError, match="does not fit in memory"):
+        complete_profile(n, FailureScenario((), ()), 1.0, 3.0, 2.0, 0.1)
 
 
 def test_complete_profile_rejects_bad_sigma_c():

@@ -150,9 +150,10 @@ def test_build_graph_custom_edge_errors(edges, words):
      "at least 2 vehicles"),
     ("[graph]\ntype = path\nn = 10000000\n", 3, "does not fit in memory"),
     ("[graph]\ntype = complete\nn = 1e300\n", 3, "does not fit in memory"),
+    ("[graph]\ntype = path\nn = 1" + "0" * 400 + "\n", 3, "not finite"),
 ], ids=["path-n", "pcycle-n", "pcycle-p", "custom-range",
         "custom-disconnected", "custom-n", "path-n-memory",
-        "complete-n-memory"])
+        "complete-n-memory", "path-n-float-range"])
 def test_build_graph_refusals_name_the_line(text, line, words):
     # the builders' own refusals come back as config errors on the line
     # of n, or of p or edges

@@ -269,10 +269,11 @@ def test_complete_graph_sigma_c_frozen():
 
 
 def test_complete_graph_sigma_c_count_rule():
-    # the vehicle count is an integer or an integral float, not a bool
+    # the vehicle count is an integer or an integral float, not a bool,
+    # and inside the float range, as its one mode, eigenvalue n, is
     assert complete_graph_sigma_c(50.0, COMPLETE_NOISE) == \
         complete_graph_sigma_c(50, COMPLETE_NOISE)
-    for bad in (2.5, True, math.nan, "50"):
+    for bad in (2.5, True, math.nan, "50", 10 ** 400):
         with pytest.raises(InvalidSizeError):
             complete_graph_sigma_c(bad, COMPLETE_NOISE)
 

@@ -117,6 +117,17 @@ def test_all_infinite_level():
         assert avg == math.inf and inf_fraction == 1.0 and count > 0
 
 
+def test_level_mixing_finite_and_infinite_patterns():
+    # noise thirty times stronger: at s = 2, six of the nine patterns
+    # leave a pair at infinite risk, and avg_risk averages the other three
+    sigma = _path8(g=3.0)
+    rows = sweep_sparsity_rows(sigma, D, C, EPSILON, M, STATE, seed=11)
+    s, avg, inf_fraction, count, exact = rows[2]
+    assert (s, inf_fraction, count, exact) == (2, 2 / 3, 9, 1)
+    assert math.isfinite(avg)
+    _assert_rows_close(rows, _oracle_rows(sigma), 1e-12)
+
+
 @pytest.mark.parametrize("enum_cap", [100_000, 1])
 def test_rows_independent_of_chunk_size(path8, monkeypatch, enum_cap):
     def rows():

@@ -176,7 +176,8 @@ def test_pcycle_radius_follows_integer_rule():
 
 def test_vehicle_count_follows_integer_rule():
     # every builder and WeightedGraph read n as pair indices are read:
-    # an integral float is taken, anything else is a size error
+    # an integral float is taken, anything else (an integer beyond the
+    # float range too) is a size error
     for build in (build_complete, build_path):
         g = build(4.0)
         assert g.n == 4 and type(g.n) is int
@@ -185,7 +186,7 @@ def test_vehicle_count_follows_integer_rule():
     assert build_custom(3.0, [(1, 2, 1.0), (2, 3, 1.0)]).n == 3
     graph = WeightedGraph(3.0, build_path(3).weights)
     assert graph.n == 3 and type(graph.n) is int
-    for bad in (2.5, math.nan, True, np.bool_(True), "4", None):
+    for bad in (2.5, math.nan, True, np.bool_(True), "4", None, 10 ** 400):
         for build, args in ((build_complete, ()), (build_path, ()),
                             (build_pcycle, (1,)),
                             (build_custom, ([(1, 2, 1.0)],))):

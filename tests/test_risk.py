@@ -12,10 +12,10 @@ from cascade_risk import (FailureScenario, InvalidParameterError,
                           steady_state_covariance)
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import add_edge_rows
-from cascade_risk.risk import _BRANCHES, _condition_scenario, _var_risk_array
+from cascade_risk.risk import _condition_scenario, _var_risk_array
 
-from oracles import (conditional_moments, erfinv_bisect, normal_cdf,
-                     var_bisect, var_risk_scalar)
+from oracles import (branch_of, conditional_moments, erfinv_bisect,
+                     normal_cdf, var_bisect, var_risk_scalar)
 
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
@@ -90,6 +90,49 @@ def test_profile_branch_agrees_with_value(path6_sigma):
     _assert_branches_agree_with_values(profile)
     seen.update(profile.branch.tolist())
     assert seen == {"zero", "finite", "infinite", "error"}
+
+
+def _sparsity_singular_sigma(gap):
+    """The covariance of test_experiments' singular failed block: pairs 1
+    and 2 are (nearly) the same variable, so a scenario failing both is
+    refused, by Cholesky at gap 0 and by the condition number at 5e-14."""
+    v = np.eye(7)
+    v[0, 1] = v[1, 0] = 1.0 - gap
+    v[0, 2] = v[2, 0] = v[1, 2] = v[2, 1] = 0.1
+    return CovarianceMatrix(v)
+
+
+_BRANCH_SIGMAS = {
+    "path6": steady_state_covariance(spectrum(laplacian(build_path(6))),
+                                     PATH_NOISE),
+    "path6-strong": steady_state_covariance(
+        spectrum(laplacian(build_path(6))), NoiseParams(10.0, 0.03, 2.0)),
+    "singular-cholesky": _sparsity_singular_sigma(0.0),
+    "singular-cond": _sparsity_singular_sigma(5e-14),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_BRANCH_SIGMAS)),
+       d=st.floats(0.5, 6.0), c=st.floats(1.0, 3.0),
+       eps=st.floats(0.01, 0.99))
+def test_profile_branch_is_the_tag_its_risk_names(data, name, d, c, eps):
+    # failed rows, error rows and every risk branch: the tag is the one
+    # the value names, and only the singular scenarios give error rows
+    sigma = _BRANCH_SIGMAS[name]
+    indices = data.draw(st.lists(st.integers(1, sigma.dim), max_size=3,
+                                 unique=True))
+    if name.startswith("singular"):
+        indices += [j for j in (1, 2) if j not in indices]
+    states = data.draw(st.lists(st.floats(-2.0, 8.0), min_size=len(indices),
+                                max_size=len(indices)))
+    profile = risk_profile(sigma, FailureScenario(tuple(sorted(indices)),
+                                                  tuple(states)), d, c, eps)
+    assert profile.branch.tolist() == [branch_of(r)
+                                       for r in profile.risk.tolist()]
+    assert (profile.risk[profile.failed] == 0.0).all()
+    survivors = profile.branch[~profile.failed]
+    assert (survivors == "error").all() == name.startswith("singular")
 
 
 def test_risk_profile_is_read_only_record_per_pair(path6_sigma):
@@ -209,9 +252,9 @@ def test_iota_exact_over_whole_range():
 
 def _var_risk(mu, sig, d, c, eps):
     """_var_risk_array at one (mu, sig) as (value, branch tag)."""
-    value, branch = _var_risk_array(np.array([mu]), np.array([sig]), d, c,
-                                    iota(eps))
-    return value.item(), _BRANCHES[branch.item()]
+    value = _var_risk_array(np.array([mu]), np.array([sig]), d, c,
+                            iota(eps)).item()
+    return value, branch_of(value)
 
 
 def test_naive_risk_branch_stable_for_tiny_epsilon():
@@ -383,10 +426,10 @@ def test_var_risk_array_bitwise_equals_scalar(mu, sig, d, c, eps, on, ulps):
         with pytest.raises(InvalidParameterError):
             _var_risk_array(np.array([mu]), np.array([sig]), d, c, it)
         return
-    value, branch = _var_risk_array(np.array([mu, mu]), np.array([sig, sig]),
-                                    d, c, it)
-    for v, b in zip(value.tolist(), branch.tolist()):
-        assert _BRANCHES[b] == ref_branch
+    value = _var_risk_array(np.array([mu, mu]), np.array([sig, sig]), d, c,
+                            it)
+    for v in value.tolist():
+        assert branch_of(v) == ref_branch
         assert math.copysign(1.0, v) == math.copysign(1.0, ref_value)
         assert v == ref_value
 
