@@ -126,7 +126,8 @@ def load_config(path: str) -> RawConfig:
         raise ConfigError(
             f"not UTF-8 text: byte 0x{data[exc.start]:02x} at offset "
             f"{exc.start}", line, path) from None
-    return parse_config(text, path)
+    # a byte-order mark, as some Windows editors write, is not text
+    return parse_config(text.removeprefix("\ufeff"), path)
 
 
 def _on_line(cfg: RawConfig, section: str, key: str, rule, value):

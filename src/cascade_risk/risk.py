@@ -108,30 +108,21 @@ class _Conditioned(NamedTuple):
 
 def _factor_blocks(blocks: np.ndarray):
     """Cholesky factors of a (P, m, m) stack of failed blocks, and per
-    block None or why it is refused. A refused block gets the identity
-    as its factor, so the stack still solves as one."""
-    try:
-        chol = np.linalg.cholesky(blocks)
-        errors = [None] * len(blocks)
-    except np.linalg.LinAlgError:
-        # Some block is not positive definite: find which, one by one.
-        chol = np.empty_like(blocks)
-        errors = []
-        for p, block in enumerate(blocks):
-            try:
-                chol[p] = np.linalg.cholesky(block)
-                errors.append(None)
-            except np.linalg.LinAlgError as exc:
-                chol[p] = np.eye(len(block))
-                errors.append(
-                    f"failed-block covariance is not positive definite: {exc}")
-    cond = np.linalg.cond(blocks)
-    for p in np.flatnonzero(~(cond <= 1.0 / RCOND_MIN)):  # nan too
-        if errors[p] is None:
-            chol[p] = np.eye(blocks.shape[1])
-            errors[p] = (f"failed-block covariance condition number "
-                         f"{cond[p]:.3g} exceeds {1.0 / RCOND_MIN:.0e}")
-    return chol, errors
+    block None or why it is refused. A block is refused when its 2-norm
+    condition number, the ratio of its extreme eigenvalues, exceeds
+    1/RCOND_MIN; it is inf unless the smallest eigenvalue is positive.
+    A refused block gets the identity as its factor, so the stack still
+    factors and solves as one."""
+    eig = np.linalg.eigvalsh(blocks)
+    cond = np.full(len(blocks), math.inf)
+    np.divide(eig[:, -1], eig[:, 0], out=cond, where=eig[:, 0] > 0.0)
+    refused = ~(cond <= 1.0 / RCOND_MIN)  # nan too
+    gated = np.where(refused[:, None, None], np.eye(blocks.shape[1]), blocks)
+    errors = [None] * len(blocks)
+    for p in np.flatnonzero(refused).tolist():
+        errors[p] = (f"failed-block covariance condition number "
+                     f"{cond[p]:.3g} exceeds {1.0 / RCOND_MIN:.0e}")
+    return np.linalg.cholesky(gated), errors
 
 
 def _condition_stack(values: np.ndarray, idx: np.ndarray,
@@ -179,12 +170,13 @@ def _condition_head(values: np.ndarray, max_m: int, state: float,
     factor, and forward substitution nests the same way, so level m's
     shift and reduction are the first m terms of _condition_stack's
     sums, taken here by a running sum in the same order. Refusals nest
-    too: the leading blocks of a positive definite block are positive
-    definite, and their condition number does not decrease with m
-    (Cauchy interlacing). So when the whole head block is refused, a
-    bisection finds the first refused level, and it and every level
-    after it get its error; the levels before it use the factor of the
-    last accepted block.
+    too: a leading block's eigenvalues lie between the extreme ones of
+    every larger leading block (Cauchy interlacing), so its condition
+    number, which alone decides a refusal, does not decrease with m.
+    So when the whole head block is refused, a bisection finds the
+    first refused level, and it and every level after it get its
+    error; the levels before it use the factor of the last accepted
+    block.
     """
     dim = values.shape[0]
     (chol,), (error,) = _factor_blocks(values[None, :max_m, :max_m])

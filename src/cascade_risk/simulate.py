@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError
-from .graph import (WeightedGraph, _count, _real, _seed, laplacian,
+from .graph import (WeightedGraph, _count, _real, _seed, _zeros, laplacian,
                     spectrum)
 from .stability import check_platoon
 
@@ -195,8 +195,6 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
     trials = sim.trials
     n_samples = sim.samples_per_trial
     total_steps = burn_steps + (n_samples - 1) * int_steps
-    rngs = [np.random.default_rng(np.random.SeedSequence(
-        entropy=sim.seed, spawn_key=(t,))) for t in range(trials)]
 
     # Step t reads state t - k, so the kb = k + 1 steps after state t0
     # read only states t0 - k .. t0: the previous block. Rows 1..kb of a
@@ -204,13 +202,17 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
     # the history before the first block is the targets at rest.
     kb = k + 1
     r = d * np.arange(1, n + 1, dtype=float)
-    hx = np.empty((kb + 1, trials, n))
+    hx, hv, xs, vs = (_zeros(n, (kb + 1, trials, n),
+                             "the simulator's state history")
+                      for _ in range(4))
     hx[:] = r
-    hv = np.zeros((kb + 1, trials, n))
-    xs = np.empty_like(hx)
-    vs = np.empty_like(hv)
+    samples = _zeros(n, (n_samples, trials, n - 1),
+                     "the simulator's sample array")
     chunk = kb * max(1, _NOISE_VALUES // (kb * trials * n))
-    samples = np.empty((n_samples, trials, n - 1))
+    # spawned only once the arrays above are allocated: a trial count
+    # too large for them is refused before it costs one stream per trial
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+        entropy=sim.seed, spawn_key=(t,))) for t in range(trials)]
 
     beta = noise.beta
     s_idx = 0

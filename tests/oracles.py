@@ -11,7 +11,9 @@ validation, and `sweep_scale_rows_per_level` runs the package's
 conditioning core once per level, the route the nested one replaced.
 `f_modes_reference` is not independent either: it is the package's
 route to f as it stood before its mode-free blocks were built once, the
-reference that f has stayed the same bit for bit. `same_profile` and
+reference that f has stayed the same bit for bit. `block_refused` is
+the failed-block refusal rule as it stood before one eigvalsh decided
+it: a Cholesky that raises, or an SVD condition number. `same_profile` and
 `branch_of` are not oracles: the one is bitwise equality of two risk
 profiles, the other the branch tag a risk value names.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from cascade_risk import WeightedGraph
 from cascade_risk.experiments import _check_sweep
-from cascade_risk.risk import _condition_stack, _stack_risk
+from cascade_risk.risk import RCOND_MIN, _condition_stack, _stack_risk
 
 
 def add_pair_edges(g, j, target):
@@ -191,6 +193,17 @@ def branch_of(value):
     if value == math.inf:
         return "infinite"
     return "finite" if value > 0.0 else "zero"
+
+
+def block_refused(block):
+    """Whether conditioning refuses a failed block by the two tests of
+    the rule's first form: its Cholesky factorization raises, or its
+    SVD condition number exceeds 1/RCOND_MIN or is nan."""
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return True
+    return not np.linalg.cond(block) <= 1.0 / RCOND_MIN
 
 
 def path_eigenvalue(n, k):

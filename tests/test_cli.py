@@ -188,6 +188,19 @@ def test_undecodable_config_exit_code(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("command", ["stability", "risk-profile"])
+def test_config_with_byte_order_mark(tmp_path, capsys, command):
+    # a UTF-8 byte-order mark, as Windows Notepad saves one, reads as
+    # the same file without it
+    plain = DEMO_CONFIGS / "path20.cfg"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main([command, "--config", str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main([command, "--config", str(bom)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["stability", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cascade-risk:" in capsys.readouterr().err
@@ -690,6 +703,25 @@ trials = 2
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "numerical error: pooled estimate is not finite" in err
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("samples_per_trial", "1000000000000", "sample array"),
+    ("dt", "1e-300", "state history"),      # ~3e298 delay steps
+    # 1e12 trials, not 1e11: the state history must exceed the address
+    # space, so that no overcommitting host can hand it out
+    ("trials", "1000000000000", "state history"),
+])
+def test_simulate_refuses_arrays_beyond_memory(tmp_path, capsys, key, value,
+                                               what):
+    # the arrays are allocated before one stream per trial is spawned,
+    # and a size numpy cannot allocate is one typed refusal
+    text = (DEMO_CONFIGS / "simulate_path5.cfg").read_text()
+    text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    assert main(["simulate", "--config", write_cfg(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"cascade-risk: n=5 vehicles: the simulator's {what} "
+                   f"does not fit in memory\n")
 
 
 def test_simulate_seed_flag_changes_output(tmp_path, capsys):

@@ -433,8 +433,15 @@ def test_package_covariance_passes_the_full_check(platoon):
 
 
 def test_package_route_runs_no_eigvalsh(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh ran")
+    # the risk layer's refusal gate takes eigvalsh of (P, m, m) stacks
+    # of failed blocks; no single matrix, the covariance least of all,
+    # may get one
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(a, *args, **kwargs):
+        if np.ndim(a) < 3:
+            raise AssertionError("eigvalsh ran")
+        return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     steady_state_covariance(spectrum(laplacian(build_pcycle(20, 3))),

@@ -232,7 +232,7 @@ def test_sweep_scale_matches_per_level_oracle(kind, n, seed, g, state,
 def _head_refused_at(first, kind):
     """A 30-pair covariance whose head blocks are refused from `first`
     failures on: pair `first` repeats pair first-1 exactly (its block is
-    not positive definite), or has a variance 1e-13 of the largest
+    singular, condition number inf), or has a variance 1e-13 of the largest
     eigenvalue before it (condition number above 1e12). The pairs
     before are correlated as on a path; the pairs after are correlated
     among themselves, too weakly to change the condition number."""
@@ -259,7 +259,7 @@ def _head_errors_per_level(sigma, max_m, state):
 
 
 @pytest.mark.parametrize("kind, words", [
-    ("singular", "not positive definite"),
+    ("singular", "condition number inf exceeds 1e+12"),
     ("ill-conditioned", "condition number"),
 ])
 def test_sweep_scale_refusals_nest(kind, words, monkeypatch):

@@ -12,10 +12,11 @@ from cascade_risk import (FailureScenario, InvalidParameterError,
                           steady_state_covariance)
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import add_edge_rows
-from cascade_risk.risk import _condition_scenario, _var_risk_array
+from cascade_risk.risk import (RCOND_MIN, _condition_scenario,
+                               _factor_blocks, _var_risk_array)
 
-from oracles import (branch_of, conditional_moments, erfinv_bisect,
-                     normal_cdf, var_bisect, var_risk_scalar)
+from oracles import (block_refused, branch_of, conditional_moments,
+                     erfinv_bisect, normal_cdf, var_bisect, var_risk_scalar)
 
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
@@ -204,6 +205,61 @@ def test_condition_rejects_singular_block():
     assert entry.branch == "error" and entry.error
     assert math.isnan(entry.risk) and math.isnan(entry.mu_tilde)
     assert math.isnan(entry.sigma_tilde)
+
+
+@st.composite
+def _failed_block(draw, m):
+    """A symmetric m x m block of one of four kinds: positive definite
+    with eigenvalues in 1e-14..1, positive definite with its condition
+    number 1e-6..1e-1 (relative) above or below the cap, exactly
+    singular (its last pair repeats the one before), or indefinite by
+    rounding (one eigenvalue -1e-16)."""
+    kind = draw(st.sampled_from(["spd", "edge", "singular", "indefinite"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    eig = 10.0 ** rng.uniform(-14.0, 0.0, m)
+    if kind == "edge":
+        off = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -1.0)
+        eig[0] = eig.max() * RCOND_MIN / (1.0 + off)
+    if kind == "indefinite":
+        eig[0] = -1e-16
+    block = q * eig @ q.T
+    block = (block + block.T) / 2.0
+    if kind == "singular" and m > 1:
+        block[-1] = block[-2]
+        block[:, -1] = block[:, -2]
+    return block
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=st.integers(1, 11).flatmap(
+    lambda m: st.lists(_failed_block(m), min_size=1, max_size=6)))
+def test_factor_gate_equals_the_cholesky_and_svd_rule(blocks):
+    # the one eigvalsh gate refuses what the oracle refuses, outside a
+    # band about the cap: either route's smallest eigenvalue (singular
+    # value) is off by up to ~m u |block| absolutely (Weyl, u the unit
+    # roundoff), which at the cap is m u / RCOND_MIN relative; the band,
+    # m eps / RCOND_MIN, is 2.7x the largest disagreement seen over
+    # 40,000 blocks drawn near the cap
+    stack = np.array(blocks)
+    band = len(stack[0]) * np.finfo(float).eps / RCOND_MIN
+    chol, errors = _factor_blocks(stack)
+    for p, block in enumerate(blocks):
+        svd_cond = np.linalg.cond(block)
+        if errors[p] is None:
+            # accepted: the factor LAPACK gives the block alone, also
+            # through the gate alone
+            alone = np.linalg.cholesky(block)
+            assert chol[p].tobytes() == alone.tobytes()
+            assert _factor_blocks(stack[p:p + 1])[0][0].tobytes() == \
+                alone.tobytes()
+        else:
+            assert errors[p].startswith(
+                "failed-block covariance condition number ")
+            assert errors[p].endswith(" exceeds 1e+12")
+            assert np.array_equal(chol[p], np.eye(len(block)))
+        if not abs(svd_cond * RCOND_MIN - 1.0) <= band:
+            assert (errors[p] is not None) == block_refused(block)
 
 
 def test_condition_rejects_bad_gap(path6_sigma):
