@@ -2,19 +2,21 @@
 
 Euler-Maruyama: positions advance with the current velocity, velocities
 with the graph-coupled drift evaluated one delay (k = tau/dt steps) in
-the past plus white acceleration noise. The delay lets the stepper
-advance in blocks of k + 1 steps: their drifts read only the previous
-block's states, so each block is one batched drift evaluation and two
-running sums that add in the order single steps would. While the
-blocks of one noise chunk are stepped, the one worker of a thread pool
-draws the next chunk into a second buffer; the streams, the chunks and
-the arithmetic are those of drawing in line, so results are identical
-to the bit. Used to estimate the steady-state distance covariance
-independently of the analytic route.
+the past plus white acceleration noise. Every trial starts in the
+chain's exact stationary law, so no step is spent on burn-in. The delay
+lets the stepper advance in blocks of k + 1 steps: their drifts read
+only the previous block's states, so each block is one batched drift
+evaluation and two running sums that add in the order single steps
+would. While the blocks of one noise chunk are stepped, the one worker
+of a thread pool draws the next chunk into a second buffer; the
+streams, the chunks and the arithmetic are those of drawing in line, so
+results are identical to the bit. Used to estimate the steady-state
+distance covariance independently of the analytic route.
 """
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import NoiseParams
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError, InvalidSizeError
 from .graph import (WeightedGraph, _count, _real, _seed, _zeros, laplacian,
                     spectrum)
 from .stability import check_platoon
@@ -32,12 +34,12 @@ _NOISE_VALUES = 2 ** 17
 
 
 # SimConfig field -> the check of its value, which returns it as a float
-# or an int; burn_in and sample_interval may also be None, and the counts
-# are at least 2, which the standard errors need
+# or an int; sample_interval may also be None, and the counts are at
+# least 2, which the standard errors need
 _SIM_RULES = {
     "dt": lambda dt: _real(dt, "dt", positive=True),
-    "burn_in": lambda t: _real(t, "burn_in", positive=True),
-    "sample_interval": lambda t: _real(t, "sample_interval", positive=True),
+    "sample_interval": lambda t: None if t is None else _real(
+        t, "sample_interval", positive=True),
     "samples_per_trial": lambda n: _count(n, "samples_per_trial", 2),
     "trials": lambda n: _count(n, "trials", 2),
     "seed": _seed,
@@ -46,13 +48,10 @@ _SIM_RULES = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration controls, the times stored as floats and the counts
-    as ints. When left None, run derives burn_in and sample_interval
-    from the dynamics: burn_in max(10 tau, 20/(beta lambda_2)),
-    sample_interval 20 tau."""
+    """Integration controls, the times as floats and the counts as ints.
+    run takes sample_interval None as 20 tau, and spends no burn-in."""
 
     dt: float = 1e-3
-    burn_in: float | None = None
     sample_interval: float | None = None
     samples_per_trial: int = 200
     trials: int = 64
@@ -60,22 +59,24 @@ class SimConfig:
 
     def __post_init__(self):
         for name, rule in _SIM_RULES.items():
-            value = getattr(self, name)
-            if value is not None or name not in ("burn_in",
-                                                 "sample_interval"):
-                object.__setattr__(self, name, rule(value))
+            object.__setattr__(self, name, rule(getattr(self, name)))
 
 
-def _delay_steps(tau: float, dt: float) -> int:
-    """Delay expressed in steps; the delay must be an integer multiple
-    of dt to within 1e-9 relative."""
-    k = int(round(tau / dt))
-    if k < 1:
+def _steps(n: int, steps: float, what: str) -> int:
+    """steps rounded to an int, the one rule for every step count: one not
+    below sys.maxsize (numpy's shapes, range) is an InvalidSizeError."""
+    if not steps < sys.maxsize:     # nan too
+        raise InvalidSizeError(
+            f"n={n:.6g} vehicles: {what} does not fit in memory")
+    return round(steps)
+
+
+def _delay_steps(n: int, tau: float, dt: float) -> int:
+    """The delay in steps, a positive multiple of dt to 1e-9 relative."""
+    k = _steps(n, tau / dt, "the simulator's state history")
+    if k < 1 or abs(k * dt - tau) > 1e-9 * tau:
         raise InvalidParameterError(
-            f"dt={dt!r} exceeds the delay tau={tau!r}")
-    if abs(k * dt - tau) > 1e-9 * tau:
-        raise InvalidParameterError(
-            f"tau={tau!r} is not an integer multiple of dt={dt!r}")
+            f"tau={tau!r} is not a positive integer multiple of dt={dt!r}")
     return k
 
 
@@ -91,6 +92,53 @@ def _drift(x_delayed, v_delayed, targets, L, beta, out=None):
     work = np.matmul(v_delayed, L, out=work)
     np.negative(work, out=work)
     return np.subtract(work, out, out=out)
+
+
+def _stationary_cov(lam, beta: float, dt: float, k: int) -> np.ndarray:
+    """Stationary covariance P, per unit velocity noise variance, of each
+    mode's Euler-Maruyama chain: y_{t+1} = y_t + dt u_t and u_{t+1} = u_t
+    - dt lambda (u_{t-k} + beta y_{t-k}) + noise, with y_{t-k} = y_t - dt
+    (u_{t-1} + ... + u_{t-k}), so s_t = (y_t, u_t, ..., u_{t-k}) steps as
+    A s_t + noise. Smith's doubling, P <- P + A P A^T and A <- A^2 (SIAM
+    J. Appl. Math. 16(1), 1968), sums P = A P A^T + e_1 e_1^T; a sum that
+    is not finite or settled after 2**64 steps is a DivergenceError."""
+    A = _zeros(lam.size + 1, (lam.size, k + 2, k + 2),
+               "the simulator's stationary covariance")
+    A[:, 0, :2] = 1.0, dt
+    A[:, 1, :2] = np.stack([-dt * beta * lam, np.ones_like(lam)], axis=1)
+    A[:, 1, 2:] = (dt * dt * beta * lam)[:, None]
+    A[:, 1, -1] -= dt * lam
+    A[:, 2:, 1:-1] = np.eye(k)
+    P = np.zeros_like(A)
+    P[:, 1, 1] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            term = A @ P @ A.transpose(0, 2, 1)     # positive semidefinite
+            P += term
+            # nan, and inf in P, never settle
+            settled = term.max((1, 2)) < np.finfo(float).eps * P.max((1, 2))
+            if settled.all():
+                break
+            A = A @ A
+    if not settled.all():
+        raise DivergenceError(
+            f"the chain of the mode with eigenvalue "
+            f"{lam[settled.argmin()]:.6g} has no stationary law at dt={dt!r}")
+    return P
+
+
+def _initial_history(P, g: float, dt: float, Q, r, rngs):
+    """States -k .. 0 of each trial, drawn from its own stream in the law
+    g^2 dt P of each oscillatory mode (mode 1 rests), as positions
+    r + y Q^T and velocities u Q^T shaped (k + 1, trials, n)."""
+    w, V = np.linalg.eigh(P)
+    factor = V * (g * np.sqrt(dt * np.maximum(w, 0.0)))[:, None, :]
+    z = np.stack([rg.standard_normal(P.shape[:2]) for rg in rngs])
+    s = (factor @ z[..., None])[..., 0]         # (trials, modes, k + 2)
+    # y_{-i} = y_0 - dt (u_{-1} + ... + u_{-i}) for i = 0 .. k
+    y = s[..., :1] - dt * np.cumsum(np.insert(s[..., 2:], 0, 0.0, -1), -1)
+    y, u = (a.transpose(2, 0, 1)[::-1] for a in (y, s[..., 1:]))
+    return r + y @ Q[:, 1:].T, u @ Q[:, 1:].T
 
 
 def _noise_chunks(rngs, n, total_steps, chunk, scale):
@@ -132,30 +180,13 @@ class EmpiricalCovariance:
     sample_count: int
     mean_standard_errors: np.ndarray
 
-    def __post_init__(self):
-        m = self.mean.shape[0]
-        if self.cov.shape != (m, m) or self.standard_errors.shape != (m, m):
-            raise InvalidParameterError("covariance shapes disagree")
-        if self.mean_standard_errors.shape != (m,):
-            raise InvalidParameterError("mean SE shape disagrees")
-        for name in ("mean", "cov", "standard_errors", "mean_standard_errors"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvalidParameterError(f"{name} contains non-finite values")
-        if np.abs(self.cov - self.cov.T).max() > 1e-12 * np.abs(self.cov).max():
-            raise InvalidParameterError("empirical covariance must be symmetric")
-        if self.sample_count < 2:
-            raise InvalidParameterError("need at least 2 samples")
-        for name in ("mean", "cov", "standard_errors", "mean_standard_errors"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
 
 def run(graph: WeightedGraph, d: float, noise: NoiseParams,
         sim: SimConfig) -> EmpiricalCovariance:
     """Simulate `trials` independent trajectories about the targets
-    d, 2d, ..., nd, thin each after burn-in, and pool the inter-vehicle
-    distances.
+    d, 2d, ..., nd from the Euler-Maruyama chain's stationary law, for
+    (samples_per_trial - 1) sample_interval / dt steps each, thin each
+    and pool the inter-vehicle distances.
 
     Per-trial noise streams are spawned from (seed, trial index), so a
     given trial's trajectory does not depend on how many trials run.
@@ -175,44 +206,37 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
 
     n = graph.n
     dt = sim.dt
-    k = _delay_steps(noise.tau, dt)
-    burn_in = sim.burn_in
-    if burn_in is None:
-        burn_in = max(10.0 * noise.tau,
-                      20.0 / (noise.beta * spec.eigenvalues[1]))
-    if burn_in < 10.0 * noise.tau * (1.0 - 1e-12):
-        raise InvalidParameterError(
-            f"burn_in={burn_in!r} shorter than 10 tau = {10 * noise.tau!r}")
-    interval = sim.sample_interval
-    if interval is None:
-        interval = 20.0 * noise.tau
-    int_steps = int(round(interval / dt))
+    k = _delay_steps(n, noise.tau, dt)
+    interval = sim.sample_interval or 20.0 * noise.tau
+    int_steps = _steps(n, interval / dt, "the simulator's step count")
     if int_steps < 1:
         raise InvalidParameterError(
             f"sample_interval={interval!r} rounds to 0 steps of dt={dt!r}")
-    burn_steps = int(math.ceil(burn_in / dt - 1e-9))
 
     trials = sim.trials
     n_samples = sim.samples_per_trial
-    total_steps = burn_steps + (n_samples - 1) * int_steps
+    total_steps = _steps(n, (n_samples - 1) * int_steps,
+                         "the simulator's step count")
 
     # Step t reads state t - k, so the kb = k + 1 steps after state t0
     # read only states t0 - k .. t0: the previous block. Rows 1..kb of a
     # block buffer hold a block's states and row 0 the state before it;
-    # the history before the first block is the targets at rest.
+    # the history before the first block is drawn below.
     kb = k + 1
     r = d * np.arange(1, n + 1, dtype=float)
     hx, hv, xs, vs = (_zeros(n, (kb + 1, trials, n),
                              "the simulator's state history")
                       for _ in range(4))
-    hx[:] = r
     samples = _zeros(n, (n_samples, trials, n - 1),
                      "the simulator's sample array")
+    P = _stationary_cov(spec.eigenvalues[1:], noise.beta, dt, k)
     chunk = kb * max(1, _NOISE_VALUES // (kb * trials * n))
-    # spawned only once the arrays above are allocated: a trial count
-    # too large for them is refused before it costs one stream per trial
+    # spawned only once the arrays are allocated and the chain has a law:
+    # a refusal never costs one stream per trial
     rngs = [np.random.default_rng(np.random.SeedSequence(
         entropy=sim.seed, spawn_key=(t,))) for t in range(trials)]
+    hx[1:], hv[1:] = _initial_history(P, noise.g, dt, spec.eigenvectors, r,
+                                      rngs)
 
     beta = noise.beta
     s_idx = 0
@@ -246,10 +270,10 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
                     f"trial {int(np.argmax(bad[j]))} diverged at step {tn} "
                     f"(t = {tn * dt:.6g} s); reduce dt or check stability "
                     f"margins", step=tn)
-            # sample s is the state at step burn_steps + s int_steps
-            if burn_steps + s_idx * int_steps <= t0 + m:
-                s_end = min(n_samples, (t0 + m - burn_steps) // int_steps + 1)
-                rows = burn_steps - t0 + int_steps * np.arange(s_idx, s_end)
+            # sample s is the state at step s int_steps
+            if s_idx * int_steps <= t0 + m:
+                s_end = min(n_samples, (t0 + m) // int_steps + 1)
+                rows = int_steps * np.arange(s_idx, s_end) - t0
                 samples[s_idx:s_end] = np.diff(xs[rows], axis=2)
                 s_idx = s_end
             hx, xs = xs, hx

@@ -15,15 +15,20 @@ reference that f has stayed the same bit for bit. `block_refused` is
 the failed-block refusal rule as it stood before one eigvalsh decided
 it: a Cholesky that raises, or an SVD condition number. `same_profile` and
 `branch_of` are not oracles: the one is bitwise equality of two risk
-profiles, the other the branch tag a risk value names.
+profiles, the other the branch tag a risk value names. Nor is
+`chain_distance_covariance`: it maps the package's stationary law of
+the Euler-Maruyama chain to distances, the covariance a simulation
+estimates; `em_mode_matrix` is the independent check of that law.
 """
 import math
 
 import numpy as np
 
-from cascade_risk import WeightedGraph
+from cascade_risk import WeightedGraph, laplacian, spectrum
 from cascade_risk.experiments import _check_sweep
+from cascade_risk.graph import pair_difference_matrix
 from cascade_risk.risk import RCOND_MIN, _condition_stack, _stack_risk
+from cascade_risk.simulate import _stationary_cov
 
 
 def add_pair_edges(g, j, target):
@@ -256,25 +261,33 @@ def conditional_moments(sigma, d, j, indices, states):
 
 
 def em_distance_samples(L, targets, g, tau, beta, dt, noise,
-                        burn_steps, int_steps, n_samples):
+                        burn_steps, int_steps, n_samples, history=None):
     """Reference Euler-Maruyama integrator, batched over trials.
 
-    noise has shape (steps, trials, n) of standard normals; history is
-    constant at the target configuration. Returns inter-vehicle
-    distance snapshots shaped (n_samples, trials, n-1). Feeding the
-    same Brownian path at dt and dt/2 (coarse increments = scaled sums
-    of fine pairs) isolates the discretization effect from the Monte
-    Carlo noise.
+    noise has shape (steps, trials, n) of standard normals. The history,
+    states -k .. 0, is the pair (positions, velocities) of arrays shaped
+    (k + 1, trials, n) if given, else constant at the target
+    configuration. Sample s is the state at step burn_steps + s
+    int_steps. Returns inter-vehicle distance snapshots shaped
+    (n_samples, trials, n-1). Feeding the same Brownian path at dt and
+    dt/2 (coarse increments = scaled sums of fine pairs) isolates the
+    discretization effect from the Monte Carlo noise.
     """
     k = round(tau / dt)
     assert abs(k * dt - tau) <= 1e-9 * tau
     trials, n = noise.shape[1], noise.shape[2]
-    x = np.repeat(np.asarray(targets, dtype=float)[None, :], trials, axis=0)
-    v = np.zeros((trials, n))
-    hx = np.repeat(x[None], k + 1, axis=0)
-    hv = np.zeros((k + 1, trials, n))
+    if history is None:
+        history = (np.broadcast_to(np.asarray(targets, dtype=float),
+                                   (k + 1, trials, n)),
+                   np.zeros((k + 1, trials, n)))
+    # state t lives in slot t % (k + 1), states -k .. 0 included
+    hx, hv = (np.roll(h, 1, axis=0) for h in history)
+    x, v = history[0][-1], history[1][-1]
     out = np.empty((n_samples, trials, n - 1))
     s = 0
+    if burn_steps == 0:
+        out[0] = np.diff(x, axis=1)
+        s = 1
     g_sqdt = g * math.sqrt(dt)
     for t in range(noise.shape[0]):
         tn = t + 1
@@ -291,6 +304,33 @@ def em_distance_samples(L, targets, g, tau, beta, dt, noise,
             s += 1
     assert s == n_samples
     return out
+
+
+def em_mode_matrix(lam, beta, dt, k):
+    """The one-step map A of a Laplacian mode's Euler-Maruyama chain on
+    the state (y_t, u_t, u_{t-1}, ..., u_{t-k}), built column by column
+    by stepping each unit state once: the delayed position y_{t-k} is
+    rebuilt from y_t by undoing k position steps."""
+    size = k + 2
+    A = np.empty((size, size))
+    for j, state in enumerate(np.eye(size)):
+        y, us = state[0], state[1:]         # us[i] = u_{t-i}
+        y_delayed = y
+        for i in range(1, k + 1):
+            y_delayed -= dt * us[i]
+        u_next = us[0] - dt * lam * (us[k] + beta * y_delayed)
+        A[:, j] = np.concatenate(([y + dt * us[0], u_next], us[:k]))
+    return A
+
+
+def chain_distance_covariance(graph, noise, dt):
+    """The distance covariance of the Euler-Maruyama chain in its
+    stationary law: W diag(g^2 dt P_yy) W^T over the modes k >= 2."""
+    spec = spectrum(laplacian(graph))
+    k = round(noise.tau / dt)
+    P = _stationary_cov(spec.eigenvalues[1:], noise.beta, dt, k)
+    W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
+    return noise.g ** 2 * dt * (W * P[:, 0, 0]) @ W.T
 
 
 def pooled_cov_and_se(samples):

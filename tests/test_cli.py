@@ -79,7 +79,6 @@ beta = 2
 
 [sim]
 dt = 0.001
-burn_in = 0.5
 sample_interval = 0.1
 samples_per_trial = 10
 trials = 4
@@ -135,6 +134,15 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert main(["risk-profile", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cascade-risk: line 18: unknown key 'index'")
+    # the simulator has no burn-in: a config that still sets one is
+    # refused on its line
+    cfg = write_cfg(tmp_path, SIM_SMALL.replace("dt = 0.001\n",
+                                                "dt = 0.001\nburn_in = 6\n"))
+    assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cascade-risk: line 15: unknown key 'burn_in' "
+                          "in [sim]")
+    assert err.count("\n") == 1
     # errors found while building from the parsed file name it too
     for section in ('[graph]\ntype = star\nn = 4\n',
                     '[graph]\ntype = complete\n',
@@ -433,7 +441,6 @@ def test_nonfinite_states_refused_at_config(tmp_path, capsys, argv):
     ("risk-profile", "c", "0.5", "must be >= 1"),
     ("simulate", "dt", "0", "must be positive"),
     ("simulate", "dt", "-0.001", "must be positive"),
-    ("simulate", "burn_in", "0", "must be positive"),
     ("simulate", "sample_interval", "-0.1", "must be positive"),
     ("simulate", "trials", "1", "must be >= 2"),
     ("simulate", "samples_per_trial", "1", "must be >= 2"),
@@ -678,8 +685,8 @@ def test_simulate_subcommand(tmp_path, capsys):
 
 
 def test_simulate_divergence_exit_code(tmp_path, capsys):
-    # stable, but the chain at dt = tau grows to samples too large to
-    # pool: a numerical failure, exit 2, not a validation error
+    # stable, but the Euler-Maruyama chain at dt = tau has no stationary
+    # law: a numerical failure, exit 2, not a validation error
     cfg = write_cfg(tmp_path, """\
 [graph]
 type = complete
@@ -695,19 +702,23 @@ beta = 5
 
 [sim]
 dt = 0.1
-burn_in = 128
 sample_interval = 0.1
 samples_per_trial = 2
 trials = 2
 """)
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "numerical error: pooled estimate is not finite" in err
+    assert err.startswith("cascade-risk: numerical error: the chain of the "
+                          "mode with eigenvalue 10 has no stationary law at "
+                          "dt=0.1")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value, what", [
     ("samples_per_trial", "1000000000000", "sample array"),
     ("dt", "1e-300", "state history"),      # ~3e298 delay steps
+    ("dt", "1e-320", "state history"),      # tau / dt overflows to inf
+    ("sample_interval", "1e300", "step count"),   # 1e303 steps a sample
     # 1e12 trials, not 1e11: the state history must exceed the address
     # space, so that no overcommitting host can hand it out
     ("trials", "1000000000000", "state history"),
@@ -715,7 +726,8 @@ trials = 2
 def test_simulate_refuses_arrays_beyond_memory(tmp_path, capsys, key, value,
                                                what):
     # the arrays are allocated before one stream per trial is spawned,
-    # and a size numpy cannot allocate is one typed refusal
+    # and a size numpy cannot allocate, or a step count range cannot
+    # hold, is one typed refusal
     text = (DEMO_CONFIGS / "simulate_path5.cfg").read_text()
     text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
     assert main(["simulate", "--config", write_cfg(tmp_path, text)]) == 1

@@ -48,8 +48,8 @@ def test_parse_full_config():
     assert cfg.get("noise", "tau") == 0.03
     assert cfg.line_of("platoon", "d") == 7
     assert cfg.has("sim", "seed")
-    assert not cfg.has("sim", "burn_in")
-    assert cfg.get("sim", "burn_in", default=1.5) == 1.5
+    assert not cfg.has("sim", "sample_interval")
+    assert cfg.get("sim", "sample_interval", default=1.5) == 1.5
 
 
 def test_parse_error_lines():
@@ -247,7 +247,7 @@ def test_build_sim_defaults_and_seed():
     sim = build_sim(cfg)
     assert sim.dt == 0.001 and sim.trials == 8
     assert sim.samples_per_trial == 20 and sim.seed == 7
-    assert sim.burn_in is None and sim.sample_interval is None
+    assert sim.sample_interval is None
     assert build_sim(cfg, seed_override=99).seed == 99
     empty = build_sim(parse_config("[graph]\ntype = path\nn = 3\n"))
     assert empty.dt == 1e-3 and empty.trials == 64 and empty.seed == 0

@@ -214,8 +214,8 @@ def test_real_number_rule_refusals():
     noise = NoiseParams(0.1, 0.03, 2.0)
     sigma = steady_state_covariance(spec, noise)
     none = FailureScenario((), ())
-    sim = SimConfig(dt=1e-3, burn_in=0.5, sample_interval=0.1,
-                    samples_per_trial=4, trials=2)
+    sim = SimConfig(dt=1e-3, sample_interval=0.1, samples_per_trial=4,
+                    trials=2)
     P, Q, C = InvalidParameterError, InvalidQueryError, ConfigError
     queries = {
         "risk_profile": lambda d, c, e: risk_profile(sigma, none, d, c, e),
@@ -246,7 +246,6 @@ def test_real_number_rule_refusals():
         "NoiseParams tau": (P, lambda v: NoiseParams(0.1, v, 2.0)),
         "NoiseParams beta": (P, lambda v: NoiseParams(0.1, 0.03, v)),
         "SimConfig dt": (P, lambda v: SimConfig(dt=v)),
-        "SimConfig burn_in": (P, lambda v: SimConfig(burn_in=v)),
         "SimConfig sample_interval": (P, lambda v: SimConfig(
             sample_interval=v)),
         "check_platoon tau": (P, lambda v: check_platoon(spec, v, 2.0)),
@@ -269,8 +268,7 @@ def test_real_number_rule_refusals():
     for name, (error, call) in entries.items():
         for value in (True, np.True_, "1", None, 1j, math.nan, math.inf,
                       -math.inf, 10 ** 400):
-            if value is None and name in ("SimConfig burn_in",
-                                          "SimConfig sample_interval"):
+            if value is None and name == "SimConfig sample_interval":
                 continue    # None asks run to derive the value
             try:
                 call(value)
@@ -306,11 +304,10 @@ def test_real_number_rule_takes_any_real(kind):
                         risk_profile(sigma, scenario, fd, fc, fe))
     assert same_profile(complete_profile(6, scenario, sc, d, c, e),
                         complete_profile(6, scenario, fsc, fd, fc, fe))
-    (dt, fdt), (burn, fburn), (gap, fgap) = map(pair, (0.001, 1.0, 0.25))
-    sim = SimConfig(dt=dt, burn_in=burn, sample_interval=gap)
-    assert sim == SimConfig(dt=fdt, burn_in=fburn, sample_interval=fgap)
-    assert all(type(x) is float
-               for x in (sim.dt, sim.burn_in, sim.sample_interval))
+    (dt, fdt), (gap, fgap) = map(pair, (0.001, 0.25))
+    sim = SimConfig(dt=dt, sample_interval=gap)
+    assert sim == SimConfig(dt=fdt, sample_interval=fgap)
+    assert all(type(x) is float for x in (sim.dt, sim.sample_interval))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
