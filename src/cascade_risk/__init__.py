@@ -15,26 +15,25 @@ from .covariance import (CovarianceMatrix, NoiseParams,
                          complete_graph_sigma_c, f_integral,
                          steady_state_covariance)
 from .errors import (CascadeRiskError, ConfigError, DivergenceError,
-                     IllConditionedScenarioError, InvalidParameterError,
-                     InvalidQueryError, InvalidSizeError, NearBoundaryError,
-                     NumericalError, UnstablePlatoonError)
+                     InvalidParameterError, InvalidQueryError,
+                     InvalidSizeError, NearBoundaryError, NumericalError,
+                     UnstablePlatoonError)
 from .graph import (LaplacianSpectrum, WeightedGraph, build_complete,
                     build_custom, build_path, build_pcycle, laplacian,
-                    pair_difference_matrix, spectrum)
-from .risk import FailureScenario, iota, risk_profile
+                    spectrum)
+from .risk import FailureScenario, risk_profile
 from .simulate import EmpiricalCovariance, SimConfig, run
 from .stability import StabilityReport, check_platoon, region_bound
 
 __all__ = [
     "CascadeRiskError", "ConfigError", "CovarianceMatrix",
     "DivergenceError", "EmpiricalCovariance", "FailureScenario",
-    "IllConditionedScenarioError", "InvalidParameterError",
-    "InvalidQueryError", "InvalidSizeError", "LaplacianSpectrum",
-    "NearBoundaryError", "NoiseParams", "NumericalError", "SimConfig",
-    "StabilityReport", "UnstablePlatoonError", "WeightedGraph",
-    "build_complete", "build_custom", "build_path", "build_pcycle",
-    "check_platoon", "complete_graph_sigma_c", "complete_profile",
-    "f_integral", "iota", "laplacian", "pair_difference_matrix",
-    "region_bound", "risk_profile", "run", "spectrum",
+    "InvalidParameterError", "InvalidQueryError", "InvalidSizeError",
+    "LaplacianSpectrum", "NearBoundaryError", "NoiseParams",
+    "NumericalError", "SimConfig", "StabilityReport",
+    "UnstablePlatoonError", "WeightedGraph", "build_complete",
+    "build_custom", "build_path", "build_pcycle", "check_platoon",
+    "complete_graph_sigma_c", "complete_profile", "f_integral",
+    "laplacian", "region_bound", "risk_profile", "run", "spectrum",
     "steady_state_covariance",
 ]

@@ -3,8 +3,8 @@
 Every subcommand reads a sectioned config file, runs one analysis, and
 emits a versioned CSV to stdout or --out. Exit codes: 0 success, 1
 usage, validation or configuration error, 2 numerical failure (margin
-below the near-boundary limit, ill-conditioned scenario, diverging
-simulation).
+below the near-boundary limit, a scenario that cannot be conditioned, a
+simulated chain with no stationary law or a non-finite estimate).
 """
 from __future__ import annotations
 

@@ -52,13 +52,5 @@ class NearBoundaryError(NumericalError):
     guaranteed; refusing to return a silently inaccurate value."""
 
 
-class IllConditionedScenarioError(NumericalError):
-    """The conditioning covariance block is singular or nearly so."""
-
-
 class DivergenceError(NumericalError):
-    """The simulated state stopped being finite."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """The simulated chain has no stationary law or a non-finite estimate."""

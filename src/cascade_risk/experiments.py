@@ -23,8 +23,8 @@ import numpy as np
 
 from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
-from .errors import (IllConditionedScenarioError, InvalidParameterError,
-                     InvalidQueryError, NumericalError, UnstablePlatoonError)
+from .errors import (InvalidParameterError, InvalidQueryError,
+                     NumericalError, UnstablePlatoonError)
 from .graph import (WeightedGraph, _count, _integer, _laplacian, _real,
                     _seed, laplacian, spectrum)
 from .risk import (FailureScenario, _check_query, _condition_head,
@@ -247,7 +247,7 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
         cnd = _condition_scenario(sigma, scenario, d)
         value = _stack_risk(cnd, d, c, it)[0, j - 1].item()
         if math.isnan(value):
-            raise IllConditionedScenarioError(_entry_error(cnd, j))
+            raise NumericalError(_entry_error(cnd, j))
         return value
 
     base = steady_state_covariance(spectrum(laplacian(graph)), noise)

@@ -235,14 +235,14 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
     # a refusal never costs one stream per trial
     rngs = [np.random.default_rng(np.random.SeedSequence(
         entropy=sim.seed, spawn_key=(t,))) for t in range(trials)]
-    hx[1:], hv[1:] = _initial_history(P, noise.g, dt, spec.eigenvectors, r,
-                                      rngs)
 
     beta = noise.beta
     s_idx = 0
     chunks = _noise_chunks(rngs, n, total_steps, chunk,
                            noise.g * math.sqrt(dt))
     with closing(chunks), np.errstate(over="ignore", invalid="ignore"):
+        hx[1:], hv[1:] = _initial_history(P, noise.g, dt, spec.eigenvectors,
+                                          r, rngs)
         for t0 in range(0, total_steps, kb):
             c = t0 % chunk
             if c == 0:
@@ -259,17 +259,6 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
             np.multiply(vs[:m], dt, out=xs[1:m + 1])
             xs[0] = hx[kb]
             np.cumsum(xs[:m + 1], axis=0, out=xs[:m + 1])
-            # a non-finite entry stays non-finite in every later step, so
-            # the block's last state shows whether any step diverged
-            if not (np.isfinite(xs[m]).all() and np.isfinite(vs[m]).all()):
-                bad = ~(np.isfinite(xs[1:m + 1]).all(axis=2)
-                        & np.isfinite(vs[1:m + 1]).all(axis=2))
-                j = int(np.argmax(bad.any(axis=1)))
-                tn = t0 + j + 1
-                raise DivergenceError(
-                    f"trial {int(np.argmax(bad[j]))} diverged at step {tn} "
-                    f"(t = {tn * dt:.6g} s); reduce dt or check stability "
-                    f"margins", step=tn)
             # sample s is the state at step s int_steps
             if s_idx * int_steps <= t0 + m:
                 s_end = min(n_samples, (t0 + m) // int_steps + 1)
@@ -285,8 +274,8 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
 def _pool(samples: np.ndarray) -> EmpiricalCovariance:
     """The pooled estimate of run from its (samples, trials, pairs) array."""
     n_samples, trials, pairs = samples.shape
-    # Finite but huge samples (marginal EM instability) overflow when
-    # squared: silently here, and refused below as a divergence.
+    # A non-finite state (g beyond the float range) stays so to the last
+    # sample, and huge samples overflow when squared: both refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         flat = samples.reshape(n_samples * trials, pairs)
         mean = flat.mean(axis=0)
@@ -308,6 +297,6 @@ def _pool(samples: np.ndarray) -> EmpiricalCovariance:
 
     if not all(np.isfinite(a).all() for a in (mean, cov, se_cov, se_mean)):
         raise DivergenceError("pooled estimate is not finite: samples too "
-                              "large to pool; reduce dt or check margins")
+                              "large to pool; reduce the noise intensity g")
     return EmpiricalCovariance(mean, cov, se_cov, n_samples * trials,
                                se_mean)

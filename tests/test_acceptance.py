@@ -11,12 +11,12 @@ import pytest
 from cascade_risk import (CovarianceMatrix, FailureScenario, NoiseParams,
                           SimConfig, build_complete, build_path,
                           build_pcycle, check_platoon,
-                          complete_graph_sigma_c, complete_profile, iota,
+                          complete_graph_sigma_c, complete_profile,
                           laplacian, risk_profile, run, spectrum,
                           steady_state_covariance)
 from cascade_risk.cli import main
 from cascade_risk.closed_form import _run_weights
-from cascade_risk.risk import _var_risk_array
+from cascade_risk.risk import _var_risk_array, iota
 
 from oracles import (branch_of, chain_distance_covariance, normal_cdf,
                      tridiag_matrix, var_bisect, var_risk_scalar)

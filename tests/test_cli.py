@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import cascade_risk
 from cascade_risk import (CovarianceMatrix, NoiseParams, build_custom,
-                          build_path, build_pcycle, iota, laplacian,
-                          region_bound, spectrum, steady_state_covariance)
+                          build_path, build_pcycle, laplacian, region_bound,
+                          spectrum, steady_state_covariance)
 from cascade_risk.cli import _SCHEMAS, build_parser, main, render_csv
 from cascade_risk.experiments import covariance_rows
+from cascade_risk.risk import iota
 
 from oracles import add_pair_edges, format_cell, var_risk_scalar
 
@@ -636,7 +637,9 @@ def test_add_edge_refused_scenario(tmp_path, capsys, monkeypatch):
     # every two-failure block is refused: the baseline has no risk
     monkeypatch.setattr(cascade_risk.risk, "RCOND_MIN", 1.0)
     assert main(["add-edge", "--config", cfg, "--pair", "4"]) == 2
-    assert "numerical error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"cascade-risk: numerical error: failed-block covariance condition "
+        f"number {base:.3g} exceeds 1e+00\n")
     # the baseline's block passes, so do candidates that condition no
     # worse; the others get an empty risk and stay stable
     limit = base * (1.0 + 1e-9)

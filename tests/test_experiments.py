@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
                           UnstablePlatoonError, build_custom, build_path,
-                          build_pcycle, iota, laplacian, risk_profile,
-                          spectrum, steady_state_covariance)
+                          build_pcycle, laplacian, risk_profile, spectrum,
+                          steady_state_covariance)
 from cascade_risk import experiments, risk
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
                                       sweep_sparsity_rows)
+from cascade_risk.risk import iota
 
 from oracles import (add_pair_edges, conditional_moments,
                      region_bound_bisect, sweep_scale_rows_per_level,

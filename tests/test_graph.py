@@ -10,15 +10,16 @@ from cascade_risk import (ConfigError, FailureScenario, InvalidParameterError,
                           InvalidQueryError, InvalidSizeError, NoiseParams,
                           SimConfig, WeightedGraph, build_complete,
                           build_custom, build_path, build_pcycle,
-                          check_platoon, complete_profile, iota, laplacian,
-                          pair_difference_matrix, risk_profile, run,
-                          spectrum, steady_state_covariance)
+                          check_platoon, complete_profile, laplacian,
+                          risk_profile, run, spectrum,
+                          steady_state_covariance)
 from cascade_risk.config import (RawConfig, build_gap, build_graph,
                                  build_noise, build_query, build_sim,
                                  scenario_state_values)
 from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
                                       sweep_sparsity_rows)
-from cascade_risk.graph import _real
+from cascade_risk.graph import _real, pair_difference_matrix
+from cascade_risk.risk import iota
 
 from oracles import (add_pair_edges, path_eigenvalue, pcycle_eigenvalues,
                      same_profile)

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
-                          build_custom, build_path, iota, laplacian,
-                          region_bound, risk_profile, spectrum,
-                          steady_state_covariance)
+                          build_custom, build_path, laplacian, region_bound,
+                          risk_profile, spectrum, steady_state_covariance)
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import add_edge_rows
 from cascade_risk.risk import (RCOND_MIN, _condition_scenario,
-                               _factor_blocks, _var_risk_array)
+                               _factor_blocks, _var_risk_array, iota)
 
 from oracles import (block_refused, branch_of, conditional_moments,
                      erfinv_bisect, normal_cdf, var_bisect, var_risk_scalar)

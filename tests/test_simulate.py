@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -211,49 +212,19 @@ def test_drift_matches_per_vehicle_sums():
         assert abs(drift[i] - u) < 1e-12
 
 
-def _overflow_at(monkeypatch, call, row, bad_trials):
+def _overflow_at_step_5(monkeypatch):
     # tau = 2 dt, so each _drift call covers a block of 3 steps; the
-    # drift of step 3 (call - 1) + row + 1 overflows in bad_trials, and
-    # in trial 0 one step later
+    # second call's row 1, the drift of step 5, overflows in both trials
     calls = []
 
     def overflowing(*args):
         calls.append(1)
         drift = _drift(*args)
-        if len(calls) == call:
-            drift[row, list(bad_trials)] = np.inf
-            drift[row + 1, 0] = np.inf
+        if len(calls) == 2:
+            drift[1] = np.inf
         return drift
 
     monkeypatch.setattr(simulate, "_drift", overflowing)
-    # 15-step noise chunks: the noise worker is one chunk ahead, possibly
-    # mid-draw, when the run stops
-    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
-    sim = SimConfig(dt=1e-3, sample_interval=0.1,
-                    samples_per_trial=4, trials=2)
-    threads = threading.active_count()
-    with pytest.raises(DivergenceError) as exc:
-        run(build_path(3), 3.0,
-            NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
-    # the noise worker does not outlive the call
-    assert threading.active_count() == threads
-    return exc.value
-
-
-def test_step_divergence_detected(monkeypatch):
-    # an overflowing drift at step 5, inside the second block, is
-    # reported at step 5
-    err = _overflow_at(monkeypatch, call=2, row=1, bad_trials=(0, 1))
-    assert err.step == 5
-    assert "trial 0 " in str(err)
-
-
-def test_step_divergence_in_later_block(monkeypatch):
-    # only trial 1 overflows, at step 11 inside the fourth block; trial
-    # 0 turning non-finite at step 12 of the same block does not win
-    err = _overflow_at(monkeypatch, call=4, row=1, bad_trials=(1,))
-    assert err.step == 11
-    assert "trial 1 " in str(err)
 
 
 class _NoiseFault(Exception):
@@ -303,6 +274,46 @@ def test_noise_failure_reaches_caller(monkeypatch):
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
     assert threading.active_count() == threads
     assert made[0].sizes == [15, 15, 15]    # the third of 20 chunks
+
+
+@pytest.mark.parametrize("fault", [
+    _overflow_at_step_5,
+    # noise of inf in trial 1 at step 40 (0-based), inside the 14th block
+    lambda mp: _recording_rngs(mp, spike=(1, 40, np.inf)),
+    # nan noise in trial 0 at step 298 of 300, inside the last block: it
+    # reaches the velocity of step 299 and the final position only
+    lambda mp: _recording_rngs(mp, spike=(0, 298, np.nan)),
+], ids=["drift_inf_at_step_5", "noise_inf_at_step_40",
+        "noise_nan_in_last_block"])
+def test_non_finite_state_is_refused_when_pooled(monkeypatch, fault):
+    # a non-finite state stays non-finite in every later step, and the
+    # last sample is the final state: _pool refuses the run
+    fault(monkeypatch)
+    # 15-step noise chunks: the noise worker is one chunk ahead, possibly
+    # mid-draw, when the run stops
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
+    sim = SimConfig(dt=1e-3, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
+    threads = threading.active_count()
+    with pytest.raises(DivergenceError, match="pooled estimate is not "
+                                              "finite"):
+        run(build_path(3), 3.0,
+            NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
+    # the noise worker does not outlive the call
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("n, g", [(5, 1e307), (5, 1.7e308), (50, 1e307)])
+def test_g_beyond_float_range_is_refused_without_warning(n, g):
+    # the initial draw overflows; the stepper's errstate covers it, and
+    # the run ends in the pooled refusal, not in a numpy RuntimeWarning
+    sim = SimConfig(trials=2, samples_per_trial=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="pooled estimate is not "
+                                                  "finite"):
+            run(build_path(n), 3.0, NoiseParams(g=g, tau=0.03, beta=2.0),
+                sim)
 
 
 def _package_start(graph, noise, dt, seed, trials, steps):
@@ -505,18 +516,6 @@ def test_samples_decorrelate_at_widened_interval():
     assert np.mean(acs) <= 0.2
 
 
-def test_run_divergence_reports_trial_and_step(monkeypatch):
-    # noise that overflows trial 1 at step 40 (0-based), inside the
-    # second 31-step block: the stepper names the trial and step 41
-    _recording_rngs(monkeypatch, spike=(1, 40, np.inf))
-    sim = SimConfig(dt=1e-3, sample_interval=0.1, samples_per_trial=3,
-                    trials=2)
-    with pytest.raises(DivergenceError) as exc:
-        run(build_path(5), 3.0, PATH5_NOISE, sim)
-    assert exc.value.step == 41
-    assert "trial 1 diverged at step 41" in str(exc.value)
-
-
 def test_run_refuses_finite_samples_too_large_to_pool(monkeypatch):
     # one finite noise value of 1e200 keeps every sample finite, but
     # their squares overflow: a divergence of the simulation, not an
@@ -525,9 +524,8 @@ def test_run_refuses_finite_samples_too_large_to_pool(monkeypatch):
     sim = SimConfig(dt=1e-3, sample_interval=0.1, samples_per_trial=3,
                     trials=2)
     with pytest.raises(DivergenceError, match="pooled estimate is not "
-                                              "finite") as exc:
+                                              "finite"):
         run(build_path(5), 3.0, PATH5_NOISE, sim)
-    assert exc.value.step is None
 
 
 @pytest.mark.parametrize("graph, noise, dt", [
