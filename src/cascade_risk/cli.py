@@ -9,7 +9,10 @@ simulated chain with no stationary law or a non-finite estimate).
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -50,35 +53,43 @@ _SCHEMAS = {
 
 
 def render_csv(schema: str, rows, trailers=()) -> str:
-    """Versioned CSV text: schema line, header, the body, then
-    `# trailer` lines. `rows` is either an iterable of row tuples, read
-    once and rendered one line each, or a body already rendered as text
-    of newline-terminated lines (`covariance_rows`)."""
+    """Versioned CSV text: schema line, header, one line per row tuple
+    of `rows` (an iterable, read once), then `# trailer` lines."""
     header, template = _SCHEMAS[schema]
-    if not isinstance(rows, str):
-        lines = []
-        for row in rows:
-            try:
-                lines.append(template % row)
-            except TypeError:
-                if None not in row:
-                    raise
-                lines.append(",".join(
-                    "" if cell is None else spec % cell
-                    for spec, cell in zip(template.split(","), row,
-                                          strict=True)))
-        lines.append("")  # ends the last row with a newline
-        rows = "\n".join(lines)
-    return (f"# schema={schema}/v1\n" + ",".join(header) + "\n" + rows
+    lines = []
+    for row in rows:
+        try:
+            lines.append(template % row)
+        except TypeError:
+            if None not in row:
+                raise
+            lines.append(",".join(
+                "" if cell is None else spec % cell
+                for spec, cell in zip(template.split(","), row, strict=True)))
+    lines.append("")  # ends the last row with a newline
+    return (f"# schema={schema}/v1\n" + ",".join(header) + "\n"
+            + "\n".join(lines)
             + "".join(f"# {trailer}\n" for trailer in trailers))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces, out: str | None) -> None:
+    """Write the CSV text pieces in order, as they arrive; a str is one
+    piece."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (`| head`): send what is left,
+            # and the interpreter's last flush, to the null device
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _spectrum_of(cfg: RawConfig):
@@ -93,10 +104,11 @@ def cmd_stability(cfg: RawConfig, args) -> str:
     return render_csv("stability", rows, trailers)
 
 
-def cmd_covariance(cfg: RawConfig, args) -> str:
+def cmd_covariance(cfg: RawConfig, args) -> Iterator[str]:
     _, spec = _spectrum_of(cfg)
     sigma = steady_state_covariance(spec, build_noise(cfg))
-    return render_csv("covariance", covariance_rows(sigma))
+    return itertools.chain((render_csv("covariance", ()),),
+                           covariance_rows(sigma))
 
 
 def _is_complete(graph) -> bool:
@@ -246,8 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        text = _COMMANDS[args.command](cfg, args)
-        _emit(text, args.out)
+        _emit(_COMMANDS[args.command](cfg, args), args.out)
     except NumericalError as exc:
         print(f"cascade-risk: numerical error: {exc}", file=sys.stderr)
         return 2

@@ -9,15 +9,14 @@ command line. Every risk cell is read off the conditioning core,
 levels of sweep-scale) and `risk._stack_risk`, directly or through a
 profile; the no-failure baseline is the empty scenario. They read the
 risk values alone: inf is infinite risk, nan an empty cell. Rows come
-as a list, except where a table is large: `covariance_rows` returns its
-(n-1)^2 lines already rendered, as the CSV body text that
-`cli.render_csv` takes in place of row tuples.
+as a list, except where a table is large: `covariance_rows` yields its
+(n-1)^2 lines already rendered, one matrix row at a time, for the CLI
+to write after the `cli.render_csv` header.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -43,33 +42,15 @@ def stability_rows(report: StabilityReport):
     return rows, [f"stable={1 if report.stable else 0}"]
 
 
-def covariance_rows(sigma: CovarianceMatrix) -> str:
-    """The covariance CSV body: one `i,j,sigma_ij` line per entry, row by
-    row, each ending in a newline, with sigma_ij as `%.17g`.
-
-    Sigma is symmetric, so each upper-triangle entry is formatted once
-    and row i reads its lower cells from the rows above it. A lower
-    entry whose bits differ from its mirror's (a hand-built matrix is
-    symmetric only to 1e-12, and may hold -0.0 against 0.0) is formatted
-    from its own value."""
-    fmt = "%.17g".__mod__
-    values = sigma.values
-    upper = [list(map(fmt, row[i:].tolist())) for i, row in enumerate(values)]
-    lower = [[upper[j][i - j] for j in range(i)] for i in range(sigma.dim)]
-    bits = values.view(np.int64)
-    for i, j in np.argwhere(np.tril(bits != bits.T, -1)).tolist():
-        lower[i][j] = fmt(values[i, j].item())
-    columns = [f",{j}," for j in range(1, sigma.dim + 1)]
-    chunks = []
-    for i, cells in enumerate(map(operator.add, lower, upper), start=1):
-        # "i" + ",j," + cell per line: the row number opens the chunk and
-        # follows each newline inside it
-        label = str(i)
-        chunks.append(label + ("\n" + label).join(
-            map(operator.add, columns, cells)) + "\n")
-    # free the cells before the join copies every chunk once more
-    del upper, lower
-    return "".join(chunks)
+def covariance_rows(sigma: CovarianceMatrix):
+    """The covariance CSV body, one text piece per matrix row i: the
+    lines `i,j,sigma_ij` for j = 1..dim, each ending in a newline, with
+    sigma_ij as `%.17g` of that entry's own value. Only one row is
+    rendered at a time, so the body is never held whole."""
+    # "@" stands for the row number; the rest of the template is fixed
+    template = "".join(f"@,{j},%.17g\n" for j in range(1, sigma.dim + 1))
+    for i, row in enumerate(sigma.values, start=1):
+        yield template.replace("@", str(i)) % tuple(row.tolist())
 
 
 def _cells(column: np.ndarray) -> list:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -957,9 +958,10 @@ def _cell_rows(sigma):
 @given(sigma=st.one_of(_package_covariances(), _one_by_one(),
                        _nextafter_lower(), _signed_zeros()))
 def test_covariance_csv_matches_cell_oracle(sigma):
-    # the body formats each entry of the symmetric matrix once; every
-    # cell still reads as `%.17g` of its own value, bit for bit
-    assert (render_csv("covariance", covariance_rows(sigma))
+    # every cell reads as `%.17g` of its own value, bit for bit, also
+    # where a lower entry differs from its mirror (-0.0, one ulp off)
+    assert (render_csv("covariance", ())
+            + "".join(covariance_rows(sigma))
             == _oracle_csv("covariance", _cell_rows(sigma), ()))
 
 
@@ -978,3 +980,42 @@ def test_covariance_bytes_deterministic_and_match_cell_oracle(tmp_path,
                                     NoiseParams(0.1, 0.03, 2.0))
     expected = _oracle_csv("covariance", _cell_rows(sigma), ()).encode("utf-8")
     assert outputs == [expected] * 3
+    # one piece per matrix row, holding that row's lines only
+    pieces = list(covariance_rows(sigma))
+    assert len(pieces) == sigma.dim
+    for i, piece in enumerate(pieces, start=1):
+        assert all(line.startswith(f"{i},")
+                   for line in piece.splitlines())
+
+
+def test_covariance_rendering_memory_is_bounded(tmp_path):
+    # the body is rendered one matrix row at a time, never held whole:
+    # the traced peak while writing stays far below the body's size
+    sigma = steady_state_covariance(spectrum(laplacian(build_pcycle(300, 3))),
+                                    NoiseParams(0.1, 0.03, 2.0))
+    out = tmp_path / "body.csv"
+    tracemalloc.start()
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(covariance_rows(sigma))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size / 20
+
+
+def test_covariance_reader_that_stops_early_ends_quietly(tmp_path):
+    # 2.6 MB of output, far above the pipe buffer: the reader closes the
+    # pipe after two lines, and the run still exits 0 with no stderr
+    cfg = write_cfg(tmp_path, PATH6.replace("type = path\nn = 6",
+                                            "type = pcycle\nn = 300\np = 3"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cascade_risk", "covariance", "--config", cfg],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    lines = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert lines == [b"# schema=covariance/v1\n", b"i,j,sigma_ij\n"]
+    assert stderr == b""
