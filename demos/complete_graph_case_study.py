@@ -68,11 +68,9 @@ def main():
                             atol=1e-9).all())
     print(f"\nclosed form matches the generic conditioning route: {agree}")
 
-    rows = sweep_scale_rows(sigma, D, C, EPSILON, 20, 0.0)
-    by_m = {}
-    for m, j, value in rows:
-        if j == m + 1:
-            by_m[m] = value
+    # row m holds the risk of every pair j in column j - 1
+    value = sweep_scale_rows(sigma, D, C, EPSILON, 20, 0.0)
+    by_m = {m: value[m, m].item() for m in range(len(value))}
     print("\nleading-block sweep (failures at pairs 1..m, risk of the "
           "first survivor):")
     print("  m:", ", ".join(str(m) for m in sorted(by_m) if m))

@@ -23,9 +23,9 @@ from .config import (RawConfig, build_experiment, build_gap, build_graph,
                      load_config, resolve_seed, scenario_state_values)
 from .covariance import (complete_graph_sigma_c, steady_state_covariance)
 from .errors import CascadeRiskError, InvalidQueryError, NumericalError
-from .experiments import (add_edge_rows, covariance_rows, profile_rows,
-                          simulate_rows, stability_rows, sweep_scale_rows,
-                          sweep_sparsity_rows)
+from .experiments import (_matrix_lines, add_edge_rows, covariance_rows,
+                          profile_rows, simulate_rows, stability_rows,
+                          sweep_scale_rows, sweep_sparsity_rows)
 from .graph import laplacian, spectrum
 from .risk import FailureScenario, risk_profile
 from .simulate import run
@@ -150,15 +150,16 @@ def cmd_simulate(cfg: RawConfig, args) -> str:
     return render_csv("simulate", rows, trailers)
 
 
-def cmd_sweep_scale(cfg: RawConfig, args) -> str:
+def cmd_sweep_scale(cfg: RawConfig, args) -> Iterator[str]:
     _, spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
     d = build_gap(cfg)
     epsilon, c = build_query(cfg)
     state = scenario_state_values(cfg, None)[0]
     sigma = steady_state_covariance(spec, noise)
-    rows = sweep_scale_rows(sigma, d, c, epsilon, args.max_m, state)
-    return render_csv("sweep_scale", rows)
+    value = sweep_scale_rows(sigma, d, c, epsilon, args.max_m, state)
+    return itertools.chain((render_csv("sweep_scale", ()),),
+                           _matrix_lines(value, 0))
 
 
 def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:

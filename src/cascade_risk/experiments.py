@@ -9,9 +9,9 @@ command line. Every risk cell is read off the conditioning core,
 levels of sweep-scale) and `risk._stack_risk`, directly or through a
 profile; the no-failure baseline is the empty scenario. They read the
 risk values alone: inf is infinite risk, nan an empty cell. Rows come
-as a list, except where a table is large: `covariance_rows` yields its
-(n-1)^2 lines already rendered, one matrix row at a time, for the CLI
-to write after the `cli.render_csv` header.
+as a list, except where a table is large: the covariance matrix and
+the sweep-scale risk array are rendered by `_matrix_lines`, one array
+row at a time, for the CLI to write after the `cli.render_csv` header.
 """
 from __future__ import annotations
 
@@ -42,15 +42,24 @@ def stability_rows(report: StabilityReport):
     return rows, [f"stable={1 if report.stable else 0}"]
 
 
+def _matrix_lines(values: np.ndarray, first: int):
+    """The lines `i,j,value` of a 2-D array, one text piece per array
+    row, with i counted from `first` and j from 1: value is `%.17g` of
+    that entry's own float, and nan an empty field. Only one row is
+    rendered at a time, so the text is never held whole."""
+    # "@" stands for the row label; the rest of the template is fixed
+    template = "".join(f"@,{j},%.17g\n"
+                       for j in range(1, values.shape[1] + 1))
+    for i, row in enumerate(values, start=first):
+        text = template.replace("@", str(i)) % tuple(row.tolist())
+        # %.17g prints every nan, of either sign, as "nan"
+        yield text.replace(",nan\n", ",\n")
+
+
 def covariance_rows(sigma: CovarianceMatrix):
-    """The covariance CSV body, one text piece per matrix row i: the
-    lines `i,j,sigma_ij` for j = 1..dim, each ending in a newline, with
-    sigma_ij as `%.17g` of that entry's own value. Only one row is
-    rendered at a time, so the body is never held whole."""
-    # "@" stands for the row number; the rest of the template is fixed
-    template = "".join(f"@,{j},%.17g\n" for j in range(1, sigma.dim + 1))
-    for i, row in enumerate(sigma.values, start=1):
-        yield template.replace("@", str(i)) % tuple(row.tolist())
+    """The covariance CSV body: the lines `i,j,sigma_ij`, one piece per
+    matrix row i."""
+    return _matrix_lines(sigma.values, 1)
 
 
 def _cells(column: np.ndarray) -> list:
@@ -83,15 +92,15 @@ def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,
 
 def sweep_scale_rows(sigma: CovarianceMatrix, d: float, c: float,
                      epsilon: float, max_m: int, state_value: float):
-    """Failures {1..m} at the head of the platoon for m = 0..max_m;
-    m = 0 is the no-failure baseline. Every level is read off one
-    factor of the max_m head block (risk._condition_head)."""
+    """Failures {1..m} at the head of the platoon for m = 0..max_m, as a
+    (max_m + 1, dim) array: row m holds the risk of every pair j in
+    column j - 1, with nan for an empty cell; m = 0 is the no-failure
+    baseline. Every level is read off one factor of the max_m head block
+    (risk._condition_head)."""
     max_m, state, d, c, it = _check_sweep(sigma, "max_m", max_m,
                                           state_value, d, c, epsilon)
-    value = _stack_risk(_condition_head(sigma.values, max_m, state, d),
-                        d, c, it)
-    return [(m, j, v) for m, level in enumerate(value)
-            for j, v in enumerate(_cells(level), start=1)]
+    return _stack_risk(_condition_head(sigma.values, max_m, state, d),
+                       d, c, it)
 
 
 # Patterns conditioned together in one stack by sweep_sparsity_rows.

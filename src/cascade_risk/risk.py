@@ -125,6 +125,19 @@ def _factor_blocks(blocks: np.ndarray):
     return np.linalg.cholesky(gated), errors
 
 
+def _forward(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs by forward substitution, for a (P, m, m) stack of lower
+    triangular factors L and (P, m, r) right-hand sides: row k is
+    (rhs_k - L[k, :k] x[:k]) / L[k, k]. Overflow is left to the
+    finiteness check of _conditioned."""
+    x = np.empty(rhs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(rhs.shape[1]):
+            x[:, k] = ((rhs[:, k] - (chol[:, k, None, :k] @ x[:, :k])[:, 0])
+                       / chol[:, k, k, None])
+    return x
+
+
 def _condition_stack(values: np.ndarray, idx: np.ndarray,
                      states: np.ndarray, d: float) -> _Conditioned:
     """Condition on P scenarios of m failed pairs each: idx holds the
@@ -148,7 +161,7 @@ def _condition_stack(values: np.ndarray, idx: np.ndarray,
         blocks = values[idx[:, :, None], idx[:, None, :]]
         chol, errors = _factor_blocks(blocks)
         rhs = np.concatenate((values[idx], (states - d)[:, :, None]), axis=2)
-        solved = np.linalg.solve(chol, rhs)
+        solved = _forward(chol, rhs)
         cross, dev = solved[:, :, :dim], solved[:, :, dim:]
         # Summed failure by failure, so a scenario's moments do not
         # depend on the other scenarios of its stack. Overflow is
@@ -167,8 +180,9 @@ def _condition_head(values: np.ndarray, max_m: int, state: float,
     observed at `state`" for m = 0..max_m, from one factor and one solve.
 
     A leading block's Cholesky factor is the leading block of the whole
-    factor, and forward substitution nests the same way, so level m's
-    shift and reduction are the first m terms of _condition_stack's
+    factor, and row k of _forward reads only the rows before it, so the
+    first m rows of the one solve are level m's solve. Level m's shift
+    and reduction are then the first m terms of _condition_stack's
     sums, taken here by a running sum in the same order. Refusals nest
     too: a leading block's eigenvalues lie between the extreme ones of
     every larger leading block (Cauchy interlacing), so its condition
@@ -193,7 +207,7 @@ def _condition_head(values: np.ndarray, max_m: int, state: float,
                 bad, error = mid, mid_error
     rhs = np.concatenate((values[:good], np.full((good, 1), state - d)),
                          axis=1)
-    solved = np.linalg.solve(chol, rhs)
+    (solved,) = _forward(chol[None], rhs[None])
     cross, dev = solved[:, :dim], solved[:, dim:]
     shift = np.zeros((max_m + 1, dim))
     reduction = np.zeros((max_m + 1, dim))

@@ -13,7 +13,9 @@ conditioning core once per level, the route the nested one replaced.
 route to f as it stood before its mode-free blocks were built once, the
 reference that f has stayed the same bit for bit. `block_refused` is
 the failed-block refusal rule as it stood before one eigvalsh decided
-it: a Cholesky that raises, or an SVD condition number. `same_profile` and
+it: a Cholesky that raises, or an SVD condition number.
+`forward_reference` is the LU solve the failed blocks went through
+before forward substitution. `same_profile` and
 `branch_of` are not oracles: the one is bitwise equality of two risk
 profiles, the other the branch tag a risk value names. Nor is
 `chain_distance_covariance`: it maps the package's stationary law of
@@ -363,11 +365,18 @@ def format_cell(value) -> str:
     return "%.17g" % float(value)
 
 
+def forward_reference(chol, rhs):
+    """L^-1 rhs for a (P, m, m) stack of lower triangular factors by
+    numpy's LU solve, the route risk._forward replaced."""
+    return np.linalg.solve(chol, rhs)
+
+
 def sweep_scale_rows_per_level(sigma, d, c, epsilon, max_m, state_value):
-    """The rows of experiments.sweep_scale_rows, conditioned level by
-    level: failures {1..m} from scratch for each m = 0..max_m, through
-    the package's one-stack conditioning core. The reference for the
-    nested route, which reads every level off one factor."""
+    """The (m, j, risk) rows of experiments.sweep_scale_rows's array,
+    None for an empty cell, conditioned level by level: failures {1..m}
+    from scratch for each m = 0..max_m, through the package's one-stack
+    conditioning core. The reference for the nested route, which reads
+    every level off one factor."""
     max_m, state, d, c, it = _check_sweep(sigma, "max_m", max_m,
                                           state_value, d, c, epsilon)
     rows = []

@@ -367,6 +367,23 @@ def test_sweep_scale_bad_max_m(tmp_path, capsys):
     assert main(["sweep-scale", "--config", cfg, "--max-m", "9"]) == 1
 
 
+def test_sweep_scale_refusal_writes_nothing(tmp_path, capsys):
+    # the whole sweep is computed before any output: a refused max_m
+    # (exit 1) or overflowed moments (exit 2) print no header to stdout
+    # and create no --out file
+    out = tmp_path / "scale.csv"
+    for text, max_m, code in (
+            (PATH6, "9", 1),
+            (PATH6.replace("states = 0", "states = 1e308"), "3", 2)):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep-scale", "--config", cfg, "--max-m", max_m]) \
+            == code
+        assert main(["sweep-scale", "--config", cfg, "--max-m", max_m,
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+
 def _exit_code(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

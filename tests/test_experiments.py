@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from cascade_risk import (FailureScenario, InvalidParameterError,
                           steady_state_covariance)
 from cascade_risk import experiments, risk
 from cascade_risk.covariance import CovarianceMatrix
-from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
+from cascade_risk.experiments import (_matrix_lines, add_edge_rows,
+                                      sweep_scale_rows,
                                       sweep_sparsity_rows)
 from cascade_risk.risk import iota
 
-from oracles import (add_pair_edges, conditional_moments,
+from oracles import (add_pair_edges, conditional_moments, format_cell,
                      region_bound_bisect, sweep_scale_rows_per_level,
                      var_risk_scalar)
 
@@ -142,7 +144,7 @@ def test_rows_independent_of_chunk_size(path8, monkeypatch, enum_cap):
 
 
 def test_one_factorization_per_chunk(path8, monkeypatch):
-    calls = {"cholesky": 0, "solve": 0}
+    calls = {"cholesky": 0, "forward": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -152,12 +154,12 @@ def test_one_factorization_per_chunk(path8, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky",
                         counting("cholesky", np.linalg.cholesky))
-    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(risk, "_forward", counting("forward", risk._forward))
     monkeypatch.setattr(experiments, "_STACK_CHUNK", 4)
     rows = sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11)
     # 5, 8, 9, 8 and 5 patterns per level make 2, 2, 3, 2 and 2 chunks
     assert [row[3] for row in rows] == [5, 8, 9, 8, 5]
-    assert calls == {"cholesky": 11, "solve": 11}
+    assert calls == {"cholesky": 11, "forward": 11}
 
 
 def test_sweep_checks_query_at_entry(path8):
@@ -174,8 +176,8 @@ def test_sweep_checks_query_at_entry(path8):
 
 
 def test_sweep_counts_follow_integer_rule(path8):
-    assert sweep_scale_rows(path8, D, C, EPSILON, 2.0, STATE) == \
-        sweep_scale_rows(path8, D, C, EPSILON, 2, STATE)
+    assert _scale_rows(sweep_scale_rows(path8, D, C, EPSILON, 2.0, STATE)) \
+        == _scale_rows(sweep_scale_rows(path8, D, C, EPSILON, 2, STATE))
     assert sweep_sparsity_rows(path8, D, C, EPSILON, 2.0, STATE, seed=11) == \
         sweep_sparsity_rows(path8, D, C, EPSILON, 2, STATE, seed=11)
     for bad in (2.5, True, math.nan, "2"):
@@ -183,6 +185,14 @@ def test_sweep_counts_follow_integer_rule(path8):
             sweep_scale_rows(path8, D, C, EPSILON, bad, STATE)
         with pytest.raises(InvalidQueryError):
             sweep_sparsity_rows(path8, D, C, EPSILON, bad, STATE, seed=11)
+
+
+def _scale_rows(value):
+    """The (m, j, risk) rows of a sweep_scale_rows array, None for an
+    empty cell, as the CSV lists them."""
+    return [(m, j, None if math.isnan(v) else v)
+            for m, level in enumerate(value.tolist())
+            for j, v in enumerate(level, start=1)]
 
 
 def _assert_scale_rows_match(rows, expected, c):
@@ -224,7 +234,7 @@ def test_sweep_scale_matches_per_level_oracle(kind, n, seed, g, state,
     sigma = steady_state_covariance(spectrum(laplacian(graph)),
                                     NoiseParams(g=g, tau=0.01, beta=2.0))
     max_m = 1 + int(level * (sigma.dim - 2))
-    rows = sweep_scale_rows(sigma, D, c, epsilon, max_m, state)
+    rows = _scale_rows(sweep_scale_rows(sigma, D, c, epsilon, max_m, state))
     _assert_scale_rows_match(
         rows, sweep_scale_rows_per_level(sigma, D, c, epsilon, max_m, state),
         c)
@@ -280,7 +290,7 @@ def test_sweep_scale_refusals_nest(kind, words, monkeypatch):
 
     factor = risk._factor_blocks
     monkeypatch.setattr(risk, "_factor_blocks", counting)
-    rows = sweep_scale_rows(sigma, D, C, EPSILON, max_m, STATE)
+    rows = _scale_rows(sweep_scale_rows(sigma, D, C, EPSILON, max_m, STATE))
     monkeypatch.undo()
     # the whole head block, then a bisection over 1..max_m
     assert calls[0] == max_m
@@ -294,22 +304,62 @@ def test_sweep_scale_refusals_nest(kind, words, monkeypatch):
 
 
 def test_sweep_scale_factors_once(path8, monkeypatch):
-    calls = {"factor": 0, "solve": 0}
-    factor, solve = risk._factor_blocks, np.linalg.solve
+    calls = {"factor": 0, "forward": 0}
+    factor, forward = risk._factor_blocks, risk._forward
 
     def counting_factor(blocks):
         calls["factor"] += 1
         return factor(blocks)
 
-    def counting_solve(*args):
-        calls["solve"] += 1
-        return solve(*args)
+    def counting_forward(*args):
+        calls["forward"] += 1
+        return forward(*args)
 
     monkeypatch.setattr(risk, "_factor_blocks", counting_factor)
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    rows = sweep_scale_rows(path8, D, C, EPSILON, path8.dim - 1, STATE)
-    assert calls == {"factor": 1, "solve": 1}
-    assert len(rows) == path8.dim * path8.dim
+    monkeypatch.setattr(risk, "_forward", counting_forward)
+    value = sweep_scale_rows(path8, D, C, EPSILON, path8.dim - 1, STATE)
+    assert calls == {"factor": 1, "forward": 1}
+    assert value.shape == (path8.dim, path8.dim)
+
+
+@pytest.mark.parametrize("case", [
+    "singular", "ill-conditioned", "one survivor", "one survivor, refused"])
+def test_sweep_scale_lines_match_cell_oracle(case, path8):
+    # one piece per level m, each cell `%.17g` of its own value or, for
+    # nan, an empty field: after a refused level the failed pairs print
+    # 0 and the survivors empty cells
+    if case.startswith("one survivor"):
+        sigma = path8 if case == "one survivor" else \
+            _head_refused_at(12, "singular")
+        max_m = sigma.dim - 1
+    else:
+        sigma, max_m = _head_refused_at(12, case), 27
+    value = sweep_scale_rows(sigma, D, C, EPSILON, max_m, STATE)
+    pieces = list(_matrix_lines(value, 0))
+    assert len(pieces) == max_m + 1
+    assert "".join(pieces) == "".join(
+        f"{m},{j},{format_cell(v)}\n" for m, j, v in _scale_rows(value))
+    assert any(math.isnan(v) for v in value[-1].tolist()) == \
+        (case != "one survivor")
+
+
+def test_sweep_scale_rendering_memory_is_bounded(tmp_path):
+    # the 20,099 lines (0.31 MB) of a 200-vehicle chain's sweep to
+    # max_m = 100 are rendered one level at a time: computing and writing
+    # them peaks at ~1.3 MB traced, most of it the conditioning arrays,
+    # where row tuples, lines and one joined text peaked at ~3.9 MB
+    sigma = steady_state_covariance(spectrum(laplacian(build_path(200))),
+                                    NoiseParams(g=0.1, tau=0.03, beta=2.0))
+    tracemalloc.start()
+    try:
+        value = sweep_scale_rows(sigma, D, 2.0, 0.1, 100, 0.0)
+        with open(tmp_path / "scale.csv", "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.writelines(_matrix_lines(value, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 def test_sweep_sparsity_options_follow_integer_rule():

@@ -12,10 +12,12 @@ from cascade_risk import (FailureScenario, InvalidParameterError,
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import add_edge_rows
 from cascade_risk.risk import (RCOND_MIN, _condition_scenario,
-                               _factor_blocks, _var_risk_array, iota)
+                               _condition_stack, _factor_blocks, _forward,
+                               _var_risk_array, iota)
 
 from oracles import (block_refused, branch_of, conditional_moments,
-                     erfinv_bisect, normal_cdf, var_bisect, var_risk_scalar)
+                     erfinv_bisect, forward_reference, normal_cdf,
+                     var_bisect, var_risk_scalar)
 
 PATH_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
@@ -259,6 +261,66 @@ def test_factor_gate_equals_the_cholesky_and_svd_rule(blocks):
             assert np.array_equal(chol[p], np.eye(len(block)))
         if not abs(svd_cond * RCOND_MIN - 1.0) <= band:
             assert (errors[p] is not None) == block_refused(block)
+
+
+def _assert_forward_matches_solve(chol, rhs):
+    # Either route's forward error is up to ~m cond(L) u of the solution
+    # (u the unit roundoff), so they agree within 4 m cond(L) eps of the
+    # largest entry of each column of each block's solution.
+    ref = forward_reference(chol, rhs)
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    bound = (4 * chol.shape[1] * np.finfo(float).eps
+             * np.linalg.cond(chol)[:, None, None] * scale)
+    assert (np.abs(_forward(chol, rhs) - ref) <= bound).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.integers(1, 8).flatmap(
+    lambda m: st.lists(_failed_block(m), min_size=1, max_size=6)),
+    seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_substitution_matches_solve(blocks, seed):
+    # on the factors the gate gives, accepted and refused alike, with
+    # right-hand side columns of magnitudes 1e-5 .. 1e5
+    chol = _factor_blocks(np.array(blocks))[0]
+    rng = np.random.default_rng(seed)
+    shape = (len(chol), chol.shape[1], 5)
+    _assert_forward_matches_solve(
+        chol, rng.standard_normal(shape)
+        * 10.0 ** rng.integers(-5, 6, (len(chol), 1, 5)))
+
+
+def test_forward_substitution_matches_solve_on_a_long_head():
+    # the 100-pair head of a 200-vehicle chain against its whole
+    # cross-covariance and one deviation column, as sweep-scale solves it
+    sigma = steady_state_covariance(spectrum(laplacian(build_path(200))),
+                                    PATH_NOISE).values
+    chol = np.linalg.cholesky(sigma[None, :100, :100])
+    rhs = np.concatenate((sigma[:100], np.full((100, 1), -3.0)), axis=1)
+    _assert_forward_matches_solve(chol, rhs[None])
+
+
+def test_forward_substitution_passes_refused_blocks_through():
+    # a refused block has the identity as its factor
+    rhs = np.random.default_rng(3).standard_normal((4, 5, 7))
+    assert _forward(np.broadcast_to(np.eye(5), (4, 5, 5)),
+                    rhs).tobytes() == rhs.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8))
+def test_scenario_moments_do_not_depend_on_its_stack(seed, m):
+    # each of 256 scenarios of m failures conditioned alone gives, bit
+    # for bit, its moments inside the stack
+    values = _random_spd(np.random.default_rng(seed), 20).values
+    rng = np.random.default_rng(seed)
+    idx = np.sort(np.array([rng.choice(20, m, replace=False)
+                            for _ in range(256)]), axis=1)
+    states = rng.uniform(-2.0, 5.0, idx.shape)
+    stack = _condition_stack(values, idx, states, 3.0)
+    for p in range(256):
+        alone = _condition_stack(values, idx[p:p + 1], states[p:p + 1], 3.0)
+        assert alone.mu.tobytes() == stack.mu[p].tobytes()
+        assert alone.var.tobytes() == stack.var[p].tobytes()
 
 
 def test_condition_rejects_bad_gap(path6_sigma):
