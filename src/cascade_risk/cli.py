@@ -93,27 +93,31 @@ def _emit(pieces, out: str | None) -> None:
 
 
 def _spectrum_of(cfg: RawConfig):
-    graph = build_graph(cfg)
-    return graph, spectrum(laplacian(graph))
+    """The spectrum of the configured graph's Laplacian. The graph is
+    freed once its Laplacian exists, so the eigendecomposition runs with
+    one dense input alive."""
+    return spectrum(laplacian(build_graph(cfg)))
 
 
 def cmd_stability(cfg: RawConfig, args) -> str:
-    _, spec = _spectrum_of(cfg)
+    spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
     rows, trailers = stability_rows(check_platoon(spec, noise.tau, noise.beta))
     return render_csv("stability", rows, trailers)
 
 
 def cmd_covariance(cfg: RawConfig, args) -> Iterator[str]:
-    _, spec = _spectrum_of(cfg)
+    spec = _spectrum_of(cfg)
     sigma = steady_state_covariance(spec, build_noise(cfg))
     return itertools.chain((render_csv("covariance", ()),),
                            covariance_rows(sigma))
 
 
 def _is_complete(graph) -> bool:
-    """True for the unit-weight clique: every link present, weight 1."""
-    return np.array_equal(graph.weights, 1.0 - np.eye(graph.n))
+    """True for the unit-weight clique: every link present, weight 1.
+    The diagonal is zero by WeightedGraph's own check, so counting the
+    unit weights decides it."""
+    return np.count_nonzero(graph.weights == 1.0) == graph.n * (graph.n - 1)
 
 
 def cmd_risk_profile(cfg: RawConfig, args) -> str:
@@ -141,7 +145,8 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
 
 
 def cmd_simulate(cfg: RawConfig, args) -> str:
-    graph, spec = _spectrum_of(cfg)
+    graph = build_graph(cfg)   # run reads the graph, so it is kept
+    spec = spectrum(laplacian(graph))
     noise = build_noise(cfg)
     d = build_gap(cfg)
     analytic = steady_state_covariance(spec, noise)
@@ -151,7 +156,7 @@ def cmd_simulate(cfg: RawConfig, args) -> str:
 
 
 def cmd_sweep_scale(cfg: RawConfig, args) -> Iterator[str]:
-    _, spec = _spectrum_of(cfg)
+    spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
     d = build_gap(cfg)
     epsilon, c = build_query(cfg)
@@ -163,7 +168,7 @@ def cmd_sweep_scale(cfg: RawConfig, args) -> Iterator[str]:
 
 
 def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:
-    _, spec = _spectrum_of(cfg)
+    spec = _spectrum_of(cfg)
     noise = build_noise(cfg)
     d = build_gap(cfg)
     epsilon, c = build_query(cfg)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from .graph import _integer, _real
 RCOND_MIN = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
-_STD_NORMAL = NormalDist()
 
 
 def _check_query(d, c, epsilon):
@@ -254,7 +252,10 @@ def iota(epsilon: float) -> float:
     """Inverse error function at 2*epsilon - 1, computed as the standard
     normal quantile of epsilon over sqrt(2): forming 2*epsilon - 1 would
     cancel for small epsilon and round to -1 (iota = -inf) near 1e-17."""
-    return _STD_NORMAL.inv_cdf(_epsilon(epsilon)) / _SQRT2
+    # imported where the quantile is taken: statistics loads fractions
+    # and decimal, which stability and covariance never call
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(_epsilon(epsilon)) / _SQRT2
 
 
 def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,

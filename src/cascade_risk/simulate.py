@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -160,6 +159,9 @@ def _noise_chunks(rngs, n, total_steps, chunk, scale):
         xi[:, :csz] *= scale
         return xi
 
+    # imported where the pool starts: concurrent.futures loads logging
+    # and queue, which no other subcommand needs
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1, thread_name_prefix="cascade-risk-noise") as pool:
         ahead = pool.submit(draw, 0)
         for i in range(1, len(starts) + 1):

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_risk
-from cascade_risk import (CovarianceMatrix, NoiseParams, build_custom,
-                          build_path, build_pcycle, laplacian, region_bound,
-                          spectrum, steady_state_covariance)
-from cascade_risk.cli import _SCHEMAS, build_parser, main, render_csv
+from cascade_risk import (CovarianceMatrix, NoiseParams, build_complete,
+                          build_custom, build_path, build_pcycle, laplacian,
+                          region_bound, spectrum, steady_state_covariance)
+from cascade_risk.cli import (_SCHEMAS, _is_complete, build_parser, main,
+                              render_csv)
 from cascade_risk.experiments import covariance_rows
 from cascade_risk.risk import iota
 
@@ -783,9 +784,12 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("# schema=stability/v1\n")
 
 
-def test_cli_import_loads_no_scipy():
+@pytest.mark.parametrize("top", ["scipy", "concurrent", "statistics"])
+def test_cli_import_loads_no_unused_module(top):
+    # the simulator's thread pool and iota's NormalDist are imported
+    # where they run, so stability and covariance never load them
     code = ("import sys, cascade_risk.cli; print(sorted("
-            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"m for m in sys.modules if m.split('.')[0] == {top!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0
@@ -1019,6 +1023,39 @@ def test_covariance_rendering_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < out.stat().st_size / 20
+
+
+@pytest.mark.parametrize("command", ["covariance", "stability"])
+def test_spectrum_job_memory_is_bounded(tmp_path, command):
+    # the graph is freed before the eigendecomposition: what is traced
+    # at the peak is the Laplacian and numpy's eigh workspace
+    n = 300
+    cfg = write_cfg(tmp_path, PATH6.replace(
+        "type = path\nn = 6", f"type = pcycle\nn = {n}\np = 3"))
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * n * n * 8
+
+
+def test_completeness_check_counts_unit_weights():
+    path = build_path(300)
+    tracemalloc.start()
+    try:
+        assert not _is_complete(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * path.n * path.n * 8
+    assert _is_complete(build_complete(5))
+    # every link present, one of weight 2
+    assert not _is_complete(build_custom(5, [
+        (i, j, 2.0 if (i, j) == (2, 4) else 1.0)
+        for j in range(2, 6) for i in range(1, j)]))
 
 
 def test_covariance_reader_that_stops_early_ends_quietly(tmp_path):
