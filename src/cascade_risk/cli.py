@@ -26,10 +26,10 @@ from .errors import CascadeRiskError, InvalidQueryError, NumericalError
 from .experiments import (_matrix_lines, add_edge_rows, covariance_rows,
                           profile_rows, simulate_rows, stability_rows,
                           sweep_scale_rows, sweep_sparsity_rows)
-from .graph import laplacian, spectrum
+from .graph import _eig, laplacian, spectrum
 from .risk import FailureScenario, risk_profile
 from .simulate import run
-from .stability import check_platoon
+from .stability import _report
 
 # schema -> (header, row template). The template joins one printf spec
 # per column, so a row renders with one `%`; a None cell (an empty risk)
@@ -100,9 +100,11 @@ def _spectrum_of(cfg: RawConfig):
 
 
 def cmd_stability(cfg: RawConfig, args) -> str:
-    spec = _spectrum_of(cfg)
+    # the region test reads eigenvalues alone: no eigenvector is built
+    eigenvalues = _eig(np.linalg.eigvalsh, laplacian(build_graph(cfg)))
     noise = build_noise(cfg)
-    rows, trailers = stability_rows(check_platoon(spec, noise.tau, noise.beta))
+    rows, trailers = stability_rows(
+        _report(eigenvalues[1:], noise.tau, noise.beta))
     return render_csv("stability", rows, trailers)
 
 

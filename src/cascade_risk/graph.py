@@ -223,6 +223,16 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     repeated runs produce identical fixtures; the first column of a
     connected Laplacian comes out all-positive.
     """
+    lam, Q = _eig(np.linalg.eigh, L)
+    flip = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] < 0.0
+    Q[:, flip] = -Q[:, flip]
+    return LaplacianSpectrum(_frozen_array(lam), _frozen_array(Q))
+
+
+def _eig(solver, L: np.ndarray):
+    """solver (np.linalg.eigh, or eigvalsh for the eigenvalues alone) of
+    L, once L is checked square, non-empty, finite and symmetric; a
+    failed solve is a NumericalError."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
         raise InvalidParameterError(
@@ -232,12 +242,9 @@ def spectrum(L: np.ndarray) -> LaplacianSpectrum:
     if np.abs(L - L.T).max() > SYMMETRY_TOL:
         raise InvalidParameterError("matrix is not symmetric")
     try:
-        lam, Q = np.linalg.eigh(L)
+        return solver(L)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    flip = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] < 0.0
-    Q[:, flip] = -Q[:, flip]
-    return LaplacianSpectrum(_frozen_array(lam), _frozen_array(Q))
 
 
 def pair_difference_matrix(Q: np.ndarray) -> np.ndarray:

@@ -15,28 +15,27 @@ import numpy as np
 from .errors import UnstablePlatoonError
 from .graph import LaplacianSpectrum, _frozen_array, _real
 
-# Halvings of (0, pi/2) that bring the bracket on a below 1e-13:
-# (pi/2) / 2^44 < 1e-13 < (pi/2) / 2^43.
-_HALVINGS = 44
+# Newton steps on a*sin(a) = s1 from a = sqrt(s1): six leave a*sin(a)
+# within 2 ulp of s1 on all of (0, pi/2); four leave the bound 2.5e-14
+# relative off at s1 = 1.5.
+_NEWTON_STEPS = 6
 
 
 def region_bound(s1):
     """Upper limit a/tan(a) on s2 for each scaled delay in s1 (a float or
     an array; a float gives a float), NaN where s1 is outside (0, pi/2).
 
-    a*sin(a) is strictly increasing on (0, pi/2), so a fixed number of
-    masked bisection steps finds every root a to within 1e-13 at once.
+    sin(a) < a puts sqrt(s1) below the root a, and a fixed number of
+    vectorised Newton steps from there finds every root at once.
     """
     s1 = np.asarray(s1, dtype=float)
-    lo = np.zeros_like(s1)
-    hi = np.full_like(s1, math.pi / 2)
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        below = mid * np.sin(mid) < s1
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    a = 0.5 * (lo + hi)
-    bound = np.where((s1 > 0.0) & (s1 < math.pi / 2), a / np.tan(a), math.nan)
+    inside = (s1 > 0.0) & (s1 < math.pi / 2)
+    s1_in = np.where(inside, s1, 1.0)   # any root will do where s1 is out
+    a = np.sqrt(s1_in)
+    for _ in range(_NEWTON_STEPS):
+        sin_a = np.sin(a)
+        a = a - (a * sin_a - s1_in) / (sin_a + a * np.cos(a))
+    bound = np.where(inside, a / np.tan(a), math.nan)
     return float(bound) if bound.ndim == 0 else bound
 
 

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 import cascade_risk
 from cascade_risk import (CovarianceMatrix, NoiseParams, build_complete,
-                          build_custom, build_path, build_pcycle, laplacian,
-                          region_bound, spectrum, steady_state_covariance)
+                          build_custom, build_path, build_pcycle,
+                          check_platoon, laplacian, region_bound, spectrum,
+                          steady_state_covariance)
 from cascade_risk.cli import (_SCHEMAS, _is_complete, build_parser, main,
                               render_csv)
-from cascade_risk.experiments import covariance_rows
+from cascade_risk.config import build_graph, build_noise, load_config
+from cascade_risk.experiments import covariance_rows, stability_rows
 from cascade_risk.risk import iota
 
 from oracles import add_pair_edges, format_cell, var_risk_scalar
@@ -1025,10 +1027,16 @@ def test_covariance_rendering_memory_is_bounded(tmp_path):
     assert peak < out.stat().st_size / 20
 
 
-@pytest.mark.parametrize("command", ["covariance", "stability"])
+# the traced peak each job may reach, in n^2 doubles
+_SPECTRUM_JOB_PEAK = {"covariance": 4.5, "stability": 3.25}
+
+
+@pytest.mark.parametrize("command", _SPECTRUM_JOB_PEAK)
 def test_spectrum_job_memory_is_bounded(tmp_path, command):
     # the graph is freed before the eigendecomposition: what is traced
-    # at the peak is the Laplacian and numpy's eigh workspace
+    # at the covariance's peak is the Laplacian and numpy's eigh
+    # workspace (4.36 n^2 doubles); stability builds no eigenvector, and
+    # its peak is the graph's own checks (3.07 n^2, 4.07 through eigh)
     n = 300
     cfg = write_cfg(tmp_path, PATH6.replace(
         "type = path\nn = 6", f"type = pcycle\nn = {n}\np = 3"))
@@ -1039,7 +1047,61 @@ def test_spectrum_job_memory_is_bounded(tmp_path, command):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * n * n * 8
+    assert peak <= _SPECTRUM_JOB_PEAK[command] * n * n * 8
+
+
+def test_stability_builds_no_eigenvectors(tmp_path, monkeypatch):
+    # the region test reads eigenvalues alone, so the job never calls
+    # eigh
+    def eigh(*args, **kwargs):
+        raise AssertionError("stability computed eigenvectors")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    cfg = write_cfg(tmp_path, PATH6)
+    assert main(["stability", "--config", cfg,
+                 "--out", str(tmp_path / "out.csv")]) == 0
+
+
+_PCYCLE500 = PATH6.replace("type = path\nn = 6",
+                           "type = pcycle\nn = 500\np = 3")
+_STABILITY_CASES = {
+    **{path.stem: path.read_text()
+       for path in sorted(DEMO_CONFIGS.glob("*.cfg"))},
+    "pcycle500": _PCYCLE500,
+    # its top modes fall outside the region: NaN bounds, -inf margins
+    "pcycle500_tau0.2": _PCYCLE500.replace("tau = 0.03", "tau = 0.2"),
+}
+
+
+@pytest.mark.parametrize("name", _STABILITY_CASES)
+def test_stability_rows_match_full_spectrum_route(tmp_path, name):
+    # the eigenvalues-only job against the report of the full spectrum:
+    # k, s2, every NaN and -inf and the trailer agree exactly, and every
+    # finite lambda, s1, bound and margin within c n eps max|lambda| with
+    # c = 1. Each eigensolver moves an eigenvalue by a small multiple of
+    # n eps max|lambda| (c = 0.23 at most here); s1 = lambda tau and
+    # |d bound / d s1| <= pi/2, so with tau pi/2 < 1 the other three
+    # columns move less
+    cfg = write_cfg(tmp_path, _STABILITY_CASES[name])
+    out = tmp_path / "out.csv"
+    assert main(["stability", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows, trailers = parse_csv(out.read_text())
+    loaded = load_config(cfg)
+    graph, noise = build_graph(loaded), build_noise(loaded)
+    assert noise.tau * math.pi / 2 < 1.0
+    expected, expected_trailers = stability_rows(check_platoon(
+        spectrum(laplacian(graph)), noise.tau, noise.beta))
+    assert trailers == expected_trailers
+    got = np.array(rows, dtype=float)
+    want = np.array(expected, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, [0, 3]], want[:, [0, 3]])
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got[np.isinf(got)], want[np.isinf(want)])
+    tol = graph.n * np.finfo(float).eps * np.abs(want[:, 1]).max()
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= tol)
 
 
 def test_completeness_check_counts_unit_weights():

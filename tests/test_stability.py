@@ -33,6 +33,32 @@ def test_solve_a_matches_bisection(s1):
     assert vector == bound
 
 
+# a/tan(a) where a*sin(a) = s1, to 40 digits: mpmath at 80 digits, 100
+# Newton steps from sqrt(s1) on the float s1 (the last is the float
+# pi/2 - 1e-9), each root checked to a residual below 1e-75 s1
+_BOUND_40_DIGITS = (
+    (1e-300, 1.0),
+    (1e-12, 0.9999999999996666666666665888955933396539),
+    (1e-6, 0.9999996666665888888636394131408358958009),
+    (0.1, 0.9658626389739244794899874548906773543712),
+    (0.5, 0.8099872984657394280911683284801758802605),
+    (1.0, 0.5473518897573983404280671928713612801093),
+    (1.5, 0.1014600946760600732033132237032413685448),
+    (math.pi / 2 - 1e-9, 1.570796550713000959836590286913704966427e-9),
+)
+
+
+@pytest.mark.parametrize("s1, exact", _BOUND_40_DIGITS)
+def test_region_bound_matches_40_digit_reference(s1, exact):
+    # the Newton root is good to an ulp: 1e-15 relative up to s1 = 1.5.
+    # Near pi/2 the root lies (pi/2)(pi/2 - s1)^2 / 2 above s1, below half
+    # an ulp, so the nearest float root is s1 itself, and a/tan(a) ~
+    # (pi/2)(pi/2 - a) turns that into (pi/4)(pi/2 - s1) relative: 7.9e-10
+    # at pi/2 - 1e-9, carried by any float root
+    rel = abs(region_bound(s1) - exact) / exact
+    assert rel <= (1e-15 if s1 <= 1.5 else 1e-9)
+
+
 def test_region_bound_limits():
     # s1 -> 0: a -> 0 and a/tan(a) -> 1
     assert 1.0 - 1e-3 <= region_bound(1e-6) <= 1.0
@@ -106,7 +132,8 @@ def test_report_matches_scalar_oracle(s1, s2):
     assert rep.eigenvalues.tolist() == s1 and rep.s1.tolist() == s1
     for x, bound, margin in zip(s1, rep.bound, rep.margin):
         if 0.0 < x < math.pi / 2:
-            assert abs(bound - region_bound_bisect(x)) <= 1e-12
+            # the oracle's root carries about an ulp too
+            assert abs(bound - region_bound_bisect(x)) <= 1e-15
             assert margin == bound - s2
         else:
             assert math.isnan(bound) and margin == -math.inf
