@@ -26,7 +26,7 @@ from .errors import CascadeRiskError, InvalidQueryError, NumericalError
 from .experiments import (_matrix_lines, add_edge_rows, covariance_rows,
                           profile_rows, simulate_rows, stability_rows,
                           sweep_scale_rows, sweep_sparsity_rows)
-from .graph import _eig, laplacian, spectrum
+from .graph import _eig, _spectrum, laplacian
 from .risk import FailureScenario, risk_profile
 from .simulate import run
 from .stability import _report
@@ -95,8 +95,9 @@ def _emit(pieces, out: str | None) -> None:
 def _spectrum_of(cfg: RawConfig):
     """The spectrum of the configured graph's Laplacian. The graph is
     freed once its Laplacian exists, so the eigendecomposition runs with
-    one dense input alive."""
-    return spectrum(laplacian(build_graph(cfg)))
+    one dense input alive; the Laplacian, built by the package from a
+    checked graph, is not checked again."""
+    return _spectrum(laplacian(build_graph(cfg)))
 
 
 def cmd_stability(cfg: RawConfig, args) -> str:
@@ -117,8 +118,8 @@ def cmd_covariance(cfg: RawConfig, args) -> Iterator[str]:
 
 def _is_complete(graph) -> bool:
     """True for the unit-weight clique: every link present, weight 1.
-    The diagonal is zero by WeightedGraph's own check, so counting the
-    unit weights decides it."""
+    Every graph's diagonal is zero, by WeightedGraph's check or by its
+    builder, so counting the unit weights decides it."""
     return np.count_nonzero(graph.weights == 1.0) == graph.n * (graph.n - 1)
 
 
@@ -138,7 +139,7 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
         def profile(s):
             return complete_profile(graph.n, s, sigma_c, d, c, epsilon)
     else:
-        sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
+        sigma = steady_state_covariance(_spectrum(laplacian(graph)), noise)
 
         def profile(s):
             return risk_profile(sigma, s, d, c, epsilon)
@@ -148,7 +149,7 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
 
 def cmd_simulate(cfg: RawConfig, args) -> str:
     graph = build_graph(cfg)   # run reads the graph, so it is kept
-    spec = spectrum(laplacian(graph))
+    spec = _spectrum(laplacian(graph))
     noise = build_noise(cfg)
     d = build_gap(cfg)
     analytic = steady_state_covariance(spec, noise)

@@ -233,13 +233,21 @@ def steady_state_covariance(spec: LaplacianSpectrum,
     the result skips the eigvalsh of a hand-built CovarianceMatrix. It
     is checked only for finite entries and a positive diagonal, at or
     above the smallest normal float; a scale g^2 tau^3 that breaks
-    either is an InvalidParameterError."""
+    either is an InvalidParameterError.
+
+    The steps after the product run in place and give the bits of
+    0.5 (Sigma + Sigma^T): where Sigma^T overlaps the array it is added
+    into, numpy reads it as if copied first."""
     fvals = _mode_f(check_platoon(spec, noise.tau, noise.beta))
     W = pair_difference_matrix(spec.eigenvectors)[:, 1:]
     pref = _scale(noise) / (2.0 * math.pi)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = pref * (W * fvals) @ W.T
-        sigma = 0.5 * (sigma + sigma.T)
+        scaled = W * fvals
+        scaled *= pref
+        sigma = scaled @ W.T
+        del scaled, W
+        sigma += sigma.T
+        sigma *= 0.5
     _refuse_out_of_range(sigma, noise)
     return CovarianceMatrix._trusted(sigma)
 

@@ -25,7 +25,7 @@ from .covariance import (CovarianceMatrix, NoiseParams,
 from .errors import (InvalidParameterError, InvalidQueryError,
                      NumericalError, UnstablePlatoonError)
 from .graph import (WeightedGraph, _count, _integer, _laplacian, _real,
-                    _seed, laplacian, spectrum)
+                    _seed, _spectrum, laplacian)
 from .risk import (FailureScenario, _check_query, _condition_head,
                    _condition_scenario, _condition_stack, _entry_error,
                    _stack_risk)
@@ -240,18 +240,18 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
             raise NumericalError(_entry_error(cnd, j))
         return value
 
-    base = steady_state_covariance(spectrum(laplacian(graph)), noise)
+    base = steady_state_covariance(_spectrum(laplacian(graph)), noise)
     rows = [(0, pair_risk(base), 1)]
     for target in range(1, graph.n + 1):
         if target in (j, j + 1):
             continue
         # links added to a connected graph keep it connected: the copy
-        # needs no second check
+        # and its Laplacian need no second check
         w = np.array(graph.weights)
         w[[j - 1, j], target - 1] = 1.0
         w[target - 1, [j - 1, j]] = 1.0
         try:
-            sigma = steady_state_covariance(spectrum(_laplacian(w)), noise)
+            sigma = steady_state_covariance(_spectrum(_laplacian(w)), noise)
             value = pair_risk(sigma)
         except UnstablePlatoonError:
             rows.append((target, None, 0))

@@ -107,6 +107,18 @@ class WeightedGraph:
         _require_connected(w)
         object.__setattr__(self, "weights", _frozen_array(w))
 
+    @classmethod
+    def _trusted(cls, n: int, weights: np.ndarray) -> WeightedGraph:
+        """Wrap a builder's fresh weights, symmetric, nonnegative, with a
+        zero diagonal and connected by construction, without the checks
+        of __post_init__ and without a copy; the array becomes
+        read-only."""
+        self = object.__new__(cls)
+        weights.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weights", weights)
+        return self
+
 
 def _require_connected(weights: np.ndarray) -> None:
     n = weights.shape[0]
@@ -139,7 +151,7 @@ def build_complete(n: int) -> WeightedGraph:
     w = _zeros(n, (n, n), "the n x n weight matrix")
     w += 1.0
     np.fill_diagonal(w, 0.0)
-    return WeightedGraph(n, w)
+    return WeightedGraph._trusted(n, w)
 
 
 def build_path(n: int) -> WeightedGraph:
@@ -149,7 +161,7 @@ def build_path(n: int) -> WeightedGraph:
     idx = np.arange(n - 1)
     w[idx, idx + 1] = 1.0
     w[idx + 1, idx] = 1.0
-    return WeightedGraph(n, w)
+    return WeightedGraph._trusted(n, w)
 
 
 def build_pcycle(n: int, p: int) -> WeightedGraph:
@@ -165,7 +177,7 @@ def build_pcycle(n: int, p: int) -> WeightedGraph:
         j = (i + q) % n
         w[i, j] = 1.0
         w[j, i] = 1.0
-    return WeightedGraph(n, w)
+    return WeightedGraph._trusted(n, w)
 
 
 def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
@@ -197,14 +209,31 @@ def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Graph Laplacian: degree on the diagonal, minus weights elsewhere."""
+    """Graph Laplacian: degree on the diagonal, minus weights elsewhere;
+    a degree beyond the float range is an InvalidParameterError."""
     return _laplacian(g.weights)
 
 
 def _laplacian(w: np.ndarray) -> np.ndarray:
     """Laplacian of a weight matrix the caller vouches for: a checked
-    graph's weights, or a copy with links added."""
-    return np.diag(w.sum(axis=1)) - w
+    graph's weights, or a copy with links added. One n x n array is
+    built: 0 - w, with each degree less w's own diagonal entry on the
+    diagonal, the entries of np.diag(w.sum(axis=1)) - w bit for bit (-w
+    would turn +0 into -0). The weights are finite, so a degree that
+    overflows is the one non-finite entry it can get; it is refused
+    here."""
+    with np.errstate(over="ignore"):
+        degree = w.sum(axis=1)
+        # nonnegative degrees have a finite total only when each is
+        # finite, so the total, from the reduction just run, clears the
+        # usual case; np.isfinite here would map numpy code (~0.2 MB
+        # resident) ahead of the eigensolver's memory peak
+        total = degree.sum()
+    if not math.isfinite(total) and not np.isfinite(degree).all():
+        raise InvalidParameterError("matrix entries must be finite")
+    L = np.subtract(0.0, w)
+    np.fill_diagonal(L, degree - np.diagonal(w))
+    return L
 
 
 @dataclass(frozen=True)
@@ -217,22 +246,13 @@ class LaplacianSpectrum:
 
 
 def spectrum(L: np.ndarray) -> LaplacianSpectrum:
-    """Orthonormal eigen-decomposition of a symmetric matrix.
+    """Orthonormal eigen-decomposition of a symmetric matrix, once L is
+    checked square, non-empty, finite and symmetric.
 
     Column signs are normalized (largest-magnitude entry positive) so
     repeated runs produce identical fixtures; the first column of a
     connected Laplacian comes out all-positive.
     """
-    lam, Q = _eig(np.linalg.eigh, L)
-    flip = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] < 0.0
-    Q[:, flip] = -Q[:, flip]
-    return LaplacianSpectrum(_frozen_array(lam), _frozen_array(Q))
-
-
-def _eig(solver, L: np.ndarray):
-    """solver (np.linalg.eigh, or eigvalsh for the eigenvalues alone) of
-    L, once L is checked square, non-empty, finite and symmetric; a
-    failed solve is a NumericalError."""
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or not L.size:
         raise InvalidParameterError(
@@ -241,6 +261,25 @@ def _eig(solver, L: np.ndarray):
         raise InvalidParameterError("matrix entries must be finite")
     if np.abs(L - L.T).max() > SYMMETRY_TOL:
         raise InvalidParameterError("matrix is not symmetric")
+    return _spectrum(L)
+
+
+def _spectrum(L: np.ndarray) -> LaplacianSpectrum:
+    """The spectrum of a symmetric matrix the caller vouches for, such as
+    a Laplacian the package built, without spectrum's checks: eigh's own
+    arrays, the signs flipped in place, made read-only."""
+    lam, Q = _eig(np.linalg.eigh, L)
+    flip = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] < 0.0
+    np.negative(Q, out=Q, where=flip)
+    lam.setflags(write=False)
+    Q.setflags(write=False)
+    return LaplacianSpectrum(lam, Q)
+
+
+def _eig(solver, L: np.ndarray):
+    """solver (np.linalg.eigh, or eigvalsh for the eigenvalues alone) of
+    a symmetric matrix the caller vouches for; a failed solve is a
+    NumericalError."""
     try:
         return solver(L)
     except np.linalg.LinAlgError as exc:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError, InvalidSizeError
-from .graph import (WeightedGraph, _count, _real, _seed, _zeros, laplacian,
-                    spectrum)
+from .graph import (WeightedGraph, _count, _real, _seed, _spectrum, _zeros,
+                    laplacian)
 from .stability import check_platoon
 
 # noise values drawn per chunk, ~1 MB; two chunk buffers are in use
@@ -203,7 +203,7 @@ def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
     """The distances run pools, shaped (samples_per_trial, trials, n-1)."""
     d = _real(d, "target gap d", positive=True)
     L = laplacian(graph)
-    spec = spectrum(L)
+    spec = _spectrum(L)
     check_platoon(spec, noise.tau, noise.beta).require_stable()
 
     n = graph.n

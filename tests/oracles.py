@@ -15,7 +15,8 @@ reference that f has stayed the same bit for bit. `block_refused` is
 the failed-block refusal rule as it stood before one eigvalsh decided
 it: a Cholesky that raises, or an SVD condition number.
 `forward_reference` is the LU solve the failed blocks went through
-before forward substitution. `same_profile` and
+before forward substitution, and `laplacian_reference` the Laplacian
+as it was built before it took one array. `same_profile` and
 `branch_of` are not oracles: the one is bitwise equality of two risk
 profiles, the other the branch tag a risk value names. Nor is
 `chain_distance_covariance`: it maps the package's stationary law of
@@ -42,6 +43,14 @@ def add_pair_edges(g, j, target):
         w[node - 1, target - 1] = 1.0
         w[target - 1, node - 1] = 1.0
     return WeightedGraph(g.n, w)
+
+
+def laplacian_reference(w):
+    """np.diag(w.sum(axis=1)) - w, the Laplacian as two n x n arrays:
+    the form the package's one-array Laplacian must equal bit for bit.
+    A degree that overflows is left as inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.diag(w.sum(axis=1)) - w
 
 
 def integrand(r, s1, s2):

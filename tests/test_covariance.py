@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from cascade_risk import (CovarianceMatrix, FailureScenario,
                           InvalidParameterError, InvalidSizeError,
                           NearBoundaryError, NoiseParams, NumericalError,
-                          UnstablePlatoonError, build_complete, build_custom,
-                          build_path, build_pcycle, complete_graph_sigma_c,
-                          f_integral, laplacian, region_bound, spectrum,
-                          steady_state_covariance)
+                          UnstablePlatoonError, WeightedGraph, build_complete,
+                          build_custom, build_path, build_pcycle,
+                          complete_graph_sigma_c, f_integral, laplacian,
+                          region_bound, spectrum, steady_state_covariance)
 from cascade_risk import covariance, stability
 from cascade_risk.covariance import NEAR_BOUNDARY_MARGIN
 from cascade_risk.experiments import add_edge_rows
@@ -395,11 +395,11 @@ def test_f_modes_bitwise_equal_to_reference(point):
 
 
 @st.composite
-def _stable_platoons(draw):
-    """A random connected weighted graph on up to 8 vehicles (a p-cycle,
-    or a spanning tree plus extra links) with noise inside the stability
-    region."""
-    n = draw(st.integers(2, 8))
+def _stable_platoons(draw, max_n=8):
+    """A random connected weighted graph on up to max_n vehicles (a
+    p-cycle, or a spanning tree plus extra links), its spectrum and
+    noise inside the stability region."""
+    n = draw(st.integers(2, max_n))
     if n >= 5 and draw(st.booleans()):
         graph = build_pcycle(n, draw(st.integers(1, (n - 1) // 2)))
     else:
@@ -416,7 +416,8 @@ def _stable_platoons(draw):
     tau = draw(st.floats(0.05, 0.9)) * (math.pi / 2) / spec.eigenvalues[-1]
     bound = region_bound(spec.eigenvalues[1:] * tau).min()
     beta = draw(st.floats(0.05, 0.9)) * bound / tau
-    return spec, NoiseParams(10.0 ** draw(st.floats(-3.0, 3.0)), tau, beta)
+    return graph, spec, NoiseParams(10.0 ** draw(st.floats(-3.0, 3.0)),
+                                    tau, beta)
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,11 +426,58 @@ def test_package_covariance_passes_the_full_check(platoon):
     # the checks the package route skips could not have fired: a
     # hand-built copy of every package-built covariance is accepted,
     # bit for bit
-    sigma = steady_state_covariance(*platoon)
+    _, spec, noise = platoon
+    sigma = steady_state_covariance(spec, noise)
     copy = CovarianceMatrix(sigma.values)
     assert np.array_equal(copy.values.view(np.int64),
                           sigma.values.view(np.int64))
     assert not sigma.values.flags.writeable
+
+
+def _within(values, reference, c):
+    """values equals reference within c n eps max|reference|, with n
+    the vehicle count."""
+    n = reference.shape[0] + 1
+    return (np.abs(values - reference).max()
+            <= c * n * np.finfo(float).eps * np.abs(reference).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(platoon=_stable_platoons(max_n=12))
+def test_covariance_noise_law(platoon):
+    # Sigma(g) = g^2 Sigma(1); the two sides round g^2 tau^3 and its
+    # products apart, about one eps per entry (c = 1 at worst over 800
+    # draws of this domain)
+    _, spec, noise = platoon
+    sigma = steady_state_covariance(spec, noise).values
+    unit = steady_state_covariance(
+        spec, NoiseParams(1.0, noise.tau, noise.beta)).values
+    assert _within(sigma, noise.g ** 2 * unit, 8.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(platoon=_stable_platoons(max_n=12),
+       a=st.one_of(st.sampled_from([0.5, 2.0]), st.floats(0.1, 10.0)))
+def test_covariance_time_rescaling_law(platoon, a):
+    # weights x a, tau / a and beta x a leave every s1 = lambda tau and
+    # s2 = beta tau, so Sigma = g^2 tau^3 / (2 pi) W diag(f) W^T scales
+    # by a^-3 through tau^3 alone. At a power of two eigh, s1, s2 and
+    # the products scale exactly, so it holds bit for bit wherever
+    # tau^3 does (float ** is not always correctly rounded); elsewhere
+    # the eigendecomposition of a L rounds apart (c = 15 at worst over
+    # 800 draws of this domain)
+    graph, spec, noise = platoon
+    sigma = steady_state_covariance(spec, noise).values
+    scaled = WeightedGraph(graph.n, graph.weights * a)
+    rescaled = steady_state_covariance(
+        spectrum(laplacian(scaled)),
+        NoiseParams(noise.g, noise.tau / a, noise.beta * a)).values
+    expected = sigma * a ** -3
+    if a in (0.5, 2.0) and (noise.tau / a) ** 3 == noise.tau ** 3 * a ** -3:
+        assert np.array_equal(rescaled.view(np.int64),
+                              expected.view(np.int64))
+    else:
+        assert _within(rescaled, expected, 64.0)
 
 
 def test_package_route_runs_no_eigvalsh(monkeypatch):

@@ -21,8 +21,8 @@ from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
 from cascade_risk.graph import _real, pair_difference_matrix
 from cascade_risk.risk import iota
 
-from oracles import (add_pair_edges, path_eigenvalue, pcycle_eigenvalues,
-                     same_profile)
+from oracles import (add_pair_edges, laplacian_reference, path_eigenvalue,
+                     pcycle_eigenvalues, same_profile)
 
 
 def test_complete_structure():
@@ -132,6 +132,13 @@ def test_spectrum_rejects_nonsymmetric():
                 [[1.0, -math.inf], [-math.inf, 1.0]], np.zeros((0, 0))):
         with pytest.raises(InvalidParameterError):
             spectrum(bad)
+    # the Laplacian of two 1e308 links at one node, whose degree
+    # overflows: the package refuses it in _laplacian, and spectrum
+    # still refuses it handed in
+    overflowed = laplacian_reference(
+        build_custom(3, [(1, 2, 1e308), (1, 3, 1e308)]).weights)
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        spectrum(overflowed)
 
 
 @pytest.mark.parametrize("build,args", [
@@ -382,6 +389,59 @@ def test_graph_weights_are_frozen():
         g.weights[0, 1] = 5.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_builder_weights_pass_the_full_check(data):
+    # the builders wrap their weights unchecked: the checked constructor
+    # accepts them as they are, and both graphs' weights are read-only
+    kind = data.draw(st.sampled_from(["complete", "path", "pcycle"]))
+    n = data.draw(st.integers(3 if kind == "pcycle" else 2, 40))
+    if kind == "pcycle":
+        g = build_pcycle(n, data.draw(st.integers(1, (n - 1) // 2)))
+    else:
+        g = {"complete": build_complete, "path": build_path}[kind](n)
+    checked = WeightedGraph(n, g.weights)
+    assert checked.n == g.n == n
+    assert np.array_equal(checked.weights.view(np.int64),
+                          g.weights.view(np.int64))
+    assert not g.weights.flags.writeable
+    assert not checked.weights.flags.writeable
+
+
+# zeros of either sign, subnormals, 1 and large finite weights; the
+# spanning tree's links are drawn positive, so the graph is connected
+_POSITIVE_WEIGHTS = st.one_of(
+    st.just(1.0), st.floats(5e-324, 2.2e-308),
+    st.floats(1e300, 1.7976931348623157e308))
+_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0]), _POSITIVE_WEIGHTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_laplacian_bitwise_equal_to_reference(data):
+    # the one-array Laplacian against np.diag(degree) - w, bit for bit;
+    # where two large links overflow a degree, it refuses instead
+    n = data.draw(st.integers(2, 12))
+    tree = {(data.draw(st.integers(1, i - 1)), i):
+            data.draw(_POSITIVE_WEIGHTS) for i in range(2, n + 1)}
+    edges = dict(tree)
+    for a, b in data.draw(st.lists(st.tuples(st.integers(1, n),
+                                             st.integers(1, n)),
+                                   max_size=2 * n)):
+        if a != b and (min(a, b), max(a, b)) not in tree:
+            edges[min(a, b), max(a, b)] = data.draw(_WEIGHTS)
+    g = build_custom(n, [(a, b, w) for (a, b), w in edges.items()])
+    ref = laplacian_reference(g.weights)
+    if not np.isfinite(ref).all():
+        with pytest.raises(InvalidParameterError,
+                           match="matrix entries must be finite"):
+            laplacian(g)
+        return
+    L = laplacian(g)
+    assert L.dtype == ref.dtype and L.shape == ref.shape
+    assert np.array_equal(L.view(np.int64), ref.view(np.int64))
+
+
 def test_add_pair_edges():
     g = build_path(6)
     g2 = add_pair_edges(g, 2, 5)
@@ -398,6 +458,10 @@ def test_laplacian_small_fixture():
     L = laplacian(build_path(3))
     assert np.array_equal(L, np.array([[1, -1, 0], [-1, 2, -1],
                                        [0, -1, 1]], dtype=float))
+    # every degree finite, their total beyond the float range: accepted
+    g = build_custom(4, [(1, 2, 1e308), (2, 3, 1.0), (3, 4, 1e308)])
+    assert np.array_equal(laplacian(g).view(np.int64),
+                          laplacian_reference(g.weights).view(np.int64))
 
 
 def test_pair_difference_matrix():
