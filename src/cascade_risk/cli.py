@@ -28,7 +28,7 @@ from .experiments import (_matrix_lines, add_edge_rows, covariance_rows,
                           sweep_scale_rows, sweep_sparsity_rows)
 from .graph import _eig, _spectrum, laplacian
 from .risk import FailureScenario, risk_profile
-from .simulate import run
+from .simulate import _pool, _samples
 from .stability import _report
 
 # schema -> (header, row template). The template joins one printf spec
@@ -139,7 +139,14 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
         def profile(s):
             return complete_profile(graph.n, s, sigma_c, d, c, epsilon)
     else:
-        sigma = steady_state_covariance(_spectrum(laplacian(graph)), noise)
+        # the graph is freed once its Laplacian exists, and the
+        # Laplacian once its spectrum does: eigh and the covariance
+        # product run beside only the arrays they read
+        L = laplacian(graph)
+        del graph
+        spec = _spectrum(L)
+        del L
+        sigma = steady_state_covariance(spec, noise)
 
         def profile(s):
             return risk_profile(sigma, s, d, c, epsilon)
@@ -148,12 +155,15 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
 
 
 def cmd_simulate(cfg: RawConfig, args) -> str:
-    graph = build_graph(cfg)   # run reads the graph, so it is kept
-    spec = _spectrum(laplacian(graph))
+    # one Laplacian and one spectrum serve the analytic covariance and
+    # the stepper, and the covariance's stability gate serves both
+    L = laplacian(build_graph(cfg))
+    spec = _spectrum(L)
     noise = build_noise(cfg)
     d = build_gap(cfg)
     analytic = steady_state_covariance(spec, noise)
-    empirical = run(graph, d, noise, build_sim(cfg, args.seed))
+    empirical = _pool(_samples(L, spec, d, noise,
+                               build_sim(cfg, args.seed)))
     rows, trailers = simulate_rows(analytic, empirical)
     return render_csv("simulate", rows, trailers)
 

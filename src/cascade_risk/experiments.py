@@ -240,19 +240,18 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
             raise NumericalError(_entry_error(cnd, j))
         return value
 
-    base = steady_state_covariance(_spectrum(laplacian(graph)), noise)
-    rows = [(0, pair_risk(base), 1)]
+    # Each Laplacian, spectrum and covariance is a temporary of one
+    # expression: the Laplacian is freed once its spectrum exists and
+    # the covariance once its pair risk is read, so each eigh runs
+    # beside the graph and its own Laplacian alone.
+    rows = [(0, pair_risk(steady_state_covariance(
+        _spectrum(laplacian(graph)), noise)), 1)]
     for target in range(1, graph.n + 1):
         if target in (j, j + 1):
             continue
-        # links added to a connected graph keep it connected: the copy
-        # and its Laplacian need no second check
-        w = np.array(graph.weights)
-        w[[j - 1, j], target - 1] = 1.0
-        w[target - 1, [j - 1, j]] = 1.0
         try:
-            sigma = steady_state_covariance(_spectrum(_laplacian(w)), noise)
-            value = pair_risk(sigma)
+            value = pair_risk(steady_state_covariance(
+                _spectrum(_linked_laplacian(graph, j, target)), noise))
         except UnstablePlatoonError:
             rows.append((target, None, 0))
             continue
@@ -260,6 +259,18 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
             value = None
         rows.append((target, value, 1))
     return rows
+
+
+def _linked_laplacian(graph: WeightedGraph, j: int,
+                      target: int) -> np.ndarray:
+    """The Laplacian of graph with unit links from both vehicles of pair
+    j to vehicle target. Links added to a connected graph keep it
+    connected, so the weight copy and its Laplacian need no second
+    check; the copy is freed on return."""
+    w = np.array(graph.weights)
+    w[[j - 1, j], target - 1] = 1.0
+    w[target - 1, [j - 1, j]] = 1.0
+    return _laplacian(w)
 
 
 def simulate_rows(analytic: CovarianceMatrix, empirical: EmpiricalCovariance):

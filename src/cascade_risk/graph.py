@@ -109,10 +109,12 @@ class WeightedGraph:
 
     @classmethod
     def _trusted(cls, n: int, weights: np.ndarray) -> WeightedGraph:
-        """Wrap a builder's fresh weights, symmetric, nonnegative, with a
-        zero diagonal and connected by construction, without the checks
-        of __post_init__ and without a copy; the array becomes
-        read-only."""
+        """Wrap a builder's fresh weights without the checks of
+        __post_init__ and without a copy; the array becomes read-only.
+        They are finite, symmetric, nonnegative and with a zero diagonal
+        by construction, or, for build_custom, by the check of each edge
+        as it enters, and the builder has checked them connected where
+        its construction does not make them so."""
         self = object.__new__(cls)
         weights.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -205,7 +207,10 @@ def build_custom(n: int, edges: Iterable[Sequence[float]]) -> WeightedGraph:
             raise InvalidParameterError(f"edge ({i},{j}) has negative weight")
         w[i - 1, j - 1] = wt
         w[j - 1, i - 1] = wt
-    return WeightedGraph(n, w)
+    # every entry was checked as its edge entered, and both mirror
+    # entries written: only connectivity is left to check
+    _require_connected(w)
+    return WeightedGraph._trusted(n, w)
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:

@@ -24,8 +24,8 @@ import numpy as np
 
 from .covariance import NoiseParams
 from .errors import DivergenceError, InvalidParameterError, InvalidSizeError
-from .graph import (WeightedGraph, _count, _real, _seed, _spectrum, _zeros,
-                    laplacian)
+from .graph import (LaplacianSpectrum, WeightedGraph, _count, _real, _seed,
+                    _spectrum, _zeros, laplacian)
 from .stability import check_platoon
 
 # noise values drawn per chunk, ~1 MB; two chunk buffers are in use
@@ -193,20 +193,23 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
     Per-trial noise streams are spawned from (seed, trial index), so a
     given trial's trajectory does not depend on how many trials run.
     The noise is drawn one chunk ahead on a one-worker thread pool, which
-    is shut down, its worker joined, before run returns or raises.
+    is shut down, its worker joined, before run returns or raises. The
+    Laplacian, its spectrum and the stability gate are built once, here,
+    and the stepper reads them as they are.
     """
-    return _pool(_samples(graph, d, noise, sim))
-
-
-def _samples(graph: WeightedGraph, d: float, noise: NoiseParams,
-             sim: SimConfig) -> np.ndarray:
-    """The distances run pools, shaped (samples_per_trial, trials, n-1)."""
     d = _real(d, "target gap d", positive=True)
     L = laplacian(graph)
     spec = _spectrum(L)
     check_platoon(spec, noise.tau, noise.beta).require_stable()
+    return _pool(_samples(L, spec, d, noise, sim))
 
-    n = graph.n
+
+def _samples(L: np.ndarray, spec: LaplacianSpectrum, d: float,
+             noise: NoiseParams, sim: SimConfig) -> np.ndarray:
+    """The distances run pools, shaped (samples_per_trial, trials, n-1),
+    from the Laplacian L, its spectrum spec, which the caller has gated
+    stable for noise, and the checked target gap d."""
+    n = L.shape[0]
     dt = sim.dt
     k = _delay_steps(n, noise.tau, dt)
     interval = sim.sample_interval or 20.0 * noise.tau

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_risk
+import cascade_risk.graph as graph_module
+import cascade_risk.stability as stability_module
 from cascade_risk import (CovarianceMatrix, NoiseParams, build_complete,
                           build_custom, build_path, build_pcycle,
                           check_platoon, laplacian, region_bound, spectrum,
@@ -1047,17 +1049,20 @@ def test_covariance_rendering_memory_is_bounded(tmp_path):
 
 
 # the traced peak each job may reach, in n^2 doubles
-_SPECTRUM_JOB_PEAK = {"covariance": 4.5, "stability": 2.5}
+_SPECTRUM_JOB_PEAK = {"covariance": 4.5, "stability": 2.5,
+                      "risk-profile": 4.5}
 
 
 @pytest.mark.parametrize("command", _SPECTRUM_JOB_PEAK)
 def test_spectrum_job_memory_is_bounded(tmp_path, command):
     # the graph is freed before the eigendecomposition: what is traced
     # at the covariance's peak is the Laplacian and numpy's eigh
-    # workspace (4.09 n^2 doubles); stability builds no eigenvector, and
+    # workspace (4.28 n^2 doubles); stability builds no eigenvector, and
     # its peak is the builder's weights beside the Laplacian built from
-    # them (2.07 n^2; 3.06 while the builder's weights were checked
-    # again and copied)
+    # them (2.08 n^2; 3.06 while the builder's weights were checked
+    # again and copied); risk-profile frees its graph once the Laplacian
+    # exists and the Laplacian once the spectrum does, so it peaks as
+    # covariance does (4.06 n^2; 5.06 while the graph was kept)
     n = 300
     cfg = write_cfg(tmp_path, PATH6.replace(
         "type = path\nn = 6", f"type = pcycle\nn = {n}\np = 3"))
@@ -1069,6 +1074,61 @@ def test_spectrum_job_memory_is_bounded(tmp_path, command):
     finally:
         tracemalloc.stop()
     assert peak <= _SPECTRUM_JOB_PEAK[command] * n * n * 8
+
+
+def test_add_edge_memory_is_bounded(tmp_path):
+    # each candidate's weight copy is freed once its Laplacian exists,
+    # its Laplacian once its spectrum does and its covariance once the
+    # pair risk is read, and the baseline covariance is not kept: each
+    # eigh runs beside the graph and its own Laplacian alone (5.64 n^2
+    # doubles traced; 8.61 while the baseline covariance, the previous
+    # candidate's covariance and the weight copy were kept)
+    n = 120
+    cfg = write_cfg(tmp_path, PATH6.replace("n = 6", f"n = {n}"))
+    tracemalloc.start()
+    try:
+        assert main(["add-edge", "--pair", "60", "--config", cfg,
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0 * n * n * 8
+
+
+def test_simulate_builds_one_spectrum(tmp_path, monkeypatch):
+    # one Laplacian, one eigendecomposition of it and one stability
+    # report serve the analytic covariance and the stepper; the
+    # stepper's stationary law takes eigh of small per-mode matrices,
+    # which are not counted
+    n = 4
+    counts = {"laplacian": 0, "eigen": 0, "report": 0}
+    build = graph_module._laplacian
+    report = stability_module._report
+
+    def counted_laplacian(w):
+        counts["laplacian"] += 1
+        return build(w)
+
+    def counted_report(*args):
+        counts["report"] += 1
+        return report(*args)
+
+    def counted(solver):
+        def solve(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                counts["eigen"] += 1
+            return solver(a, *args, **kwargs)
+        return solve
+
+    monkeypatch.setattr(graph_module, "_laplacian", counted_laplacian)
+    monkeypatch.setattr(stability_module, "_report", counted_report)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(getattr(np.linalg, name)))
+    cfg = write_cfg(tmp_path, SIM_SMALL.replace("n = 3", f"n = {n}"))
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert counts == {"laplacian": 1, "eigen": 1, "report": 1}
 
 
 def test_stability_builds_no_eigenvectors(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -414,6 +415,63 @@ _POSITIVE_WEIGHTS = st.one_of(
     st.just(1.0), st.floats(5e-324, 2.2e-308),
     st.floats(1e300, 1.7976931348623157e308))
 _WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0]), _POSITIVE_WEIGHTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_custom_graph_equals_the_checked_constructor(data):
+    # build_custom checks each edge as it enters and wraps its matrix
+    # unchecked: the weights equal WeightedGraph's on the same matrix
+    # bit for bit, and a graph left disconnected (no spanning tree
+    # drawn) is refused by both with the same message
+    n = data.draw(st.integers(2, 12))
+    edges = {}
+    if data.draw(st.booleans()):
+        edges = {(data.draw(st.integers(1, i - 1)), i):
+                 data.draw(_POSITIVE_WEIGHTS) for i in range(2, n + 1)}
+    for a, b in data.draw(st.lists(st.tuples(st.integers(1, n),
+                                             st.integers(1, n)),
+                                   max_size=2 * n)):
+        if a != b and (min(a, b), max(a, b)) not in edges:
+            edges[min(a, b), max(a, b)] = data.draw(_WEIGHTS)
+    # either endpoint may come first
+    listed = [(b, a, w) if data.draw(st.booleans()) else (a, b, w)
+              for (a, b), w in edges.items()]
+    w = np.zeros((n, n))
+    for (a, b), weight in edges.items():
+        w[a - 1, b - 1] = w[b - 1, a - 1] = weight
+    try:
+        checked = WeightedGraph(n, w)
+    except InvalidParameterError as exc:
+        assert str(exc) == "graph is not connected"
+        with pytest.raises(InvalidParameterError,
+                           match="^graph is not connected$"):
+            build_custom(n, listed)
+        return
+    g = build_custom(n, listed)
+    assert g.n == checked.n == n
+    assert g.weights.dtype == checked.weights.dtype
+    assert g.weights.shape == checked.weights.shape
+    assert np.array_equal(g.weights.view(np.int64),
+                          checked.weights.view(np.int64))
+    assert not g.weights.flags.writeable
+
+
+def test_custom_graph_memory_is_one_matrix():
+    # each edge is checked as it enters, so the matrix is neither
+    # checked nor copied again: a path's edge list traces at the one
+    # weight matrix (1.03 n^2 doubles; 3.02 while WeightedGraph checked
+    # and copied it), as build_path does (1.01)
+    n = 300
+    edges = [(i, i + 1, 1.0) for i in range(1, n)]
+    tracemalloc.start()
+    try:
+        g = build_custom(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
+    assert np.array_equal(g.weights, build_path(n).weights)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 
 from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
-                          build_custom, build_path, laplacian, region_bound,
-                          risk_profile, spectrum, steady_state_covariance)
+                          WeightedGraph, build_custom, build_path, laplacian,
+                          region_bound, risk_profile, spectrum,
+                          steady_state_covariance)
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import add_edge_rows
 from cascade_risk.risk import (RCOND_MIN, _condition_scenario,
                                _condition_stack, _factor_blocks, _forward,
                                _var_risk_array, iota)
+
+from test_covariance import _stable_platoons
 
 from oracles import (block_refused, branch_of, conditional_moments,
                      erfinv_bisect, forward_reference, normal_cdf,
@@ -654,3 +657,146 @@ def test_risk_profile_columns_match_oracles(case, d, c, eps):
             zip(live.mu_tilde.tolist(), live.sigma_tilde.tolist())]
     assert live.risk.tolist() == [value for value, _ in refs]
     assert live.branch.tolist() == [branch for _, branch in refs]
+
+
+@st.composite
+def _conditioned_platoons(draw):
+    """A stable platoon of up to 12 vehicles (test_covariance's draw),
+    a target gap d, and a scenario of failed pairs observed at drawn
+    states between 0 and 2d, leaving at least one survivor where the
+    platoon has two pairs or more."""
+    graph, spec, noise = draw(_stable_platoons(max_n=12))
+    dim = graph.n - 1
+    d = draw(st.floats(0.5, 10.0))
+    failed = sorted(draw(st.sets(st.integers(1, dim), min_size=min(1, dim - 1),
+                                 max_size=dim - 1)))
+    states = tuple(d * draw(st.floats(0.0, 2.0)) for _ in failed)
+    return graph, spec, noise, d, FailureScenario(tuple(failed), states)
+
+
+def _moments(sigma, scenario, d):
+    """The conditional mean and standard deviation of every pair, nan
+    for a failed pair or one without a conditional law."""
+    profile = risk_profile(sigma, scenario, d, 2.0, 0.1)
+    return np.asarray(profile.mu_tilde), np.asarray(profile.sigma_tilde)
+
+
+def _rounding_scales(sigma, scenario, d):
+    """What the conditioning's rounding is proportional to, per pair,
+    before the n eps cond factor: d + sqrt(S_jj) |x - d|_S22 for the
+    mean (the shift is W^T z, with |W_j| <= sqrt(S_jj) and |z| the
+    Mahalanobis length of the deviations) and S_jj for the variance;
+    cond is the failed block's 2-norm condition number, which bounds
+    how far a rounding of Sigma moves the solve."""
+    s = sigma.values
+    if not scenario.m:
+        return d + 0.0 * np.diagonal(s), np.diagonal(s), 1.0
+    idx = np.array(scenario.indices) - 1
+    block = s[np.ix_(idx, idx)]
+    dev = np.array(scenario.states) - d
+    length = math.sqrt(abs(dev @ np.linalg.solve(block, dev)))
+    return (d + np.sqrt(np.diagonal(s)) * length, np.diagonal(s),
+            np.linalg.cond(block))
+
+
+def _same_moments(got, want, sigma, scenario, d, var_factor, c):
+    """got = (mu, sig) equals want within c n eps cond of the scales of
+    _rounding_scales, the variance scale multiplied by var_factor. A
+    failed pair has no moments on either side, and a survivor without a
+    conditional law on one side has a variance within that tolerance
+    of zero on the other."""
+    (mu, sig), (mu_want, sig_want) = got, want
+    mean_scale, var_scale, cond = _rounding_scales(sigma, scenario, d)
+    tol = c * (len(mu) + 1) * np.finfo(float).eps * cond
+    var_tol = tol * var_factor * var_scale
+    both = ~np.isnan(sig) & ~np.isnan(sig_want)
+    assert np.all(np.abs(mu - mu_want)[both] <= tol * mean_scale[both])
+    assert np.all(np.abs(sig ** 2 - sig_want ** 2)[both] <= var_tol[both])
+    failed = np.isin(np.arange(1, len(mu) + 1), scenario.indices)
+    assert np.all(np.isnan(sig[failed]) & np.isnan(sig_want[failed]))
+    for one, other in ((sig, sig_want), (sig_want, sig)):
+        lost = np.isnan(one) & ~failed & ~np.isnan(other)
+        assert np.all(other[lost] ** 2 <= var_tol[lost])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_conditioned_platoons(),
+       g=st.one_of(st.sampled_from([0.5, -2.0, 4.0]),
+                   st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
+def test_risk_noise_law(case, g):
+    # Sigma(g) = g^2 Sigma(1), so the conditional mean does not depend
+    # on g and the conditional deviation scales by |g|. At a power of
+    # two g^2 tau^3 and every step of the conditioning scale exactly,
+    # so the law holds bit for bit; elsewhere within c n eps cond of
+    # _rounding_scales (c = 1.5 at worst over 900 draws of this domain)
+    _, spec, noise, d, scenario = case
+    unit = steady_state_covariance(spec,
+                                   NoiseParams(1.0, noise.tau, noise.beta))
+    sigma = steady_state_covariance(spec, NoiseParams(g, noise.tau,
+                                                      noise.beta))
+    mu, sig = _moments(sigma, scenario, d)
+    mu_unit, sig_unit = _moments(unit, scenario, d)
+    if abs(math.frexp(g)[0]) == 0.5:     # |g| a power of two
+        assert np.array_equal(mu, mu_unit, equal_nan=True)
+        assert np.array_equal(sig, abs(g) * sig_unit, equal_nan=True)
+    else:
+        _same_moments((mu, sig), (mu_unit, abs(g) * sig_unit), unit,
+                      scenario, d, g * g, 16.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_conditioned_platoons(),
+       a=st.one_of(st.sampled_from([0.5, 2.0, 0.25, 4.0]),
+                   st.floats(0.1, 10.0)))
+def test_risk_time_rescaling_law(case, a):
+    # weights x a, tau / a and beta x a scale Sigma by a^-3 (the
+    # covariance half of this law), so the conditional mean is unchanged
+    # and the conditional deviation scales by a^(-3/2). Where a^(-3/2)
+    # is a power of two (a = 1/4, 4) and tau^3 scales exactly, the
+    # Cholesky factor, the solve and the square root scale exactly too,
+    # and the law holds bit for bit; at a = 1/2 and 2 the factor's
+    # square root of 8 rounds, so there and elsewhere it holds within
+    # c n eps cond of _rounding_scales (c = 7 at worst over 900 draws)
+    graph, spec, noise, d, scenario = case
+    sigma = steady_state_covariance(spec, noise)
+    rescaled = steady_state_covariance(
+        spectrum(laplacian(WeightedGraph(graph.n, graph.weights * a))),
+        NoiseParams(noise.g, noise.tau / a, noise.beta * a))
+    mu, sig = _moments(sigma, scenario, d)
+    got = _moments(rescaled, scenario, d)
+    if a in (0.25, 4.0) and (noise.tau / a) ** 3 == noise.tau ** 3 * a ** -3:
+        assert np.array_equal(got[0], mu, equal_nan=True)
+        assert np.array_equal(got[1], sig * a ** -1.5, equal_nan=True)
+    else:
+        _same_moments(got, (mu, sig * a ** -1.5), sigma, scenario, d,
+                      a ** -3, 64.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(platoon=_stable_platoons(max_n=12), d=st.floats(0.5, 10.0),
+       data=st.data())
+def test_risk_one_failure_law(platoon, d, data):
+    # one failed pair i observed at x: mu_j = d + S_ij (x - d) / S_ii
+    # and sigma_j^2 = S_jj - S_ij^2 / S_ii, within a few roundings of
+    # d + |S_ij (x - d) / S_ii| and S_jj (c = 1.9 at worst over 600
+    # draws). The scaling laws hold with the conditioning shift's sign
+    # flipped; this one does not
+    graph, spec, noise = platoon
+    sigma = steady_state_covariance(spec, noise)
+    s = sigma.values
+    i = data.draw(st.integers(1, graph.n - 1))
+    x = d * data.draw(st.floats(0.0, 2.0))
+    mu, sig = _moments(sigma, FailureScenario((i,), (x,)), d)
+    shift = s[i - 1] * (x - d) / s[i - 1, i - 1]
+    var = np.diagonal(s) - s[i - 1] ** 2 / s[i - 1, i - 1]
+    tol = 4.0 * np.finfo(float).eps
+    ok = ~np.isnan(sig)
+    lost = ~ok
+    lost[i - 1] = False     # the failed pair has no moments
+    assert not ok[i - 1]
+    assert np.all(np.abs(mu - (d + shift))[ok]
+                  <= tol * (d + np.abs(shift))[ok])
+    assert np.all(np.abs(sig ** 2 - var)[ok] <= tol * np.diagonal(s)[ok])
+    # a survivor without a conditional law has a variance within
+    # rounding of zero
+    assert np.all(var[lost] <= tol * np.diagonal(s)[lost])

@@ -30,11 +30,18 @@ def targets(n, d=3.0):
     return d * np.arange(1, n + 1, dtype=float)
 
 
+def _stepped(graph):
+    """The Laplacian of graph and its spectrum, as _samples takes them."""
+    L = laplacian(graph)
+    return L, spectrum(L)
+
+
 @pytest.fixture(scope="module")
 def reference_run():
     sim = SimConfig(dt=1e-3, sample_interval=0.6,
                     samples_per_trial=100, trials=24, seed=5)
-    samples = simulate._samples(build_path(5), 3.0, PATH5_NOISE, sim)
+    samples = simulate._samples(*_stepped(build_path(5)), 3.0, PATH5_NOISE,
+                                sim)
     return simulate._pool(samples), samples
 
 
@@ -344,7 +351,8 @@ def test_concurrent_runs_match_oracle(monkeypatch):
     def one(seed):
         sim = SimConfig(dt=1e-3, sample_interval=0.1,
                         samples_per_trial=4, trials=2, seed=seed)
-        results[seed] = simulate._samples(build_path(3), 3.0, noise, sim)
+        results[seed] = simulate._samples(*_stepped(build_path(3)), 3.0,
+                                          noise, sim)
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -391,7 +399,7 @@ def _run_against_oracle(monkeypatch, tau, dt, interval, n_samples,
     sim = SimConfig(dt=dt, sample_interval=interval,
                     samples_per_trial=n_samples, trials=trials, seed=seed)
     threads = threading.active_count()
-    samples = simulate._samples(build_path(5), 3.0, noise, sim)
+    samples = simulate._samples(*_stepped(build_path(5)), 3.0, noise, sim)
     # a run that ends normally leaves no noise worker behind either
     assert threading.active_count() == threads
     assert np.array_equal(samples, expected)
@@ -447,8 +455,10 @@ def test_run_per_trial_streams_stable():
               samples_per_trial=5, seed=9)
     graph = build_path(3)
     noise = NoiseParams(g=0.1, tau=0.03, beta=2.0)
-    two = simulate._samples(graph, 3.0, noise, SimConfig(trials=2, **kw))
-    three = simulate._samples(graph, 3.0, noise, SimConfig(trials=3, **kw))
+    two = simulate._samples(*_stepped(graph), 3.0, noise,
+                            SimConfig(trials=2, **kw))
+    three = simulate._samples(*_stepped(graph), 3.0, noise,
+                              SimConfig(trials=3, **kw))
     assert np.array_equal(two, three[:, :2, :])
 
 
@@ -507,7 +517,8 @@ def test_samples_decorrelate_at_widened_interval():
     # meets the 0.2 target is 1.5 s; 0.6 s measures ~0.7.
     sim = SimConfig(dt=1e-3, sample_interval=1.5,
                     samples_per_trial=120, trials=8, seed=4)
-    samples = simulate._samples(build_path(5), 3.0, PATH5_NOISE, sim)
+    samples = simulate._samples(*_stepped(build_path(5)), 3.0, PATH5_NOISE,
+                                sim)
     acs = []
     for b in range(samples.shape[1]):
         s = samples[:, b, 0]
