@@ -23,17 +23,18 @@ from .config import (RawConfig, build_experiment, build_gap, build_graph,
                      load_config, resolve_seed, scenario_state_values)
 from .covariance import (complete_graph_sigma_c, steady_state_covariance)
 from .errors import CascadeRiskError, InvalidQueryError, NumericalError
-from .experiments import (_matrix_lines, add_edge_rows, covariance_rows,
-                          profile_rows, simulate_rows, stability_rows,
-                          sweep_scale_rows, sweep_sparsity_rows)
+from .experiments import (_blank_nan, _matrix_lines, add_edge_rows,
+                          covariance_rows, profile_rows, simulate_rows,
+                          stability_rows, sweep_scale_rows,
+                          sweep_sparsity_rows)
 from .graph import _eig, _spectrum, laplacian
 from .risk import FailureScenario, risk_profile
 from .simulate import _pool, _samples
 from .stability import _report
 
 # schema -> (header, row template). The template joins one printf spec
-# per column, so a row renders with one `%`; a None cell (an empty risk)
-# renders as an empty field.
+# per column, so a row renders with one `%`; a nan cell (a missing
+# value) renders as an empty field.
 _SCHEMAS = {
     "stability": (("k", "lambda", "s1", "s2", "bound", "margin"),
                   "%d,%.17g,%.17g,%.17g,%.17g,%.17g"),
@@ -56,19 +57,10 @@ def render_csv(schema: str, rows, trailers=()) -> str:
     """Versioned CSV text: schema line, header, one line per row tuple
     of `rows` (an iterable, read once), then `# trailer` lines."""
     header, template = _SCHEMAS[schema]
-    lines = []
-    for row in rows:
-        try:
-            lines.append(template % row)
-        except TypeError:
-            if None not in row:
-                raise
-            lines.append(",".join(
-                "" if cell is None else spec % cell
-                for spec, cell in zip(template.split(","), row, strict=True)))
+    lines = [template % row for row in rows]
     lines.append("")  # ends the last row with a newline
     return (f"# schema={schema}/v1\n" + ",".join(header) + "\n"
-            + "\n".join(lines)
+            + _blank_nan("\n".join(lines))
             + "".join(f"# {trailer}\n" for trailer in trailers))
 
 

@@ -1,14 +1,15 @@
 """Row producers behind the CLI subcommands.
 
-Each function returns plain row tuples (ints, floats, None for empty
-cells, strings for tags) ready for CSV serialization, so the sweep
-policies (aggregation of infinities, pattern enumeration, sampling
-fallback) live here and are unit-testable without going through the
-command line. Every risk cell is read off the conditioning core,
+Each function returns plain row tuples (ints, floats, strings for
+tags) ready for CSV serialization, so the sweep policies (aggregation
+of infinities, pattern enumeration, sampling fallback) live here and
+are unit-testable without going through the command line. A missing
+value is always nan, which `_blank_nan` writes as an empty field.
+Every risk cell is read off the conditioning core,
 `risk._condition_stack` (or `risk._condition_head` for the nested
 levels of sweep-scale) and `risk._stack_risk`, directly or through a
 profile; the no-failure baseline is the empty scenario. They read the
-risk values alone: inf is infinite risk, nan an empty cell. Rows come
+risk values alone: inf is infinite risk, nan a missing one. Rows come
 as a list, except where a table is large: the covariance matrix and
 the sweep-scale risk array are rendered by `_matrix_lines`, one array
 row at a time, for the CLI to write after the `cli.render_csv` header.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -42,6 +44,17 @@ def stability_rows(report: StabilityReport):
     return rows, [f"stable={1 if report.stable else 0}"]
 
 
+# A nan field of a CSV line; the first field, a row index, never is.
+# %.17g prints every nan, of either sign, as "nan"
+_NAN_FIELD = re.compile(r",nan(?=[,\n])")
+
+
+def _blank_nan(text: str) -> str:
+    """CSV lines, each ending in a newline, with every nan field written
+    as an empty field: the one missing-value rule of every CSV."""
+    return _NAN_FIELD.sub(",", text)
+
+
 def _matrix_lines(values: np.ndarray, first: int):
     """The lines `i,j,value` of a 2-D array, one text piece per array
     row, with i counted from `first` and j from 1: value is `%.17g` of
@@ -51,9 +64,7 @@ def _matrix_lines(values: np.ndarray, first: int):
     template = "".join(f"@,{j},%.17g\n"
                        for j in range(1, values.shape[1] + 1))
     for i, row in enumerate(values, start=first):
-        text = template.replace("@", str(i)) % tuple(row.tolist())
-        # %.17g prints every nan, of either sign, as "nan"
-        yield text.replace(",nan\n", ",\n")
+        yield _blank_nan(template.replace("@", str(i)) % tuple(row.tolist()))
 
 
 def covariance_rows(sigma: CovarianceMatrix):
@@ -62,19 +73,14 @@ def covariance_rows(sigma: CovarianceMatrix):
     return _matrix_lines(sigma.values, 1)
 
 
-def _cells(column: np.ndarray) -> list:
-    """A float column as CSV cells: nan, an empty cell, as None."""
-    return [None if math.isnan(v) else v for v in column.tolist()]
-
-
 def profile_rows(profile: np.recarray, baseline: np.recarray):
     """The rows of a risk profile plus the no-failure column: the risks
     of `baseline`, the profile of the empty scenario by the same route."""
-    return list(zip(profile.j.tolist(), _cells(profile.risk),
-                    profile.branch.tolist(), _cells(profile.mu_tilde),
-                    _cells(profile.sigma_tilde),
+    return list(zip(profile.j.tolist(), profile.risk.tolist(),
+                    profile.branch.tolist(), profile.mu_tilde.tolist(),
+                    profile.sigma_tilde.tolist(),
                     profile.failed.astype(int).tolist(),
-                    _cells(baseline.risk)))
+                    baseline.risk.tolist()))
 
 
 def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,
@@ -223,8 +229,8 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
     """Risk of pair j, at target gap d, when both of its vehicles gain a
     unit-weight link to each candidate target vehicle; an existing link
     is set to weight 1. Row target=0 is the unmodified baseline. A
-    destabilizing target gets an empty risk with stable = 0, a candidate
-    on which the scenario cannot be conditioned an empty risk with
+    destabilizing target gets a nan risk with stable = 0, a candidate
+    on which the scenario cannot be conditioned a nan risk with
     stable = 1."""
     d, c, it = _check_query(d, c, epsilon)
     j = _integer(j, "pair index", InvalidQueryError)
@@ -253,10 +259,10 @@ def add_edge_rows(graph: WeightedGraph, d: float, noise: NoiseParams,
             value = pair_risk(steady_state_covariance(
                 _spectrum(_linked_laplacian(graph, j, target)), noise))
         except UnstablePlatoonError:
-            rows.append((target, None, 0))
+            rows.append((target, math.nan, 0))
             continue
         except NumericalError:
-            value = None
+            value = math.nan
         rows.append((target, value, 1))
     return rows
 

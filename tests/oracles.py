@@ -362,16 +362,18 @@ def pooled_cov_and_se(samples):
 
 
 def format_cell(value) -> str:
-    """One CSV cell rendered by its Python type: None empty, strings as
-    they are, integers in decimal, anything else as `%.17g` of its float
-    (17 significant digits round-trip every double)."""
+    """One CSV cell rendered by its Python type: strings as they are,
+    integers in decimal, nan (a missing value) empty, any other float as
+    `%.17g` (17 significant digits round-trip every double). None is
+    refused: no row holds it."""
     if value is None:
-        return ""
+        raise TypeError("a missing value is nan, not None")
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.17g" % float(value)
+    value = float(value)
+    return "" if math.isnan(value) else "%.17g" % value
 
 
 def forward_reference(chol, rhs):
@@ -382,7 +384,7 @@ def forward_reference(chol, rhs):
 
 def sweep_scale_rows_per_level(sigma, d, c, epsilon, max_m, state_value):
     """The (m, j, risk) rows of experiments.sweep_scale_rows's array,
-    None for an empty cell, conditioned level by level: failures {1..m}
+    nan for an empty cell, conditioned level by level: failures {1..m}
     from scratch for each m = 0..max_m, through the package's one-stack
     conditioning core. The reference for the nested route, which reads
     every level off one factor."""
@@ -393,6 +395,6 @@ def sweep_scale_rows_per_level(sigma, d, c, epsilon, max_m, state_value):
         cnd = _condition_stack(sigma.values, np.arange(m)[None],
                                np.full((1, m), state), d)
         value = _stack_risk(cnd, d, c, it)
-        for j, v in enumerate(value[0].tolist(), start=1):
-            rows.append((m, j, None if math.isnan(v) else v))
+        rows += [(m, j, v)
+                 for j, v in enumerate(value[0].tolist(), start=1)]
     return rows

@@ -1,4 +1,6 @@
 import argparse
+import itertools
+import json
 import math
 import os
 import re
@@ -21,11 +23,13 @@ from cascade_risk import (CovarianceMatrix, NoiseParams, build_complete,
                           steady_state_covariance)
 from cascade_risk.cli import (_SCHEMAS, _is_complete, build_parser, main,
                               render_csv)
-from cascade_risk.config import build_graph, build_noise, load_config
+from cascade_risk.config import (build_gap, build_graph, build_noise,
+                                 build_scenario, load_config)
 from cascade_risk.experiments import covariance_rows, stability_rows
 from cascade_risk.risk import iota
 
 from oracles import add_pair_edges, format_cell, var_risk_scalar
+from test_risk import _rounding_scales
 
 PATH6 = """\
 [graph]
@@ -584,6 +588,80 @@ def test_sweep_takes_one_state(tmp_path, capsys, argv):
     assert "failed pairs" not in err
 
 
+def _time_rescaled(text, graph, a):
+    """The config `text` with its [graph] section replaced by the custom
+    graph of `graph`'s links at a times their weight, tau by tau / a and
+    beta by a beta."""
+    edges = [[i + 1, j + 1, graph.weights[i, j].item() * a]
+             for i, j in itertools.combinations(range(graph.n), 2)
+             if graph.weights[i, j]]
+    text = re.sub(r"(?s)\[graph\].*?\n\n",
+                  f"[graph]\ntype = custom\nn = {graph.n}\n"
+                  f"edges = {json.dumps(edges)}\n\n", text)
+    text = re.sub(r"(?m)^tau = (.*)$",
+                  lambda m: f"tau = {float(m[1]) / a!r}", text)
+    return re.sub(r"(?m)^beta = (.*)$",
+                  lambda m: f"beta = {float(m[1]) * a!r}", text)
+
+
+@pytest.mark.parametrize("a", [0.25, 4.0, 3.0])
+@pytest.mark.parametrize("name", ["path6", "complete12"])
+def test_cli_time_rescaling_law(tmp_path, capsys, name, a):
+    # link weights x a, tau / a and beta x a leave s1 = lambda tau,
+    # s2 = beta tau and the eigenvectors as they are and scale the
+    # prefactor g^2 tau^3 by a^-3: every covariance cell scales by a^-3
+    # and the risk-profile mu_tilde column does not move, and the
+    # complete graph's closed form, which does not read the scale of
+    # Sigma, gives that column too. Where a^(-3/2) is a power of two
+    # (a = 1/4, 4) and tau^3 scales exactly, the law holds bit for bit
+    # on the generic route; at a = 3 within c n eps max|Sigma| for the
+    # covariance and c n eps cond of test_risk's rounding scales for
+    # mu_tilde, as is the closed form at every a, with c = 16 (c = 1.2,
+    # 0.32 and 0.072 measured)
+    text = {"path6": PATH6, "complete12": COMPLETE12}[name]
+    base = write_cfg(tmp_path, text, "base.cfg")
+    loaded = load_config(base)
+    graph, noise = build_graph(loaded), build_noise(loaded)
+    scaled = write_cfg(tmp_path, _time_rescaled(text, graph, a),
+                       "scaled.cfg")
+
+    def column(cfg, argv, name):
+        assert main([*argv, "--config", cfg]) == 0
+        _, header, rows, _ = parse_csv(capsys.readouterr().out)
+        at = header.index(name)
+        return [row[:2] for row in rows], np.array(
+            [float(row[at] or "nan") for row in rows])
+
+    keys, sigma = column(base, ["covariance"], "sigma_ij")
+    scaled_keys, got = column(scaled, ["covariance"], "sigma_ij")
+    assert scaled_keys == keys
+    _, mu = column(base, ["risk-profile"], "mu_tilde")
+    _, got_mu = column(scaled, ["risk-profile"], "mu_tilde")
+    closed = []
+    if name == "complete12":
+        closed = [column(base, ["risk-profile", "--method", "closed-form"],
+                         "mu_tilde")[1]]
+    assert np.array_equal(np.isnan(got_mu), np.isnan(mu))
+    exact = (a in (0.25, 4.0)
+             and (noise.tau / a) ** 3 == noise.tau ** 3 * a ** -3)
+    if exact:
+        assert np.array_equal(got, sigma * a ** -3)
+        assert np.array_equal(got_mu, mu, equal_nan=True)
+    else:
+        want = sigma * a ** -3
+        assert (np.abs(got - want).max()
+                <= 16 * graph.n * np.finfo(float).eps * np.abs(want).max())
+    covariance = steady_state_covariance(spectrum(laplacian(graph)), noise)
+    scenario = build_scenario(loaded)
+    mean_scale, _, cond = _rounding_scales(covariance, scenario,
+                                           build_gap(loaded))
+    tol = 16 * graph.n * np.finfo(float).eps * cond * mean_scale
+    for values in [got_mu, *closed]:
+        assert np.array_equal(np.isnan(values), np.isnan(mu))
+        live = ~np.isnan(mu)
+        assert np.all(np.abs(values - mu)[live] <= tol[live])
+
+
 def test_closed_form_long_run_on_weak_noise(tmp_path, capsys):
     # pairs 1..58 of complete60 at 2.5 with sigma_c ~ 7e-7: the closed
     # form agrees with the generic route instead of refusing
@@ -820,14 +898,16 @@ def test_cli_import_loads_no_unused_module(top):
 
 
 def test_cell_formatting():
-    assert format_cell(None) == ""
+    with pytest.raises(TypeError):
+        format_cell(None)
     assert format_cell("finite") == "finite"
     assert format_cell(3) == "3"
     assert format_cell(np.int64(7)) == "7"
     assert format_cell(True) == "1"
     assert format_cell(math.inf) == "inf"
     assert format_cell(-math.inf) == "-inf"
-    assert format_cell(math.nan) == "nan"
+    assert format_cell(math.nan) == ""
+    assert format_cell(-np.float64(math.nan)) == ""
     assert format_cell(-0.0) == "-0"
     assert float(format_cell(0.1)) == 0.1
     assert float(format_cell(1.0 / 3.0)) == 1.0 / 3.0
@@ -835,20 +915,21 @@ def test_cell_formatting():
 
 
 # What the row producers put in each column of each schema: integers,
-# floats, or branch tags; "float?" columns also hold None (an empty
-# risk). Written independently of the templates in cli.py.
+# floats, or branch tags. Any float may be nan, a missing value, which
+# renders as an empty field. Written independently of the templates in
+# cli.py.
 _COLUMNS = {
     "stability": "k:int lambda:float s1:float s2:float bound:float "
                  "margin:float",
     "covariance": "i:int j:int sigma_ij:float",
-    "risk_profile": "j:int risk:float? branch:tag mu_tilde:float? "
-                    "sigma_tilde:float? is_failed:int naive_risk:float",
+    "risk_profile": "j:int risk:float branch:tag mu_tilde:float "
+                    "sigma_tilde:float is_failed:int naive_risk:float",
     "simulate": "i:int j:int analytic_sigma:float empirical_sigma:float "
                 "se:float z_score:float",
-    "sweep_scale": "m:int j:int risk:float?",
+    "sweep_scale": "m:int j:int risk:float",
     "sweep_sparsity": "s:int avg_risk:float inf_fraction:float "
                       "n_patterns:int exact:int",
-    "add_edge": "target:int risk:float? stable:int",
+    "add_edge": "target:int risk:float stable:int",
 }
 
 _EDGE_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308,
@@ -863,10 +944,11 @@ _CELLS = {
                      st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
                      st.booleans()),
     "float": _float_cell,
-    "float?": st.one_of(st.none(), _float_cell),
+    # a tag never reads "nan", the text of a missing value
     "tag": st.one_of(st.sampled_from(("zero", "finite", "infinite",
                                       "error")),
-                     st.text(st.characters(exclude_characters=",\n\r"))),
+                     st.text(st.characters(exclude_characters=",\n\r"))
+                     .filter(lambda tag: tag != "nan")),
 }
 
 
@@ -905,30 +987,35 @@ def test_render_csv_matches_cell_oracle(table):
     assert render_csv(schema, (row for row in rows), trailers) == expected
 
 
-@pytest.mark.parametrize("schema", sorted(
-    schema for schema, columns in _COLUMNS.items() if "?" in columns))
+@pytest.mark.parametrize("schema", sorted(_COLUMNS))
 def test_render_csv_empty_cell_in_each_nullable_column(schema):
+    # a nan in each float column alone, then in every float column at
+    # once: adjacent nan fields (risk_profile's mu_tilde and
+    # sigma_tilde) and a nan in the last column (naive_risk) included
     columns = _columns(schema)
-    filled = tuple({"int": np.int64(4), "float": -0.0, "float?": 5e-324,
+    filled = tuple({"int": np.int64(4), "float": -0.0,
                     "tag": "finite"}[kind] for _, kind in columns)
     rows = [filled]
     for at, (_, kind) in enumerate(columns):
-        if kind == "float?":
-            rows.append(filled[:at] + (None,) + filled[at + 1:])
-    rows.append(tuple(None if kind == "float?" else cell
+        if kind == "float":
+            rows.append(filled[:at] + (math.nan,) + filled[at + 1:])
+    rows.append(tuple(np.float64(-math.nan) if kind == "float" else cell
                       for (_, kind), cell in zip(columns, filled)))
-    assert render_csv(schema, rows) == _oracle_csv(schema, rows, ())
+    text = render_csv(schema, rows)
+    assert text == _oracle_csv(schema, rows, ())
+    assert "nan" not in text
 
 
 def test_render_csv_refuses_mistyped_row():
-    with pytest.raises(TypeError):
-        render_csv("covariance", [(1, "x", 0.5)])
-    with pytest.raises(ValueError):
-        render_csv("sweep_scale", [(1, None)])
+    # a string where a number goes, None (a missing value is nan) and a
+    # short row
+    for row in ((1, "x", 0.5), (1, 2, None), (1, 0.5)):
+        with pytest.raises(TypeError):
+            render_csv("covariance", [row])
 
 
 def test_render_csv_layout():
-    text = render_csv("sweep_scale", [(0, 1, math.inf), (0, 2, None)],
+    text = render_csv("sweep_scale", [(0, 1, math.inf), (0, 2, math.nan)],
                       trailers=("note=x",))
     assert text == ("# schema=sweep_scale/v1\n"
                     "m,j,risk\n"
@@ -1149,7 +1236,7 @@ _STABILITY_CASES = {
     **{path.stem: path.read_text()
        for path in sorted(DEMO_CONFIGS.glob("*.cfg"))},
     "pcycle500": _PCYCLE500,
-    # its top modes fall outside the region: NaN bounds, -inf margins
+    # its top modes fall outside the region: empty bounds, -inf margins
     "pcycle500_tau0.2": _PCYCLE500.replace("tau = 0.03", "tau = 0.2"),
 }
 
@@ -1157,10 +1244,11 @@ _STABILITY_CASES = {
 @pytest.mark.parametrize("name", _STABILITY_CASES)
 def test_stability_rows_match_full_spectrum_route(tmp_path, name):
     # the eigenvalues-only job against the report of the full spectrum:
-    # k, s2, every NaN and -inf and the trailer agree exactly, and every
-    # finite lambda, s1, bound and margin within c n eps max|lambda| with
-    # c = 1. Each eigensolver moves an eigenvalue by a small multiple of
-    # n eps max|lambda| (c = 0.23 at most here); s1 = lambda tau and
+    # k, s2, every NaN (an empty cell) and -inf and the trailer agree
+    # exactly, and every finite lambda, s1, bound and margin within
+    # c n eps max|lambda| with c = 1. Each eigensolver moves an
+    # eigenvalue by a small multiple of n eps max|lambda| (c = 0.23 at
+    # most here); s1 = lambda tau and
     # |d bound / d s1| <= pi/2, so with tau pi/2 < 1 the other three
     # columns move less
     cfg = write_cfg(tmp_path, _STABILITY_CASES[name])
@@ -1173,7 +1261,8 @@ def test_stability_rows_match_full_spectrum_route(tmp_path, name):
     expected, expected_trailers = stability_rows(check_platoon(
         spectrum(laplacian(graph)), noise.tau, noise.beta))
     assert trailers == expected_trailers
-    got = np.array(rows, dtype=float)
+    got = np.array([[cell or "nan" for cell in row] for row in rows],
+                   dtype=float)
     want = np.array(expected, dtype=float)
     assert got.shape == want.shape
     assert np.array_equal(got[:, [0, 3]], want[:, [0, 3]])
@@ -1199,6 +1288,43 @@ def test_completeness_check_counts_unit_weights():
     assert not _is_complete(build_custom(5, [
         (i, j, 2.0 if (i, j) == (2, 4) else 1.0)
         for j in range(2, 6) for i in range(1, j)]))
+
+
+def _layout(text):
+    """A CSV with each finite value read as "value": the schema, header,
+    trailers and row keys as they stand, and every other cell as empty,
+    inf, -inf or a branch tag."""
+    schema, header, rows, trailers = parse_csv(text)
+    keys = header.index("j") + 1
+    return schema, header, trailers, [
+        row[:keys] + [cell if cell == "" or cell.lstrip("-").isalpha()
+                      else "value" for cell in row[keys:]]
+        for row in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["covariance"], ["risk-profile"], ["sweep-scale", "--max-m", "60"]],
+    ids=["covariance", "risk-profile", "sweep-scale"])
+def test_csv_layout_does_not_depend_on_blas_threads(tmp_path, argv):
+    # blocked LAPACK and BLAS sum in an order set by the thread count,
+    # so finite cells may move in their last digits between one and two
+    # threads; the rows, the branch column and the empty and infinite
+    # cells may not. At g = 5 the profile holds all three branches and
+    # the sweep ~1600 infinite cells. The thread count is set in the
+    # child only
+    cfg = write_cfg(tmp_path, PATH6.replace("type = path\nn = 6",
+                                            "type = pcycle\nn = 300\np = 3")
+                    .replace("g = 0.1", "g = 5")
+                    .replace("indices = [3]", "indices = [100, 101, 250]"))
+    layouts = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cascade_risk", *argv, "--config", cfg],
+            capture_output=True, text=True,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0 and proc.stderr == ""
+        layouts.append(_layout(proc.stdout))
+    assert layouts[0] == layouts[1]
 
 
 def test_covariance_reader_that_stops_early_ends_quietly(tmp_path):

@@ -395,13 +395,17 @@ def test_f_modes_bitwise_equal_to_reference(point):
 
 
 @st.composite
-def _stable_platoons(draw, max_n=8):
+def _stable_platoons(draw, max_n=8, mirrored=False):
     """A random connected weighted graph on up to max_n vehicles (a
     p-cycle, or a spanning tree plus extra links), its spectrum and
-    noise inside the stability region."""
+    noise inside the stability region. With mirrored, a path takes the
+    tree's place: a path and a p-cycle map to themselves when the
+    vehicles are reversed."""
     n = draw(st.integers(2, max_n))
     if n >= 5 and draw(st.booleans()):
         graph = build_pcycle(n, draw(st.integers(1, (n - 1) // 2)))
+    elif mirrored:
+        graph = build_path(n)
     else:
         weight = st.floats(0.1, 3.0)
         edges = {(draw(st.integers(1, i - 1)), i): draw(weight)

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from cascade_risk import (FailureScenario, InvalidParameterError,
                           InvalidQueryError, NoiseParams, NumericalError,
                           UnstablePlatoonError, build_custom, build_path,
-                          build_pcycle, laplacian, risk_profile, spectrum,
-                          steady_state_covariance)
+                          build_pcycle, check_platoon, laplacian,
+                          risk_profile, spectrum, steady_state_covariance)
 from cascade_risk import experiments, risk
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.experiments import (_matrix_lines, add_edge_rows,
-                                      sweep_scale_rows,
+                                      profile_rows, simulate_rows,
+                                      stability_rows, sweep_scale_rows,
                                       sweep_sparsity_rows)
 from cascade_risk.risk import iota
+from cascade_risk.simulate import EmpiricalCovariance
 
 from oracles import (add_pair_edges, conditional_moments, format_cell,
                      region_bound_bisect, sweep_scale_rows_per_level,
@@ -188,22 +190,23 @@ def test_sweep_counts_follow_integer_rule(path8):
 
 
 def _scale_rows(value):
-    """The (m, j, risk) rows of a sweep_scale_rows array, None for an
-    empty cell, as the CSV lists them."""
-    return [(m, j, None if math.isnan(v) else v)
-            for m, level in enumerate(value.tolist())
+    """The (m, j, risk) rows of a sweep_scale_rows array, as the CSV
+    lists them."""
+    return [(m, j, v) for m, level in enumerate(value.tolist())
             for j, v in enumerate(level, start=1)]
 
 
 def _assert_scale_rows_match(rows, expected, c):
-    """Same (m, j) keys, the same empty and infinite cells, and finite
-    cells within 1e-9 (|risk| + c)."""
+    """Same (m, j) keys, the same empty (nan) and infinite cells, and
+    finite cells within 1e-9 (|risk| + c)."""
     assert [row[:2] for row in rows] == [row[:2] for row in expected]
     for (_, _, got), (_, _, want) in zip(rows, expected):
-        if want is None or math.isinf(want):
+        if math.isnan(want):
+            assert math.isnan(got)
+        elif math.isinf(want):
             assert got == want
         else:
-            assert got is not None and math.isfinite(got)
+            assert math.isfinite(got)
             assert abs(got - want) <= 1e-9 * (abs(want) + c)
 
 
@@ -300,7 +303,7 @@ def test_sweep_scale_refusals_nest(kind, words, monkeypatch):
         C)
     for m, j, value in rows:
         if m >= first:
-            assert value == (0.0 if j <= m else None)
+            assert value == 0.0 if j <= m else math.isnan(value)
 
 
 def test_sweep_scale_factors_once(path8, monkeypatch):
@@ -427,11 +430,59 @@ def _oracle_add_edge_row(graph, target, j, noise, scenario):
     try:
         sigma = steady_state_covariance(spectrum(laplacian(graph)), noise)
     except UnstablePlatoonError:
-        return (target, None, 0)
+        return (target, math.nan, 0)
     except NumericalError:
-        return (target, None, 1)
+        return (target, math.nan, 1)
     row = risk_profile(sigma, scenario, D, C, EPSILON)[j - 1]
-    return (target, None if row.error else row.risk.item(), 1)
+    return (target, math.nan if row.error else row.risk.item(), 1)
+
+
+def _cells(rows):
+    return [cell for row in rows for cell in row]
+
+
+def _has_nan(rows):
+    return any(isinstance(cell, float) and math.isnan(cell)
+               for cell in _cells(rows))
+
+
+def test_row_producers_hand_no_none(path8, monkeypatch):
+    # a missing value is nan in every producer, so the one renderer rule
+    # (a nan field is written empty) covers every schema
+    path6 = build_path(6)
+    # modes 5 and 6 have s1 = lambda tau > pi/2: no region bound
+    rows, _ = stability_rows(check_platoon(spectrum(laplacian(path6)),
+                                           0.6, 2.0))
+    assert None not in _cells(rows) and _has_nan(rows)
+    scenario = FailureScenario((2, 3), (0.0, 0.5))
+    rows = profile_rows(risk_profile(path8, scenario, D, C, EPSILON),
+                        risk_profile(path8, FailureScenario((), ()), D, C,
+                                     EPSILON))
+    assert None not in _cells(rows) and _has_nan(rows)
+    # every candidate link destabilizes the platoon
+    noise = NoiseParams(g=0.1, tau=0.35, beta=0.5)
+    rows = add_edge_rows(path6, D, noise, EPSILON, C,
+                         FailureScenario((2,), (0.0,)), 4)
+    assert None not in _cells(rows)
+    assert all(math.isnan(risk) for _, risk, _ in rows[1:])
+    # candidates whose failed block conditions worse than the baseline's
+    # are refused
+    sigma = steady_state_covariance(spectrum(laplacian(path6)), PATH6_NOISE)
+    base = float(np.linalg.cond(sigma.values[1:3, 1:3]))
+    monkeypatch.setattr(risk, "RCOND_MIN", 1.0 / (base * (1.0 + 1e-9)))
+    rows = add_edge_rows(path6, D, PATH6_NOISE, EPSILON, C,
+                         FailureScenario((2, 3), (0.0, 0.0)), 4)
+    monkeypatch.undo()
+    assert None not in _cells(rows) and _has_nan(rows)
+    rows = sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11)
+    assert None not in _cells(rows)
+    # a zero standard error beside a differing estimate: an infinite z
+    se = np.full((path8.dim, path8.dim), 1e-3)
+    se[0, 1] = 0.0
+    empirical = EmpiricalCovariance(np.zeros(path8.dim), path8.values * 1.01,
+                                    se, 100, np.zeros(path8.dim))
+    rows, _ = simulate_rows(path8, empirical)
+    assert None not in _cells(rows)
 
 
 def _critical_tau(lam, beta):
@@ -483,6 +534,8 @@ def test_add_edge_rows_match_validated_graph_route(n, seed, place, failure):
     expected = [_oracle_add_edge_row(graph, t, j, noise, scenario)
                 for t in [0] + targets]
     rows = add_edge_rows(graph, D, noise, EPSILON, C, scenario, j)
-    assert rows == expected
+    assert [row[::2] for row in rows] == [row[::2] for row in expected]
+    assert np.array_equal([row[1] for row in rows],
+                          [row[1] for row in expected], equal_nan=True)
     if destabilizing:
         assert any(stable == 0 for _, _, stable in rows)

@@ -660,12 +660,12 @@ def test_risk_profile_columns_match_oracles(case, d, c, eps):
 
 
 @st.composite
-def _conditioned_platoons(draw):
-    """A stable platoon of up to 12 vehicles (test_covariance's draw),
-    a target gap d, and a scenario of failed pairs observed at drawn
-    states between 0 and 2d, leaving at least one survivor where the
-    platoon has two pairs or more."""
-    graph, spec, noise = draw(_stable_platoons(max_n=12))
+def _conditioned_platoons(draw, mirrored=False):
+    """A stable platoon of up to 12 vehicles (test_covariance's draw,
+    a path or a p-cycle if mirrored), a target gap d, and a scenario of
+    failed pairs observed at drawn states between 0 and 2d, leaving at
+    least one survivor where the platoon has two pairs or more."""
+    graph, spec, noise = draw(_stable_platoons(max_n=12, mirrored=mirrored))
     dim = graph.n - 1
     d = draw(st.floats(0.5, 10.0))
     failed = sorted(draw(st.sets(st.integers(1, dim), min_size=min(1, dim - 1),
@@ -800,3 +800,49 @@ def test_risk_one_failure_law(platoon, d, data):
     # a survivor without a conditional law has a variance within
     # rounding of zero
     assert np.all(var[lost] <= tol * np.diagonal(s)[lost])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_conditioned_platoons(mirrored=True))
+def test_risk_reversal_law(case):
+    # reversing the vehicles maps a path or a p-cycle to itself and pair
+    # j to pair n - j, so the moments under failures F are those under
+    # n - F read in reverse, within c n eps cond of _rounding_scales
+    # (c = 7.3 at worst over 2600 draws). The rotations of a p-cycle are
+    # left out: its n - 1 pairs are not cyclic
+    graph, spec, noise, d, scenario = case
+    n = graph.n
+    assert np.array_equal(graph.weights, graph.weights[::-1, ::-1])
+    mirror = FailureScenario(
+        tuple(n - i for i in reversed(scenario.indices)),
+        tuple(reversed(scenario.states)))
+    sigma = steady_state_covariance(spec, noise)
+    mu, sig = _moments(sigma, mirror, d)
+    _same_moments((mu[::-1], sig[::-1]), _moments(sigma, scenario, d),
+                  sigma, scenario, d, 1.0, 64.0)
+
+
+_BRANCH_ORDER = {"zero": 0, "finite": 1, "infinite": 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_conditioned_platoons(), c=st.floats(1.0, 3.0),
+       eps=st.floats(0.01, 0.49), ratio=st.sampled_from([2.0, 4.0, 1024.0]))
+def test_risk_monotone_in_noise(case, c, eps, ratio):
+    # at epsilon < 1/2 iota < 0, so sqrt(2) iota sigma~ + mu~ falls as g
+    # grows while mu~ stays fixed: a finite-branch risk does not fall,
+    # and a branch only moves zero -> finite -> infinite. At a ratio of
+    # g that is a power of two the moments scale exactly (the noise law
+    # holds bit for bit there), and each step of the risk is monotone
+    # under rounding, so the law holds with no tolerance
+    _, spec, noise, d, scenario = case
+    low, high = (risk_profile(steady_state_covariance(
+        spec, NoiseParams(g, noise.tau, noise.beta)), scenario, d, c, eps)
+        for g in (noise.g, noise.g * ratio))
+    for weak, strong in zip(low, high):
+        assert (weak.branch == "error") == (strong.branch == "error")
+        if weak.branch == "error":
+            continue
+        assert _BRANCH_ORDER[strong.branch] >= _BRANCH_ORDER[weak.branch]
+        if weak.branch == strong.branch == "finite":
+            assert strong.risk >= weak.risk
