@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Every subcommand reads a sectioned config file, runs one analysis, and
-emits a versioned CSV to stdout or --out. Exit codes: 0 success, 1
-usage, validation or configuration error, 2 numerical failure (margin
-below the near-boundary limit, a scenario that cannot be conditioned, a
-simulated chain with no stationary law or a non-finite estimate).
+emits a versioned CSV to stdout or --out; the row producers hand
+numbers, and this module alone writes them as text. Exit codes: 0
+success, 1 usage, validation or configuration error, 2 numerical
+failure (margin below the near-boundary limit, a scenario that cannot
+be conditioned, a simulated chain with no stationary law or a
+non-finite estimate).
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
+import re
 import sys
 from collections.abc import Iterator
 
@@ -23,8 +25,7 @@ from .config import (RawConfig, build_experiment, build_gap, build_graph,
                      load_config, resolve_seed, scenario_state_values)
 from .covariance import (complete_graph_sigma_c, steady_state_covariance)
 from .errors import CascadeRiskError, InvalidQueryError, NumericalError
-from .experiments import (_blank_nan, _matrix_lines, add_edge_rows,
-                          covariance_rows, profile_rows, simulate_rows,
+from .experiments import (add_edge_rows, profile_rows, simulate_rows,
                           stability_rows, sweep_scale_rows,
                           sweep_sparsity_rows)
 from .graph import _eig, _spectrum, laplacian
@@ -52,6 +53,10 @@ _SCHEMAS = {
     "add_edge": (("target", "risk", "stable"), "%d,%.17g,%d"),
 }
 
+# A nan field of a CSV line; the first field, a row index, never is.
+# %.17g prints every nan, of either sign, as "nan"
+_NAN_FIELD = re.compile(r",nan(?=[,\n])")
+
 
 def render_csv(schema: str, rows, trailers=()) -> str:
     """Versioned CSV text: schema line, header, one line per row tuple
@@ -60,8 +65,23 @@ def render_csv(schema: str, rows, trailers=()) -> str:
     lines = [template % row for row in rows]
     lines.append("")  # ends the last row with a newline
     return (f"# schema={schema}/v1\n" + ",".join(header) + "\n"
-            + _blank_nan("\n".join(lines))
+            + _NAN_FIELD.sub(",", "\n".join(lines))
             + "".join(f"# {trailer}\n" for trailer in trailers))
+
+
+def _array_csv(schema: str, values: np.ndarray, first: int) -> Iterator[str]:
+    """The CSV of a 2-D array: the `render_csv` header, then the lines
+    `i,j,value`, one text piece per array row, with i counted from
+    `first` and j from 1; value is `%.17g` of that entry's own float, and
+    nan an empty field. Only one row is rendered at a time, so the text
+    is never held whole."""
+    yield render_csv(schema, ())
+    # "@" stands for the row label; the rest of the template is fixed
+    template = "".join(f"@,{j},%.17g\n"
+                       for j in range(1, values.shape[1] + 1))
+    for i, row in enumerate(values, start=first):
+        yield _NAN_FIELD.sub(
+            ",", template.replace("@", str(i)) % tuple(row.tolist()))
 
 
 def _emit(pieces, out: str | None) -> None:
@@ -104,8 +124,7 @@ def cmd_stability(cfg: RawConfig, args) -> str:
 def cmd_covariance(cfg: RawConfig, args) -> Iterator[str]:
     spec = _spectrum_of(cfg)
     sigma = steady_state_covariance(spec, build_noise(cfg))
-    return itertools.chain((render_csv("covariance", ()),),
-                           covariance_rows(sigma))
+    return _array_csv("covariance", sigma.values, 1)
 
 
 def _is_complete(graph) -> bool:
@@ -168,8 +187,7 @@ def cmd_sweep_scale(cfg: RawConfig, args) -> Iterator[str]:
     state = scenario_state_values(cfg, None)[0]
     sigma = steady_state_covariance(spec, noise)
     value = sweep_scale_rows(sigma, d, c, epsilon, args.max_m, state)
-    return itertools.chain((render_csv("sweep_scale", ()),),
-                           _matrix_lines(value, 0))
+    return _array_csv("sweep_scale", value, 0)
 
 
 def cmd_sweep_sparsity(cfg: RawConfig, args) -> str:
@@ -195,17 +213,6 @@ def cmd_add_edge(cfg: RawConfig, args) -> str:
     return render_csv("add_edge", rows)
 
 
-_COMMANDS = {
-    "stability": cmd_stability,
-    "covariance": cmd_covariance,
-    "risk-profile": cmd_risk_profile,
-    "simulate": cmd_simulate,
-    "sweep-scale": cmd_sweep_scale,
-    "sweep-sparsity": cmd_sweep_sparsity,
-    "add-edge": cmd_add_edge,
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit code 1, since 2 is reserved
     for numerical failures."""
@@ -223,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, run, seed=False):
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True,
                        help="path to the run configuration file")
         p.add_argument("--out", default=None,
@@ -233,33 +241,34 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the seed from [sim]")
 
     common(sub.add_parser("stability",
-                          help="per-mode stability report"))
+                          help="per-mode stability report"), cmd_stability)
     common(sub.add_parser("covariance",
-                          help="steady-state distance covariance"))
+                          help="steady-state distance covariance"),
+           cmd_covariance)
     p = sub.add_parser("risk-profile",
                        help="risk of every pair under the scenario")
-    common(p)
+    common(p, cmd_risk_profile)
     p.add_argument("--method", choices=("generic", "closed-form"),
                    default="generic",
                    help="conditioning route (closed-form requires the "
                         "complete graph)")
     common(sub.add_parser("simulate",
                           help="Monte Carlo check of the analytic covariance"),
-           seed=True)
+           cmd_simulate, seed=True)
     p = sub.add_parser("sweep-scale",
                        help="risk vs number of leading failures")
-    common(p)
+    common(p, cmd_sweep_scale)
     p.add_argument("--max-m", type=int, required=True, dest="max_m",
                    help="largest failure count (failures occupy pairs 1..m)")
     p = sub.add_parser("sweep-sparsity",
                        help="average risk vs failure-pattern sparsity")
-    common(p, seed=True)
+    common(p, cmd_sweep_sparsity, seed=True)
     p.add_argument("--m", type=int, required=True,
                    help="number of failed pairs in every pattern")
     p = sub.add_parser("add-edge",
                        help="risk of one pair after linking it to each "
                             "candidate vehicle")
-    common(p)
+    common(p, cmd_add_edge)
     p.add_argument("--pair", type=int, required=True,
                    help="queried pair index")
     return parser
@@ -269,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _emit(_COMMANDS[args.command](cfg, args), args.out)
+        _emit(args.run(cfg, args), args.out)
     except NumericalError as exc:
         print(f"cascade-risk: numerical error: {exc}", file=sys.stderr)
         return 2

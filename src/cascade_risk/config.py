@@ -231,7 +231,7 @@ def scenario_state_values(cfg: RawConfig, m: int | None) -> list:
         cfg, "scenario", "states",
         lambda v: [_real(s, "key 'states' in [scenario]") for s in v], states)
     if len(values) == 1:
-        return values * (m or 1)
+        return values * (1 if m is None else m)
     if m is None:
         raise cfg.error(f"'states' has {len(values)} entries but the sweep "
                         f"subcommands take one state value for every "

@@ -1,24 +1,21 @@
 """Row producers behind the CLI subcommands.
 
-Each function returns plain row tuples (ints, floats, strings for
-tags) ready for CSV serialization, so the sweep policies (aggregation
-of infinities, pattern enumeration, sampling fallback) live here and
-are unit-testable without going through the command line. A missing
-value is always nan, which `_blank_nan` writes as an empty field.
-Every risk cell is read off the conditioning core,
-`risk._condition_stack` (or `risk._condition_head` for the nested
-levels of sweep-scale) and `risk._stack_risk`, directly or through a
-profile; the no-failure baseline is the empty scenario. They read the
-risk values alone: inf is infinite risk, nan a missing one. Rows come
-as a list, except where a table is large: the covariance matrix and
-the sweep-scale risk array are rendered by `_matrix_lines`, one array
-row at a time, for the CLI to write after the `cli.render_csv` header.
+Each function hands numbers only: a list of row tuples (ints, floats,
+strings for tags), or for sweep-scale the risk array, which `cli`
+writes as CSV; stability and simulate also hand their `key=value`
+trailer lines. The sweep policies (aggregation of infinities, pattern
+enumeration, sampling fallback) live here and are unit-testable without
+going through the command line. A missing value is always nan. Every
+risk cell is read off the conditioning core, `risk._condition_stack`
+(or `risk._condition_head` for the nested levels of sweep-scale) and
+`risk._stack_risk`, directly or through a profile; the no-failure
+baseline is the empty scenario. They read the risk values alone: inf
+is infinite risk, nan a missing one.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import re
 
 import numpy as np
 
@@ -42,35 +39,6 @@ def stability_rows(report: StabilityReport):
                     report.s1.tolist(), itertools.repeat(report.s2),
                     report.bound.tolist(), report.margin.tolist()))
     return rows, [f"stable={1 if report.stable else 0}"]
-
-
-# A nan field of a CSV line; the first field, a row index, never is.
-# %.17g prints every nan, of either sign, as "nan"
-_NAN_FIELD = re.compile(r",nan(?=[,\n])")
-
-
-def _blank_nan(text: str) -> str:
-    """CSV lines, each ending in a newline, with every nan field written
-    as an empty field: the one missing-value rule of every CSV."""
-    return _NAN_FIELD.sub(",", text)
-
-
-def _matrix_lines(values: np.ndarray, first: int):
-    """The lines `i,j,value` of a 2-D array, one text piece per array
-    row, with i counted from `first` and j from 1: value is `%.17g` of
-    that entry's own float, and nan an empty field. Only one row is
-    rendered at a time, so the text is never held whole."""
-    # "@" stands for the row label; the rest of the template is fixed
-    template = "".join(f"@,{j},%.17g\n"
-                       for j in range(1, values.shape[1] + 1))
-    for i, row in enumerate(values, start=first):
-        yield _blank_nan(template.replace("@", str(i)) % tuple(row.tolist()))
-
-
-def covariance_rows(sigma: CovarianceMatrix):
-    """The covariance CSV body: the lines `i,j,sigma_ij`, one piece per
-    matrix row i."""
-    return _matrix_lines(sigma.values, 1)
 
 
 def profile_rows(profile: np.recarray, baseline: np.recarray):

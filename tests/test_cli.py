@@ -21,11 +21,11 @@ from cascade_risk import (CovarianceMatrix, NoiseParams, build_complete,
                           build_custom, build_path, build_pcycle,
                           check_platoon, laplacian, region_bound, spectrum,
                           steady_state_covariance)
-from cascade_risk.cli import (_SCHEMAS, _is_complete, build_parser, main,
-                              render_csv)
+from cascade_risk.cli import (_SCHEMAS, _array_csv, _is_complete,
+                              build_parser, main, render_csv)
 from cascade_risk.config import (build_gap, build_graph, build_noise,
                                  build_scenario, load_config)
-from cascade_risk.experiments import covariance_rows, stability_rows
+from cascade_risk.experiments import stability_rows
 from cascade_risk.risk import iota
 
 from oracles import add_pair_edges, format_cell, var_risk_scalar
@@ -588,6 +588,22 @@ def test_sweep_takes_one_state(tmp_path, capsys, argv):
     assert "failed pairs" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["risk-profile"], ["add-edge", "--pair", "4"]],
+    ids=["risk-profile", "add-edge"])
+def test_empty_indices_take_a_scalar_state(tmp_path, capsys, argv):
+    # a scalar state broadcasts to every failed pair, none included: the
+    # run is, to the byte, the run of the same platoon with no [scenario]
+    outputs = []
+    for name, text in (("empty", PATH6.replace("indices = [3]",
+                                               "indices = []")),
+                       ("none", PATH6.split("[scenario]")[0])):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert main(argv + ["--config", cfg]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
 def _time_rescaled(text, graph, a):
     """The config `text` with its [graph] section replaced by the custom
     graph of `graph`'s links at a times their weight, tau by tau / a and
@@ -1091,8 +1107,7 @@ def _cell_rows(sigma):
 def test_covariance_csv_matches_cell_oracle(sigma):
     # every cell reads as `%.17g` of its own value, bit for bit, also
     # where a lower entry differs from its mirror (-0.0, one ulp off)
-    assert (render_csv("covariance", ())
-            + "".join(covariance_rows(sigma))
+    assert ("".join(_array_csv("covariance", sigma.values, 1))
             == _oracle_csv("covariance", _cell_rows(sigma), ()))
 
 
@@ -1112,7 +1127,8 @@ def test_covariance_bytes_deterministic_and_match_cell_oracle(tmp_path,
     expected = _oracle_csv("covariance", _cell_rows(sigma), ()).encode("utf-8")
     assert outputs == [expected] * 3
     # one piece per matrix row, holding that row's lines only
-    pieces = list(covariance_rows(sigma))
+    header, *pieces = _array_csv("covariance", sigma.values, 1)
+    assert header == render_csv("covariance", ())
     assert len(pieces) == sigma.dim
     for i, piece in enumerate(pieces, start=1):
         assert all(line.startswith(f"{i},")
@@ -1128,7 +1144,7 @@ def test_covariance_rendering_memory_is_bounded(tmp_path):
     tracemalloc.start()
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(covariance_rows(sigma))
+            fh.writelines(_array_csv("covariance", sigma.values, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1302,6 +1318,26 @@ def _layout(text):
         for row in rows]
 
 
+def _at_one_and_two_threads(argv, cfg):
+    """stdout of the subcommand at one and at two BLAS threads; the
+    thread count is set in the child only."""
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cascade_risk", *argv, "--config", cfg],
+            capture_output=True, text=True,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0 and proc.stderr == ""
+        outputs.append(proc.stdout)
+    return outputs
+
+
+def _sigma_cells(text):
+    """The sigma_ij column of a covariance CSV, in row order."""
+    return np.array([float(line.rpartition(",")[2])
+                     for line in text.splitlines()[2:]])
+
+
 @pytest.mark.parametrize("argv", [
     ["covariance"], ["risk-profile"], ["sweep-scale", "--max-m", "60"]],
     ids=["covariance", "risk-profile", "sweep-scale"])
@@ -1310,21 +1346,27 @@ def test_csv_layout_does_not_depend_on_blas_threads(tmp_path, argv):
     # so finite cells may move in their last digits between one and two
     # threads; the rows, the branch column and the empty and infinite
     # cells may not. At g = 5 the profile holds all three branches and
-    # the sweep ~1600 infinite cells. The thread count is set in the
-    # child only
+    # the sweep ~1600 infinite cells
     cfg = write_cfg(tmp_path, PATH6.replace("type = path\nn = 6",
                                             "type = pcycle\nn = 300\np = 3")
                     .replace("g = 0.1", "g = 5")
                     .replace("indices = [3]", "indices = [100, 101, 250]"))
-    layouts = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cascade_risk", *argv, "--config", cfg],
-            capture_output=True, text=True,
-            env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
-        assert proc.returncode == 0 and proc.stderr == ""
-        layouts.append(_layout(proc.stdout))
-    assert layouts[0] == layouts[1]
+    one, two = _at_one_and_two_threads(argv, cfg)
+    assert _layout(one) == _layout(two)
+    if argv == ["covariance"]:
+        # each cell keeps within the README's bound, 64 n eps max|sigma|
+        # (64 calibrated above the largest factor measured, 14.9), here
+        # and on two more platoons at g = 0.1
+        runs = [(300, one, two)] + [
+            (n, *_at_one_and_two_threads(argv, write_cfg(
+                tmp_path, PATH6.replace("type = path\nn = 6", graph),
+                f"g01_{n}.cfg")))
+            for n, graph in ((500, "type = pcycle\nn = 500\np = 3"),
+                             (300, "type = path\nn = 300"))]
+        for n, one, two in runs:
+            sigma = _sigma_cells(one)
+            bound = 64 * n * np.finfo(float).eps * np.abs(sigma).max()
+            assert np.abs(_sigma_cells(two) - sigma).max() <= bound
 
 
 def test_covariance_reader_that_stops_early_ends_quietly(tmp_path):

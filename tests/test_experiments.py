@@ -14,10 +14,10 @@ from cascade_risk import (FailureScenario, InvalidParameterError,
                           risk_profile, spectrum, steady_state_covariance)
 from cascade_risk import experiments, risk
 from cascade_risk.covariance import CovarianceMatrix
-from cascade_risk.experiments import (_matrix_lines, add_edge_rows,
-                                      profile_rows, simulate_rows,
-                                      stability_rows, sweep_scale_rows,
-                                      sweep_sparsity_rows)
+from cascade_risk.cli import _array_csv
+from cascade_risk.experiments import (add_edge_rows, profile_rows,
+                                      simulate_rows, stability_rows,
+                                      sweep_scale_rows, sweep_sparsity_rows)
 from cascade_risk.risk import iota
 from cascade_risk.simulate import EmpiricalCovariance
 
@@ -338,7 +338,7 @@ def test_sweep_scale_lines_match_cell_oracle(case, path8):
     else:
         sigma, max_m = _head_refused_at(12, case), 27
     value = sweep_scale_rows(sigma, D, C, EPSILON, max_m, STATE)
-    pieces = list(_matrix_lines(value, 0))
+    _, *pieces = _array_csv("sweep_scale", value, 0)
     assert len(pieces) == max_m + 1
     assert "".join(pieces) == "".join(
         f"{m},{j},{format_cell(v)}\n" for m, j, v in _scale_rows(value))
@@ -358,7 +358,7 @@ def test_sweep_scale_rendering_memory_is_bounded(tmp_path):
         value = sweep_scale_rows(sigma, D, 2.0, 0.1, 100, 0.0)
         with open(tmp_path / "scale.csv", "w", encoding="utf-8",
                   newline="") as fh:
-            fh.writelines(_matrix_lines(value, 0))
+            fh.writelines(_array_csv("sweep_scale", value, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
