@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Every subcommand reads a sectioned config file, runs one analysis, and
-emits a versioned CSV to stdout or --out; the row producers hand
-numbers, and this module alone writes them as text. Exit codes: 0
-success, 1 usage, validation or configuration error, 2 numerical
-failure (margin below the near-boundary limit, a scenario that cannot
-be conditioned, a simulated chain with no stationary law or a
-non-finite estimate).
+emits a versioned CSV to stdout or --out. The library hands numbers: a
+stability report, risk profiles, covariances, and the experiments'
+rows. This module alone shapes them into rows and trailers and writes
+them as text. Exit codes: 0 success, 1 usage, validation or
+configuration error, 2 numerical failure (margin below the
+near-boundary limit, a scenario that cannot be conditioned, a risk that
+overflows, a simulated chain with no stationary law or a non-finite
+estimate).
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -25,8 +28,7 @@ from .config import (RawConfig, build_experiment, build_gap, build_graph,
                      load_config, resolve_seed, scenario_state_values)
 from .covariance import (complete_graph_sigma_c, steady_state_covariance)
 from .errors import CascadeRiskError, InvalidQueryError, NumericalError
-from .experiments import (add_edge_rows, profile_rows, simulate_rows,
-                          stability_rows, sweep_scale_rows,
+from .experiments import (add_edge_rows, sweep_scale_rows,
                           sweep_sparsity_rows)
 from .graph import _eig, _spectrum, laplacian
 from .risk import FailureScenario, risk_profile
@@ -116,9 +118,14 @@ def cmd_stability(cfg: RawConfig, args) -> str:
     # the region test reads eigenvalues alone: no eigenvector is built
     eigenvalues = _eig(np.linalg.eigvalsh, laplacian(build_graph(cfg)))
     noise = build_noise(cfg)
-    rows, trailers = stability_rows(
-        _report(eigenvalues[1:], noise.tau, noise.beta))
-    return render_csv("stability", rows, trailers)
+    report = _report(eigenvalues[1:], noise.tau, noise.beta)
+    # one row per oscillatory mode, k counted from 2; the bound is nan
+    # where s1 already falls outside (0, pi/2)
+    rows = zip(itertools.count(2), report.eigenvalues.tolist(),
+               report.s1.tolist(), itertools.repeat(report.s2),
+               report.bound.tolist(), report.margin.tolist())
+    return render_csv("stability", rows,
+                      [f"stable={1 if report.stable else 0}"])
 
 
 def cmd_covariance(cfg: RawConfig, args) -> Iterator[str]:
@@ -161,7 +168,12 @@ def cmd_risk_profile(cfg: RawConfig, args) -> str:
 
         def profile(s):
             return risk_profile(sigma, s, d, c, epsilon)
-    rows = profile_rows(profile(scenario), profile(FailureScenario((), ())))
+    # the no-failure column is the profile of the empty scenario, by
+    # the same route
+    found, baseline = profile(scenario), profile(FailureScenario((), ()))
+    rows = zip(found.j.tolist(), found.risk.tolist(), found.branch.tolist(),
+               found.mu_tilde.tolist(), found.sigma_tilde.tolist(),
+               found.failed.tolist(), baseline.risk.tolist())
     return render_csv("risk_profile", rows)
 
 
@@ -175,8 +187,19 @@ def cmd_simulate(cfg: RawConfig, args) -> str:
     analytic = steady_state_covariance(spec, noise)
     empirical = _pool(_samples(L, spec, d, noise,
                                build_sim(cfg, args.seed)))
-    rows, trailers = simulate_rows(analytic, empirical)
-    return render_csv("simulate", rows, trailers)
+    # the upper triangle row by row; z is the difference over its
+    # standard error, or where that is 0, 0 if the two agree, else inf
+    i, j = np.triu_indices(analytic.dim)
+    ana = analytic.values[i, j]
+    emp = empirical.cov[i, j]
+    err = empirical.standard_errors[i, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(err > 0.0, (emp - ana) / err,
+                     np.where(emp == ana, 0.0, np.inf))
+    max_abs_z = float(np.abs(z).max(initial=0.0))
+    rows = zip((i + 1).tolist(), (j + 1).tolist(), ana.tolist(),
+               emp.tolist(), err.tolist(), z.tolist())
+    return render_csv("simulate", rows, [f"max_abs_z={max_abs_z:.17g}"])
 
 
 def cmd_sweep_scale(cfg: RawConfig, args) -> Iterator[str]:

@@ -1,16 +1,15 @@
-"""Row producers behind the CLI subcommands.
+"""The three experiments: sweep-scale, sweep-sparsity and add-edge.
 
-Each function hands numbers only: a list of row tuples (ints, floats,
-strings for tags), or for sweep-scale the risk array, which `cli`
-writes as CSV; stability and simulate also hand their `key=value`
-trailer lines. The sweep policies (aggregation of infinities, pattern
-enumeration, sampling fallback) live here and are unit-testable without
-going through the command line. A missing value is always nan. Every
-risk cell is read off the conditioning core, `risk._condition_stack`
-(or `risk._condition_head` for the nested levels of sweep-scale) and
-`risk._stack_risk`, directly or through a profile; the no-failure
-baseline is the empty scenario. They read the risk values alone: inf
-is infinite risk, nan a missing one.
+Each function hands numbers only, its own results: a list of row tuples
+for sweep-sparsity and add-edge, and for sweep-scale the risk array,
+which `cli` writes as CSV. The sweep policies (aggregation of
+infinities, pattern enumeration, sampling fallback) live here and are
+unit-testable without going through the command line. A missing value
+is always nan. Every risk cell is read off the conditioning core,
+`risk._condition_stack` (or `risk._condition_head` for the nested
+levels of sweep-scale) and `risk._stack_risk`; add-edge's baseline is
+the unmodified graph. They read the risk values alone: inf is infinite
+risk, nan a missing one.
 """
 from __future__ import annotations
 
@@ -21,34 +20,12 @@ import numpy as np
 
 from .covariance import (CovarianceMatrix, NoiseParams,
                          steady_state_covariance)
-from .errors import (InvalidParameterError, InvalidQueryError,
-                     NumericalError, UnstablePlatoonError)
+from .errors import InvalidQueryError, NumericalError, UnstablePlatoonError
 from .graph import (WeightedGraph, _count, _integer, _laplacian, _real,
                     _seed, _spectrum, laplacian)
 from .risk import (FailureScenario, _check_query, _condition_head,
                    _condition_scenario, _condition_stack, _entry_error,
                    _stack_risk)
-from .simulate import EmpiricalCovariance
-from .stability import StabilityReport
-
-
-def stability_rows(report: StabilityReport):
-    """(mode index, eigenvalue, s1, s2, bound, margin) per oscillatory
-    mode; the bound is NaN when s1 already falls outside (0, pi/2)."""
-    rows = list(zip(itertools.count(2), report.eigenvalues.tolist(),
-                    report.s1.tolist(), itertools.repeat(report.s2),
-                    report.bound.tolist(), report.margin.tolist()))
-    return rows, [f"stable={1 if report.stable else 0}"]
-
-
-def profile_rows(profile: np.recarray, baseline: np.recarray):
-    """The rows of a risk profile plus the no-failure column: the risks
-    of `baseline`, the profile of the empty scenario by the same route."""
-    return list(zip(profile.j.tolist(), profile.risk.tolist(),
-                    profile.branch.tolist(), profile.mu_tilde.tolist(),
-                    profile.sigma_tilde.tolist(),
-                    profile.failed.astype(int).tolist(),
-                    baseline.risk.tolist()))
 
 
 def _check_sweep(sigma: CovarianceMatrix, name: str, count, state_value,
@@ -245,26 +222,3 @@ def _linked_laplacian(graph: WeightedGraph, j: int,
     w[[j - 1, j], target - 1] = 1.0
     w[target - 1, [j - 1, j]] = 1.0
     return _laplacian(w)
-
-
-def simulate_rows(analytic: CovarianceMatrix, empirical: EmpiricalCovariance):
-    """Upper-triangle comparison of analytic vs empirical covariance with
-    the per-entry z-score (difference over standard error)."""
-    if analytic.dim != empirical.cov.shape[0]:
-        raise InvalidParameterError(
-            f"analytic dimension {analytic.dim} does not match empirical "
-            f"{empirical.cov.shape[0]}")
-    rows = []
-    max_abs_z = 0.0
-    for i in range(analytic.dim):
-        for j in range(i, analytic.dim):
-            sa = float(analytic.values[i, j])
-            se_ = float(empirical.cov[i, j])
-            err = float(empirical.standard_errors[i, j])
-            if err > 0.0:
-                z = (se_ - sa) / err
-            else:
-                z = 0.0 if se_ == sa else math.inf
-            max_abs_z = max(max_abs_z, abs(z))
-            rows.append((i + 1, j + 1, sa, se_, err, z))
-    return rows, [f"max_abs_z={max_abs_z:.17g}"]

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariance import CovarianceMatrix
-from .errors import InvalidParameterError, InvalidQueryError, NumericalError
+from .errors import InvalidQueryError, NumericalError
 from .graph import _integer, _real
 
 # Reject conditioning when the failed-block covariance has 2-norm
@@ -263,7 +263,9 @@ def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
     """Three-branch value-at-risk over arrays of conditional moments mu
     and standard deviations sig, with it = iota(epsilon), on checked
     inputs. The value names its branch: 0.0 is zero, inf infinite, and
-    a finite-branch value lies strictly between (overflow raises).
+    a finite-branch value lies strictly between. A finite-branch value
+    that overflows (d over an epsilon-quantile too close to 0) raises
+    NumericalError.
 
     The branch tests are read off the same two numbers the finite value
     is made of, so a point within rounding of a branch edge cannot land
@@ -278,9 +280,8 @@ def _var_risk_array(mu: np.ndarray, sig: np.ndarray, d: float, c: float,
     value = np.where(infinite, math.inf, np.where(risk <= 0.0, 0.0, risk))
     overflowed = ~infinite & ~np.isfinite(value)
     if overflowed.any():
-        raise InvalidParameterError(
-            f"risk value {value[overflowed][0]!r} inconsistent with branch "
-            f"'finite'")
+        raise NumericalError("risk overflowed: a pair's epsilon-quantile "
+                             "distance is too close to 0 for the target gap")
     return value
 
 

@@ -15,8 +15,10 @@ reference that f has stayed the same bit for bit. `block_refused` is
 the failed-block refusal rule as it stood before one eigvalsh decided
 it: a Cholesky that raises, or an SVD condition number.
 `forward_reference` is the LU solve the failed blocks went through
-before forward substitution, and `laplacian_reference` the Laplacian
-as it was built before it took one array. `same_profile` and
+before forward substitution, `laplacian_reference` the Laplacian
+as it was built before it took one array, and
+`simulate_rows_reference` the `simulate` comparison as one loop per
+entry, before it was one numpy expression. `same_profile` and
 `branch_of` are not oracles: the one is bitwise equality of two risk
 profiles, the other the branch tag a risk value names. Nor is
 `chain_distance_covariance`: it maps the package's stationary law of
@@ -398,3 +400,25 @@ def sweep_scale_rows_per_level(sigma, d, c, epsilon, max_m, state_value):
         rows += [(m, j, v)
                  for j, v in enumerate(value[0].tolist(), start=1)]
     return rows
+
+
+def simulate_rows_reference(analytic, empirical):
+    """The (i, j, analytic, empirical, se, z) rows of the `simulate` CSV
+    and its max |z|, by one Python loop over the upper triangle: the
+    route the vectorised comparison in cli replaced. z is the difference
+    over its standard error; where that is 0, z is 0 if the two agree
+    and inf if not."""
+    rows = []
+    max_abs_z = 0.0
+    for i in range(analytic.dim):
+        for j in range(i, analytic.dim):
+            sa = float(analytic.values[i, j])
+            se_ = float(empirical.cov[i, j])
+            err = float(empirical.standard_errors[i, j])
+            if err > 0.0:
+                z = (se_ - sa) / err
+            else:
+                z = 0.0 if se_ == sa else math.inf
+            max_abs_z = max(max_abs_z, abs(z))
+            rows.append((i + 1, j + 1, sa, se_, err, z))
+    return rows, max_abs_z

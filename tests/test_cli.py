@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascade_risk
+import cascade_risk.cli as cli_module
 import cascade_risk.graph as graph_module
 import cascade_risk.stability as stability_module
 from cascade_risk import (CovarianceMatrix, NoiseParams, build_complete,
@@ -25,10 +26,11 @@ from cascade_risk.cli import (_SCHEMAS, _array_csv, _is_complete,
                               build_parser, main, render_csv)
 from cascade_risk.config import (build_gap, build_graph, build_noise,
                                  build_scenario, load_config)
-from cascade_risk.experiments import stability_rows
 from cascade_risk.risk import iota
+from cascade_risk.simulate import EmpiricalCovariance
 
-from oracles import add_pair_edges, format_cell, var_risk_scalar
+from oracles import (add_pair_edges, format_cell, simulate_rows_reference,
+                     var_risk_scalar)
 from test_risk import _rounding_scales
 
 PATH6 = """\
@@ -823,6 +825,48 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert reported == max(abs(float(r[5])) for r in rows)
 
 
+@pytest.mark.parametrize("zero_se", [False, True])
+def test_simulate_csv_matches_loop_reference(tmp_path, capsys, monkeypatch,
+                                             zero_se):
+    # the comparison of one numpy expression against the loop over
+    # entries it replaced, on the covariances the job itself built: cell
+    # for cell, bit for bit, and the max_abs_z trailer. With zero_se two
+    # entries lose their standard error, one beside a differing estimate
+    # (z = inf) and one beside an equal one (z = 0)
+    seen = {}
+
+    def covariance(*args):
+        seen["analytic"] = steady_state_covariance(*args)
+        return seen["analytic"]
+
+    def pool(samples):
+        empirical = real_pool(samples)
+        if zero_se:
+            cov = empirical.cov.copy()
+            se = empirical.standard_errors.copy()
+            se[0, 1] = se[1, 0] = se[1, 1] = 0.0
+            cov[1, 1] = seen["analytic"].values[1, 1]
+            empirical = EmpiricalCovariance(
+                empirical.mean, cov, se, empirical.sample_count,
+                empirical.mean_standard_errors)
+        seen["empirical"] = empirical
+        return empirical
+
+    real_pool = cli_module._pool
+    monkeypatch.setattr(cli_module, "steady_state_covariance", covariance)
+    monkeypatch.setattr(cli_module, "_pool", pool)
+    cfg = write_cfg(tmp_path, SIM_SMALL)
+    assert main(["simulate", "--config", cfg]) == 0
+    _, _, rows, trailers = parse_csv(capsys.readouterr().out)
+    expected, max_abs_z = simulate_rows_reference(seen["analytic"],
+                                                  seen["empirical"])
+    assert rows == [[format_cell(cell) for cell in row] for row in expected]
+    assert trailers == [f"max_abs_z={max_abs_z:.17g}"]
+    assert (max_abs_z == math.inf) == zero_se
+    if zero_se:
+        assert [row[5] for row in rows] == [rows[0][5], "inf", "0"]
+
+
 def test_simulate_divergence_exit_code(tmp_path, capsys):
     # stable, but the Euler-Maruyama chain at dt = tau has no stationary
     # law: a numerical failure, exit 2, not a validation error
@@ -1274,12 +1318,15 @@ def test_stability_rows_match_full_spectrum_route(tmp_path, name):
     loaded = load_config(cfg)
     graph, noise = build_graph(loaded), build_noise(loaded)
     assert noise.tau * math.pi / 2 < 1.0
-    expected, expected_trailers = stability_rows(check_platoon(
-        spectrum(laplacian(graph)), noise.tau, noise.beta))
-    assert trailers == expected_trailers
+    report = check_platoon(spectrum(laplacian(graph)), noise.tau,
+                           noise.beta)
+    assert trailers == [f"stable={1 if report.stable else 0}"]
     got = np.array([[cell or "nan" for cell in row] for row in rows],
                    dtype=float)
-    want = np.array(expected, dtype=float)
+    modes = len(report.eigenvalues)
+    want = np.column_stack((np.arange(2, modes + 2), report.eigenvalues,
+                            report.s1, np.full(modes, report.s2),
+                            report.bound, report.margin))
     assert got.shape == want.shape
     assert np.array_equal(got[:, [0, 3]], want[:, [0, 3]])
     assert np.array_equal(np.isnan(got), np.isnan(want))

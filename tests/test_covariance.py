@@ -202,6 +202,10 @@ def test_covariance_matrix_validation():
         CovarianceMatrix(np.ones((2, 3)))
     with pytest.raises(InvalidParameterError):
         CovarianceMatrix(np.zeros((0, 0)))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        CovarianceMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(InvalidParameterError, match="diagonal"):
+        CovarianceMatrix(np.array([[0.0, 0.0], [0.0, 1.0]]))  # zero var
 
 
 def test_steady_state_covariance_path_oracle():

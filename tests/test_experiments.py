@@ -15,11 +15,9 @@ from cascade_risk import (FailureScenario, InvalidParameterError,
 from cascade_risk import experiments, risk
 from cascade_risk.covariance import CovarianceMatrix
 from cascade_risk.cli import _array_csv
-from cascade_risk.experiments import (add_edge_rows, profile_rows,
-                                      simulate_rows, stability_rows,
-                                      sweep_scale_rows, sweep_sparsity_rows)
+from cascade_risk.experiments import (add_edge_rows, sweep_scale_rows,
+                                      sweep_sparsity_rows)
 from cascade_risk.risk import iota
-from cascade_risk.simulate import EmpiricalCovariance
 
 from oracles import (add_pair_edges, conditional_moments, format_cell,
                      region_bound_bisect, sweep_scale_rows_per_level,
@@ -446,19 +444,27 @@ def _has_nan(rows):
                for cell in _cells(rows))
 
 
+def _float_with_nan(*arrays):
+    """Every array holds floats, so no cell is None, and one holds a
+    nan."""
+    return (all(a.dtype.kind == "f" for a in arrays)
+            and any(np.isnan(a).any() for a in arrays))
+
+
 def test_row_producers_hand_no_none(path8, monkeypatch):
-    # a missing value is nan in every producer, so the one renderer rule
-    # (a nan field is written empty) covers every schema
+    # a missing value is nan in every report, profile and producer, so
+    # the one renderer rule (a nan field is written empty) covers every
+    # schema
     path6 = build_path(6)
     # modes 5 and 6 have s1 = lambda tau > pi/2: no region bound
-    rows, _ = stability_rows(check_platoon(spectrum(laplacian(path6)),
-                                           0.6, 2.0))
-    assert None not in _cells(rows) and _has_nan(rows)
+    report = check_platoon(spectrum(laplacian(path6)), 0.6, 2.0)
+    assert _float_with_nan(report.eigenvalues, report.s1, report.bound,
+                           report.margin)
     scenario = FailureScenario((2, 3), (0.0, 0.5))
-    rows = profile_rows(risk_profile(path8, scenario, D, C, EPSILON),
-                        risk_profile(path8, FailureScenario((), ()), D, C,
-                                     EPSILON))
-    assert None not in _cells(rows) and _has_nan(rows)
+    profile = risk_profile(path8, scenario, D, C, EPSILON)
+    baseline = risk_profile(path8, FailureScenario((), ()), D, C, EPSILON)
+    assert _float_with_nan(profile.risk, profile.mu_tilde,
+                           profile.sigma_tilde, baseline.risk)
     # every candidate link destabilizes the platoon
     noise = NoiseParams(g=0.1, tau=0.35, beta=0.5)
     rows = add_edge_rows(path6, D, noise, EPSILON, C,
@@ -475,13 +481,6 @@ def test_row_producers_hand_no_none(path8, monkeypatch):
     monkeypatch.undo()
     assert None not in _cells(rows) and _has_nan(rows)
     rows = sweep_sparsity_rows(path8, D, C, EPSILON, M, STATE, seed=11)
-    assert None not in _cells(rows)
-    # a zero standard error beside a differing estimate: an infinite z
-    se = np.full((path8.dim, path8.dim), 1e-3)
-    se[0, 1] = 0.0
-    empirical = EmpiricalCovariance(np.zeros(path8.dim), path8.values * 1.01,
-                                    se, 100, np.zeros(path8.dim))
-    rows, _ = simulate_rows(path8, empirical)
     assert None not in _cells(rows)
 
 

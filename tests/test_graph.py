@@ -382,6 +382,10 @@ def test_weighted_graph_validation():
         WeightedGraph(2, np.array([[0.5, 1], [1, 0]], dtype=float))  # diag
     with pytest.raises(InvalidParameterError):
         WeightedGraph(2, np.array([[0, np.nan], [np.nan, 0]]))
+    with pytest.raises(InvalidParameterError, match="does not match n=3"):
+        WeightedGraph(3, np.array([[0, 1], [1, 0]], dtype=float))  # shape
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        WeightedGraph(2, np.array([[0, -1], [-1, 0]], dtype=float))
 
 
 def test_graph_weights_are_frozen():

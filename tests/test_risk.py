@@ -524,6 +524,16 @@ def test_risk_profile_overflowed_moment_raises():
         _condition_scenario(sigma, FailureScenario((2,), (1e308,)), 3.0)
 
 
+def test_risk_profile_overflowed_risk_is_numerical():
+    # mu of pair 1 is 1e300 + 0.5 (-1e300 - 1e300) = 0 exactly, and the
+    # finite branch divides d by sqrt(2) iota sigma, about 2e-12: the
+    # risk overflows, a numerical failure and not an invalid input
+    sigma = CovarianceMatrix([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(NumericalError, match="risk overflowed"):
+        risk_profile(sigma, FailureScenario((1,), (-1e300,)), d=1e300,
+                     c=1.0, epsilon=0.5 + 1e-12)
+
+
 _moment = st.floats(-50.0, 50.0, allow_nan=False)
 
 
