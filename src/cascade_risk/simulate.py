@@ -6,17 +6,19 @@ the past plus white acceleration noise. Every trial starts in the
 chain's exact stationary law, so no step is spent on burn-in. The delay
 lets the stepper advance in blocks of k + 1 steps: their drifts read
 only the previous block's states, so each block is one batched drift
-evaluation and two running sums that add in the order single steps
-would. While the blocks of one noise chunk are stepped, the one worker
-of a thread pool draws the next chunk into a second buffer; the
-streams, the chunks and the arithmetic are those of drawing in line, so
-results are identical to the bit. Used to estimate the steady-state
-distance covariance independently of the analytic route.
+evaluation and two running sums that add row by row, in the order single
+steps would. While the blocks of one noise chunk are stepped, a helper
+thread draws trials of the next chunk into a second buffer, and the
+caller draws the trials it has not taken when it comes back; each trial
+is drawn whole from its own stream, so who draws it changes no bit.
+Used to estimate the steady-state distance covariance independently of
+the analytic route.
 """
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from contextlib import closing
 from dataclasses import dataclass
 
@@ -143,32 +145,59 @@ def _initial_history(P, g: float, dt: float, Q, r, rngs):
 def _noise_chunks(rngs, n, total_steps, chunk, scale):
     """Scaled noise g sqrt(dt) xi as (trials, chunk, n) arrays, chunk
     after chunk, in two alternating buffers: chunk i lives in buffer
-    i % 2. Before chunk i is yielded, the draw of chunk i + 1 goes to a
-    one-worker pool, where standard_normal(out=...) runs without the GIL
-    and so overlaps the caller's stepping; chunk i stays valid until the
-    next one is taken. A failed draw is raised where its chunk is taken;
-    closing the generator shuts the pool down and joins its worker."""
+    i % 2. Before chunk i is yielded, a helper thread starts on chunk
+    i + 1, taking trials from an iterator it shares with the caller;
+    standard_normal(out=...) runs without the GIL, so its draws overlap
+    the caller's stepping. When the caller comes back for chunk i + 1, it
+    draws the trials the helper has not taken, then joins the helper, so
+    a stalled helper costs the caller at most one trial's draw. Chunk i
+    stays valid until the next one is taken. A failed draw is raised
+    where its chunk is taken, after the join; closing the generator
+    joins the helper too."""
     bufs = (np.empty((len(rngs), chunk, n)), np.empty((len(rngs), chunk, n)))
     starts = range(0, total_steps, chunk)
+    failed = []                         # the helper's exception, if any
 
-    def draw(i):
+    def draw(i, trials):
         xi = bufs[i % 2]
         csz = min(chunk, total_steps - starts[i])
-        for rg, out in zip(rngs, xi):
-            rg.standard_normal(out=out[:csz])
-        xi[:, :csz] *= scale
-        return xi
+        for t in trials:                # next() is atomic under the GIL
+            rngs[t].standard_normal(out=xi[t, :csz])
+            xi[t, :csz] *= scale
 
-    # imported where the pool starts: concurrent.futures loads logging
-    # and queue, which no other subcommand needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1, thread_name_prefix="cascade-risk-noise") as pool:
-        ahead = pool.submit(draw, 0)
-        for i in range(1, len(starts) + 1):
-            xi = ahead.result()
-            if i < len(starts):
-                ahead = pool.submit(draw, i)
-            yield xi
+    def helper_draw(i, trials):
+        try:
+            draw(i, trials)
+        except BaseException as exc:    # re-raised by the caller
+            failed.append(exc)
+
+    def ahead(i):
+        trials = iter(range(len(rngs)))
+        helper = threading.Thread(target=helper_draw, args=(i, trials),
+                                  name="cascade-risk-noise")
+        helper.start()
+        return helper, trials
+
+    helper, trials = ahead(0)
+    try:
+        for i in range(len(starts)):
+            draw(i, trials)
+            helper.join()
+            if failed:
+                raise failed[0]
+            if i + 1 < len(starts):
+                helper, trials = ahead(i + 1)
+            yield bufs[i % 2]
+    finally:
+        helper.join()
+
+
+def _running_sum(rows, m):
+    """rows[0] .. rows[m] in place as their running sum: the adds of
+    np.cumsum along axis 0, in its order, one row at a time, without
+    its strided loop over the (trials, n) elements."""
+    for prev, row in zip(rows[:m], rows[1:m + 1]):
+        np.add(prev, row, out=row)
 
 
 @dataclass(frozen=True)
@@ -192,8 +221,8 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
 
     Per-trial noise streams are spawned from (seed, trial index), so a
     given trial's trajectory does not depend on how many trials run.
-    The noise is drawn one chunk ahead on a one-worker thread pool, which
-    is shut down, its worker joined, before run returns or raises. The
+    The noise is drawn one chunk ahead, shared between the caller and a
+    helper thread, which is joined before run returns or raises. The
     Laplacian, its spectrum and the stability gate are built once, here,
     and the stepper reads them as they are.
     """
@@ -224,14 +253,16 @@ def _samples(L: np.ndarray, spec: LaplacianSpectrum, d: float,
                          "the simulator's step count")
 
     # Step t reads state t - k, so the kb = k + 1 steps after state t0
-    # read only states t0 - k .. t0: the previous block. Rows 1..kb of a
-    # block buffer hold a block's states and row 0 the state before it;
-    # the history before the first block is drawn below.
+    # read only states t0 - k .. t0: the previous block. Block b writes
+    # buffer b % 2 of x and v and reads the other; rows 1..kb of a buffer
+    # hold a block's states and row 0 the state before it. The history
+    # before the first block is drawn below, into buffer 1.
     kb = k + 1
     r = d * np.arange(1, n + 1, dtype=float)
-    hx, hv, xs, vs = (_zeros(n, (kb + 1, trials, n),
-                             "the simulator's state history")
-                      for _ in range(4))
+    x, v = (_zeros(n, (2, kb + 1, trials, n), "the simulator's state history")
+            for _ in range(2))
+    # the row views the running sums add, made once per buffer
+    x_rows, v_rows = ([list(a[0]), list(a[1])] for a in (x, v))
     samples = _zeros(n, (n_samples, trials, n - 1),
                      "the simulator's sample array")
     P = _stationary_cov(spec.eigenvalues[1:], noise.beta, dt, k)
@@ -246,9 +277,11 @@ def _samples(L: np.ndarray, spec: LaplacianSpectrum, d: float,
     chunks = _noise_chunks(rngs, n, total_steps, chunk,
                            noise.g * math.sqrt(dt))
     with closing(chunks), np.errstate(over="ignore", invalid="ignore"):
-        hx[1:], hv[1:] = _initial_history(P, noise.g, dt, spec.eigenvectors,
-                                          r, rngs)
-        for t0 in range(0, total_steps, kb):
+        x[1, 1:], v[1, 1:] = _initial_history(P, noise.g, dt,
+                                              spec.eigenvectors, r, rngs)
+        for b, t0 in enumerate(range(0, total_steps, kb)):
+            new = b % 2
+            hx, hv, xs, vs = x[1 - new], v[1 - new], x[new], v[new]
             c = t0 % chunk
             if c == 0:
                 xi = next(chunks)
@@ -260,18 +293,16 @@ def _samples(L: np.ndarray, spec: LaplacianSpectrum, d: float,
             np.multiply(d, dt, out=vs[1:m + 1])
             vs[1:m + 1] += xi[:, c:c + m].transpose(1, 0, 2)
             vs[0] = hv[kb]
-            np.cumsum(vs[:m + 1], axis=0, out=vs[:m + 1])
+            _running_sum(v_rows[new], m)
             np.multiply(vs[:m], dt, out=xs[1:m + 1])
             xs[0] = hx[kb]
-            np.cumsum(xs[:m + 1], axis=0, out=xs[:m + 1])
+            _running_sum(x_rows[new], m)
             # sample s is the state at step s int_steps
             if s_idx * int_steps <= t0 + m:
                 s_end = min(n_samples, (t0 + m) // int_steps + 1)
                 rows = int_steps * np.arange(s_idx, s_end) - t0
                 samples[s_idx:s_end] = np.diff(xs[rows], axis=2)
                 s_idx = s_end
-            hx, xs = xs, hx
-            hv, vs = vs, hv
     assert s_idx == n_samples
     return samples
 

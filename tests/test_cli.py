@@ -947,14 +947,30 @@ def test_module_entry_point(tmp_path):
 
 @pytest.mark.parametrize("top", ["scipy", "concurrent", "statistics"])
 def test_cli_import_loads_no_unused_module(top):
-    # the simulator's thread pool and iota's NormalDist are imported
-    # where they run, so stability and covariance never load them
+    # iota's NormalDist is imported where it runs, so stability and
+    # covariance never load it
     code = ("import sys, cascade_risk.cli; print(sorted("
             f"m for m in sys.modules if m.split('.')[0] == {top!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"
+
+
+def test_simulate_loads_no_thread_pool(tmp_path):
+    # the noise helper is a plain thread: simulate loads neither
+    # concurrent.futures nor the logging and queue that it imports
+    cfg = DEMO_CONFIGS / "simulate_path5.cfg"
+    code = ("import sys\n"
+            "from cascade_risk.cli import main\n"
+            f"code = main(['simulate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'simulate.csv')!r}])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('concurrent', 'logging', 'queue')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0
+    assert proc.stdout == "0 []\n"
 
 
 def test_cell_formatting():

@@ -240,9 +240,9 @@ class _NoiseFault(Exception):
 
 def _recording_rngs(monkeypatch, fail_at=None, spike=None):
     # default_rng stand-ins that delegate to the real generators and
-    # record each noise chunk's length; noise call fail_at raises
-    # _NoiseFault, and spike = (trial, step, value) writes value into
-    # that trial's noise at that step
+    # record each noise chunk's length; trial 0's noise call fail_at
+    # raises _NoiseFault, and spike = (trial, step, value) writes value
+    # into that trial's noise at that step
     real = np.random.default_rng
     made = []
 
@@ -256,7 +256,7 @@ def _recording_rngs(monkeypatch, fail_at=None, spike=None):
                 return self.rng.standard_normal(size)
             start = sum(self.sizes)
             self.sizes.append(out.shape[0])
-            if len(self.sizes) == fail_at:
+            if len(self.sizes) == fail_at and made.index(self) == 0:
                 raise _NoiseFault
             self.rng.standard_normal(out=out)
             if spike and made.index(self) == spike[0] \
@@ -268,9 +268,35 @@ def _recording_rngs(monkeypatch, fail_at=None, spike=None):
     return made
 
 
-def test_noise_failure_reaches_caller(monkeypatch):
-    # an exception raised on the noise worker while the third chunk is
-    # drawn is re-raised by run, and no thread is left behind
+class _HelperNeverRuns:
+    # a noise helper thread that never gets a CPU: the caller draws every
+    # trial
+    def __init__(self, target, args, name):
+        self.target, self.args = target, args
+
+    def start(self):
+        pass
+
+    def join(self):
+        pass
+
+
+class _HelperRunsAtOnce(_HelperNeverRuns):
+    # a noise helper that draws its whole chunk before start returns
+    def start(self):
+        self.target(*self.args)
+
+
+@pytest.mark.parametrize("helper", [None, _HelperNeverRuns,
+                                    _HelperRunsAtOnce],
+                         ids=["either_draws", "caller_draws",
+                              "helper_draws"])
+def test_noise_failure_reaches_caller(monkeypatch, helper):
+    # an exception raised while trial 0 of the third chunk is drawn, by
+    # the caller or by the noise helper, is re-raised by run once the
+    # helper is joined, and no thread is left behind
+    if helper is not None:
+        monkeypatch.setattr(simulate.threading, "Thread", helper)
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     made = _recording_rngs(monkeypatch, fail_at=3)
     sim = SimConfig(dt=1e-3, sample_interval=0.1,
@@ -281,6 +307,41 @@ def test_noise_failure_reaches_caller(monkeypatch):
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
     assert threading.active_count() == threads
     assert made[0].sizes == [15, 15, 15]    # the third of 20 chunks
+
+
+def test_interrupted_stepping_joins_the_helper(monkeypatch):
+    # an interrupt in the stepper's seventh block, inside the second
+    # 15-step chunk, closes the noise generator while a helper draws the
+    # third chunk: that helper is joined too
+    helpers = []
+
+    class Recorded(_HelperNeverRuns):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.joined = False
+            helpers.append(self)
+
+        def join(self):
+            self.joined = True
+
+    calls = []
+
+    def interrupted(*args):
+        calls.append(1)
+        if len(calls) == 7:
+            raise KeyboardInterrupt
+        return _drift(*args)
+
+    monkeypatch.setattr(simulate.threading, "Thread", Recorded)
+    monkeypatch.setattr(simulate, "_drift", interrupted)
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
+    sim = SimConfig(dt=1e-3, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
+    with pytest.raises(KeyboardInterrupt):
+        run(build_path(3), 3.0,
+            NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
+    assert len(helpers) == 3
+    assert all(helper.joined for helper in helpers)
 
 
 @pytest.mark.parametrize("fault", [
@@ -296,7 +357,7 @@ def test_non_finite_state_is_refused_when_pooled(monkeypatch, fault):
     # a non-finite state stays non-finite in every later step, and the
     # last sample is the final state: _pool refuses the run
     fault(monkeypatch)
-    # 15-step noise chunks: the noise worker is one chunk ahead, possibly
+    # 15-step noise chunks: the noise helper is one chunk ahead, possibly
     # mid-draw, when the run stops
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     sim = SimConfig(dt=1e-3, sample_interval=0.1,
@@ -306,7 +367,7 @@ def test_non_finite_state_is_refused_when_pooled(monkeypatch, fault):
                                               "finite"):
         run(build_path(3), 3.0,
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
-    # the noise worker does not outlive the call
+    # the noise helper does not outlive the call
     assert threading.active_count() == threads
 
 
@@ -340,9 +401,10 @@ def _package_start(graph, noise, dt, seed, trials, steps):
 
 
 def test_concurrent_runs_match_oracle(monkeypatch):
-    # four runs at once, each with its own noise worker handing over 20
-    # small chunks, under a short switch interval: a buffer read before
-    # it is filled, or refilled while read, breaks bitwise equality
+    # four runs at once, each drawing 20 small chunks with its own noise
+    # helper, under a short switch interval: a buffer read before it is
+    # filled or refilled while read, or a trial drawn by both threads,
+    # breaks bitwise equality
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     noise = NoiseParams(g=0.1, tau=0.002, beta=2.0)
     L = laplacian(build_path(3))
@@ -400,7 +462,7 @@ def _run_against_oracle(monkeypatch, tau, dt, interval, n_samples,
                     samples_per_trial=n_samples, trials=trials, seed=seed)
     threads = threading.active_count()
     samples = simulate._samples(*_stepped(build_path(5)), 3.0, noise, sim)
-    # a run that ends normally leaves no noise worker behind either
+    # a run that ends normally leaves no noise helper behind either
     assert threading.active_count() == threads
     assert np.array_equal(samples, expected)
     assert all(sum(rng.sizes) == total for rng in made)
@@ -418,6 +480,15 @@ def test_run_matches_per_step_oracle(monkeypatch, tau, dt, interval,
     # block
     _run_against_oracle(monkeypatch, tau, dt, interval, n_samples,
                         noise_values)
+
+
+@pytest.mark.parametrize("helper", [_HelperNeverRuns, _HelperRunsAtOnce],
+                         ids=["caller_draws", "helper_draws"])
+def test_run_matches_per_step_oracle_whoever_draws(monkeypatch, helper):
+    # each trial is drawn whole from its own stream, so who draws it, the
+    # caller or the noise helper, changes no bit
+    monkeypatch.setattr(simulate.threading, "Thread", helper)
+    _run_against_oracle(monkeypatch, 0.03, 1e-3, 0.045, 7, 2000)
 
 
 @pytest.mark.parametrize("interval, noise_values, chunks", [
