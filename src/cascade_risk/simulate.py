@@ -7,12 +7,14 @@ chain's exact stationary law, so no step is spent on burn-in. The delay
 lets the stepper advance in blocks of k + 1 steps: their drifts read
 only the previous block's states, so each block is one batched drift
 evaluation and two running sums that add row by row, in the order single
-steps would. While the blocks of one noise chunk are stepped, a helper
-thread draws trials of the next chunk into a second buffer, and the
-caller draws the trials it has not taken when it comes back; each trial
-is drawn whole from its own stream, so who draws it changes no bit.
-Used to estimate the steady-state distance covariance independently of
-the analytic route.
+steps would. One helper thread per run draws the noise: while the
+blocks of one chunk are stepped, it draws the next chunk into a second
+buffer. When the caller takes that chunk, it draws the trials the
+helper has not taken, waits only for the helper's draw in flight on
+that buffer, and scales the chunk by g sqrt(dt). Each trial is drawn
+whole from its own stream, so who draws it changes no bit. Used to
+estimate the steady-state distance covariance independently of the
+analytic route.
 """
 from __future__ import annotations
 
@@ -81,13 +83,13 @@ def _delay_steps(n: int, tau: float, dt: float) -> int:
     return k
 
 
-def _drift(x_delayed, v_delayed, targets, L, beta, out=None):
+def _drift(x_delayed, v_delayed, targets, L, beta, out=None, work=None):
     """-(v L) - beta (x - targets) L for one state or a stack of states
     (L is symmetric, so right-multiplication serves both), into out if
-    given. The stepper passes out and the result uses one temporary:
-    several fresh temporaries of a block's size cost more in page faults
-    than the arithmetic."""
-    work = x_delayed - targets
+    given, using work, of out's shape, as the one workspace if given. The
+    stepper passes both, so a block allocates nothing: fresh temporaries
+    of a block's size cost more in page faults than the arithmetic."""
+    work = np.subtract(x_delayed, targets, out=work)
     out = np.matmul(work, L, out=out)
     out *= beta
     work = np.matmul(v_delayed, L, out=work)
@@ -145,51 +147,69 @@ def _initial_history(P, g: float, dt: float, Q, r, rngs):
 def _noise_chunks(rngs, n, total_steps, chunk, scale):
     """Scaled noise g sqrt(dt) xi as (trials, chunk, n) arrays, chunk
     after chunk, in two alternating buffers: chunk i lives in buffer
-    i % 2. Before chunk i is yielded, a helper thread starts on chunk
-    i + 1, taking trials from an iterator it shares with the caller;
-    standard_normal(out=...) runs without the GIL, so its draws overlap
-    the caller's stepping. When the caller comes back for chunk i + 1, it
-    draws the trials the helper has not taken, then joins the helper, so
-    a stalled helper costs the caller at most one trial's draw. Chunk i
-    stays valid until the next one is taken. A failed draw is raised
-    where its chunk is taken, after the join; closing the generator
-    joins the helper too."""
+    i % 2 until the next one is taken. One helper thread per run draws
+    chunk i + 1 while the caller steps chunk i; standard_normal(out=...)
+    runs without the GIL. Both threads take a chunk's trials from its
+    buffer's iterator. Taking chunk i, the caller hands the other buffer
+    to the helper, draws the trials the helper has not taken, waits on
+    the buffer's lock for the helper's draw in flight only, and scales
+    the chunk. A failed draw is raised where its chunk is taken; the
+    helper is joined when the generator ends or is closed."""
     bufs = (np.empty((len(rngs), chunk, n)), np.empty((len(rngs), chunk, n)))
     starts = range(0, total_steps, chunk)
-    failed = []                         # the helper's exception, if any
+    # per buffer: (its chunk's view, the iterator over its trials), the
+    # hand-backs the helper waits for, the lock it draws under, and the
+    # helper's exception
+    jobs = [None, None]
+    handed = (threading.Semaphore(0), threading.Semaphore(0))
+    drawing = (threading.Lock(), threading.Lock())
+    failed = [None, None]
+    stop = False
 
-    def draw(i, trials):
-        xi = bufs[i % 2]
-        csz = min(chunk, total_steps - starts[i])
-        for t in trials:                # next() is atomic under the GIL
-            rngs[t].standard_normal(out=xi[t, :csz])
-            xi[t, :csz] *= scale
+    def hand(i):
+        jobs[i % 2] = (bufs[i % 2][:, :total_steps - starts[i]],
+                       iter(range(len(rngs))))
+        handed[i % 2].release()
 
-    def helper_draw(i, trials):
-        try:
-            draw(i, trials)
-        except BaseException as exc:    # re-raised by the caller
-            failed.append(exc)
+    def draw(b):
+        xi, order = jobs[b]
+        for t in order:                 # next() is atomic under the GIL
+            rngs[t].standard_normal(out=xi[t])
 
-    def ahead(i):
-        trials = iter(range(len(rngs)))
-        helper = threading.Thread(target=helper_draw, args=(i, trials),
-                                  name="cascade-risk-noise")
-        helper.start()
-        return helper, trials
+    def helper():
+        # one pass per hand-back; a helper that fell behind finds a later
+        # chunk in the buffer, or nothing left to draw
+        for i in range(len(starts)):
+            handed[i % 2].acquire()
+            if stop:
+                return
+            with drawing[i % 2]:
+                try:
+                    draw(i % 2)
+                except BaseException as exc:    # re-raised by the caller
+                    failed[i % 2] = exc
+                    return
 
-    helper, trials = ahead(0)
+    hand(0)
+    thread = threading.Thread(target=helper, name="cascade-risk-noise")
+    thread.start()
     try:
         for i in range(len(starts)):
-            draw(i, trials)
-            helper.join()
-            if failed:
-                raise failed[0]
             if i + 1 < len(starts):
-                helper, trials = ahead(i + 1)
-            yield bufs[i % 2]
+                hand(i + 1)
+            b = i % 2
+            draw(b)
+            with drawing[b]:            # the helper's draw in flight
+                pass
+            if failed[b] is not None:
+                raise failed[b]
+            np.multiply(jobs[b][0], scale, out=jobs[b][0])
+            yield bufs[b]
     finally:
-        helper.join()
+        stop = True
+        for sem in handed:
+            sem.release()
+        thread.join()
 
 
 def _running_sum(rows, m):
@@ -221,10 +241,11 @@ def run(graph: WeightedGraph, d: float, noise: NoiseParams,
 
     Per-trial noise streams are spawned from (seed, trial index), so a
     given trial's trajectory does not depend on how many trials run.
-    The noise is drawn one chunk ahead, shared between the caller and a
-    helper thread, which is joined before run returns or raises. The
-    Laplacian, its spectrum and the stability gate are built once, here,
-    and the stepper reads them as they are.
+    The noise is drawn one chunk ahead by the run's one helper thread;
+    the caller draws what the helper has not taken, waits only for a
+    draw in flight and scales each chunk. The helper is joined before
+    run returns or raises. The Laplacian, its spectrum and the stability
+    gate are built once, here, and the stepper reads them as they are.
     """
     d = _real(d, "target gap d", positive=True)
     L = laplacian(graph)
@@ -289,7 +310,9 @@ def _samples(L: np.ndarray, spec: LaplacianSpectrum, d: float,
             # v_{t+1} = v_t + dt drift + g sqrt(dt) xi_t and
             # x_{t+1} = x_t + dt v_t as running sums seeded with state t0,
             # which add in the order single steps would
-            d = _drift(hx[1:m + 1], hv[1:m + 1], r, L, beta, vs[1:m + 1])
+            # xs[1:m + 1] is the drift's workspace until it is written
+            d = _drift(hx[1:m + 1], hv[1:m + 1], r, L, beta, vs[1:m + 1],
+                       xs[1:m + 1])
             np.multiply(d, dt, out=vs[1:m + 1])
             vs[1:m + 1] += xi[:, c:c + m].transpose(1, 0, 2)
             vs[0] = hv[kb]
@@ -319,15 +342,26 @@ def _pool(samples: np.ndarray) -> EmpiricalCovariance:
         cov = dev.T @ dev / (flat.shape[0] - 1)
         cov = 0.5 * (cov + cov.T)
 
-        trial_means = np.empty((trials, pairs))
-        trial_covs = np.empty((trials, pairs, pairs))
-        for b in range(trials):
-            xb = samples[:, b, :]
-            mb = xb.mean(axis=0)
-            db = xb - mb
-            trial_means[b] = mb
-            trial_covs[b] = db.T @ db / (n_samples - 1)
-        se_cov = trial_covs.std(axis=0, ddof=1) / math.sqrt(trials)
+        trial_means = np.array([samples[:, b, :].mean(axis=0)
+                                for b in range(trials)])
+
+        def trial_covs():
+            for b in range(trials):
+                db = samples[:, b, :] - trial_means[b]
+                yield db.T @ db / (n_samples - 1)
+
+        if pairs == 1:
+            # numpy sums a (trials, 1, 1) stack pairwise, not in trial
+            # order; that stack is only trials values
+            spread = np.std(list(trial_covs()), axis=0, ddof=1)
+        else:
+            # the stacked covariances' std(axis=0, ddof=1) in two passes:
+            # numpy adds a (trials, pairs, pairs) stack in trial order, so
+            # the same adds give the same bits, with O(pairs^2) alive
+            mean_cov = sum(trial_covs()) / trials
+            spread = np.sqrt(sum((c - mean_cov) ** 2 for c in trial_covs())
+                             / (trials - 1))
+        se_cov = spread / math.sqrt(trials)
         se_cov = 0.5 * (se_cov + se_cov.transpose())
         se_mean = trial_means.std(axis=0, ddof=1) / math.sqrt(trials)
 

@@ -346,21 +346,28 @@ def chain_distance_covariance(graph, noise, dt):
     return noise.g ** 2 * dt * (W * P[:, 0, 0]) @ W.T
 
 
-def pooled_cov_and_se(samples):
-    """Pooled covariance across (n_samples, trials, m) snapshots plus
-    per-entry SEs from the between-trial spread, mirroring the
-    estimator contract."""
+def stacked_pool(samples):
+    """simulate._pool's (mean, cov, se_cov, se_mean) from (n_samples,
+    trials, m) snapshots, with every trial's covariance stacked in one
+    (trials, m, m) array and the spread taken by numpy's std."""
     n_samples, trials, m = samples.shape
     flat = samples.reshape(n_samples * trials, m)
-    dev = flat - flat.mean(axis=0)
+    mean = flat.mean(axis=0)
+    dev = flat - mean
     cov = dev.T @ dev / (flat.shape[0] - 1)
+    cov = 0.5 * (cov + cov.T)
+    trial_means = np.empty((trials, m))
     trial_covs = np.empty((trials, m, m))
     for b in range(trials):
         xb = samples[:, b, :]
-        db = xb - xb.mean(axis=0)
+        mb = xb.mean(axis=0)
+        db = xb - mb
+        trial_means[b] = mb
         trial_covs[b] = db.T @ db / (n_samples - 1)
-    se = trial_covs.std(axis=0, ddof=1) / math.sqrt(trials)
-    return cov, se
+    se_cov = trial_covs.std(axis=0, ddof=1) / math.sqrt(trials)
+    se_cov = 0.5 * (se_cov + se_cov.transpose())
+    se_mean = trial_means.std(axis=0, ddof=1) / math.sqrt(trials)
+    return mean, cov, se_cov, se_mean
 
 
 def format_cell(value) -> str:

@@ -7,7 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cascade_risk import (DivergenceError, InvalidParameterError,
@@ -20,7 +20,7 @@ from cascade_risk.simulate import (_delay_steps, _drift, _initial_history,
                                    _stationary_cov)
 
 from oracles import (chain_distance_covariance, em_distance_samples,
-                     em_mode_matrix, pooled_cov_and_se)
+                     em_mode_matrix, stacked_pool)
 
 PATH5_NOISE = NoiseParams(g=0.1, tau=0.03, beta=2.0)
 
@@ -271,8 +271,8 @@ def _recording_rngs(monkeypatch, fail_at=None, spike=None):
 class _HelperNeverRuns:
     # a noise helper thread that never gets a CPU: the caller draws every
     # trial
-    def __init__(self, target, args, name):
-        self.target, self.args = target, args
+    def __init__(self, target, name):
+        pass
 
     def start(self):
         pass
@@ -281,22 +281,58 @@ class _HelperNeverRuns:
         pass
 
 
-class _HelperRunsAtOnce(_HelperNeverRuns):
-    # a noise helper that draws its whole chunk before start returns
-    def start(self):
-        self.target(*self.args)
+def _caller_draws(monkeypatch):
+    monkeypatch.setattr(simulate.threading, "Thread", _HelperNeverRuns)
 
 
-@pytest.mark.parametrize("helper", [None, _HelperNeverRuns,
-                                    _HelperRunsAtOnce],
+def _helper_draws(monkeypatch):
+    # the real noise helper, but its start and every hand-back of a buffer
+    # return only once the helper waits for a buffer the caller has not
+    # handed back, or has ended: the helper draws each chunk whole before
+    # the caller comes for it, so it draws every trial
+    idle = threading.Event()
+    started, ended = [], []
+    Thread, Semaphore = threading.Thread, threading.Semaphore
+
+    class Handed(Semaphore):
+        def acquire(self, blocking=True, timeout=None):
+            if not super().acquire(blocking=False):
+                idle.set()
+                super().acquire()
+            return True
+
+        def release(self, n=1):
+            idle.clear()
+            super().release(n)
+            if started and not ended:
+                assert idle.wait(timeout=60)
+
+    class Started(Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+            assert idle.wait(timeout=60)
+
+        def run(self):
+            try:
+                super().run()
+            finally:
+                ended.append(self)
+                idle.set()
+
+    monkeypatch.setattr(simulate.threading, "Semaphore", Handed)
+    monkeypatch.setattr(simulate.threading, "Thread", Started)
+
+
+@pytest.mark.parametrize("who", [None, _caller_draws, _helper_draws],
                          ids=["either_draws", "caller_draws",
                               "helper_draws"])
-def test_noise_failure_reaches_caller(monkeypatch, helper):
+def test_noise_failure_reaches_caller(monkeypatch, who):
     # an exception raised while trial 0 of the third chunk is drawn, by
     # the caller or by the noise helper, is re-raised by run once the
     # helper is joined, and no thread is left behind
-    if helper is not None:
-        monkeypatch.setattr(simulate.threading, "Thread", helper)
+    if who is not None:
+        who(monkeypatch)
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
     made = _recording_rngs(monkeypatch, fail_at=3)
     sim = SimConfig(dt=1e-3, sample_interval=0.1,
@@ -309,19 +345,39 @@ def test_noise_failure_reaches_caller(monkeypatch, helper):
     assert made[0].sizes == [15, 15, 15]    # the third of 20 chunks
 
 
+def test_run_starts_one_noise_helper(monkeypatch):
+    # a run of 20 noise chunks starts one helper thread, not one per chunk
+    names = []
+    Thread = threading.Thread
+
+    class Named(Thread):
+        def start(self):
+            names.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(simulate.threading, "Thread", Named)
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 100)
+    sim = SimConfig(dt=1e-3, sample_interval=0.1,
+                    samples_per_trial=4, trials=2)
+    run(build_path(3), 3.0, NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
+    assert names == ["cascade-risk-noise"]
+
+
 def test_interrupted_stepping_joins_the_helper(monkeypatch):
     # an interrupt in the stepper's seventh block, inside the second
-    # 15-step chunk, closes the noise generator while a helper draws the
-    # third chunk: that helper is joined too
+    # 15-step chunk, closes the noise generator while the helper may
+    # still draw the third chunk: the run's one helper is joined
     helpers = []
+    Thread = threading.Thread
 
-    class Recorded(_HelperNeverRuns):
+    class Recorded(Thread):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.joined = False
             helpers.append(self)
 
-        def join(self):
+        def join(self, timeout=None):
+            super().join(timeout)
             self.joined = True
 
     calls = []
@@ -340,8 +396,8 @@ def test_interrupted_stepping_joins_the_helper(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run(build_path(3), 3.0,
             NoiseParams(g=0.1, tau=0.002, beta=2.0), sim)
-    assert len(helpers) == 3
-    assert all(helper.joined for helper in helpers)
+    assert len(helpers) == 1
+    assert helpers[0].joined and not helpers[0].is_alive()
 
 
 @pytest.mark.parametrize("fault", [
@@ -482,12 +538,12 @@ def test_run_matches_per_step_oracle(monkeypatch, tau, dt, interval,
                         noise_values)
 
 
-@pytest.mark.parametrize("helper", [_HelperNeverRuns, _HelperRunsAtOnce],
+@pytest.mark.parametrize("who", [_caller_draws, _helper_draws],
                          ids=["caller_draws", "helper_draws"])
-def test_run_matches_per_step_oracle_whoever_draws(monkeypatch, helper):
+def test_run_matches_per_step_oracle_whoever_draws(monkeypatch, who):
     # each trial is drawn whole from its own stream, so who draws it, the
     # caller or the noise helper, changes no bit
-    monkeypatch.setattr(simulate.threading, "Thread", helper)
+    who(monkeypatch)
     _run_against_oracle(monkeypatch, 0.03, 1e-3, 0.045, 7, 2000)
 
 
@@ -575,8 +631,8 @@ def test_dt_halving_within_monte_carlo_noise():
                              burn_steps, int_steps, samples)
     sf = em_distance_samples(L, targets(n), 0.1, 0.03, 2.0, dt / 2, fine,
                              2 * burn_steps, 2 * int_steps, samples)
-    c1, se1 = pooled_cov_and_se(sc)
-    c2, se2 = pooled_cov_and_se(sf)
+    _, c1, se1, _ = stacked_pool(sc)
+    _, c2, se2, _ = stacked_pool(sf)
     diff = np.abs(np.diag(c1) - np.diag(c2))
     combined = np.sqrt(np.diag(se1) ** 2 + np.diag(se2) ** 2)
     assert np.all(diff < combined)
@@ -596,6 +652,26 @@ def test_samples_decorrelate_at_widened_interval():
         s = s - s.mean()
         acs.append(float((s[:-1] @ s[1:]) / (s @ s)))
     assert np.mean(acs) <= 0.2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 40), st.integers(1, 6),
+       st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
+@example(3, 2, 1, 0, 0)         # two trials, one pair
+@example(5, 30, 1, 1, 7)        # one pair: numpy sums its stack pairwise
+@example(4, 2, 3, 0, 1)
+def test_pool_equals_stacked_oracle(n_samples, trials, pairs, exponent,
+                                    seed):
+    # _pool's two passes over the trials give the stacked form's
+    # estimates bit for bit
+    rng = np.random.default_rng(seed)
+    samples = (rng.standard_normal((n_samples, trials, pairs))
+               + rng.uniform(-5, 5, pairs)) * 10.0 ** exponent
+    pooled = simulate._pool(samples)
+    got = (pooled.mean, pooled.cov, pooled.standard_errors,
+           pooled.mean_standard_errors)
+    for a, b in zip(got, stacked_pool(samples)):
+        assert np.array_equal(a, b)
 
 
 def test_run_refuses_finite_samples_too_large_to_pool(monkeypatch):
